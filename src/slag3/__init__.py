@@ -18,8 +18,6 @@ Subpackage map:
 * ``slag3.integrate``       -- reconstruction of immersions from closed
                                moving-frame systems (circle-symmetric profile
                                and the six-function order-2-symmetric system).
-* ``slag3.lines``           -- oriented lines of C^3, the isotropy forms, and
-                               ruled-surface detection/extraction.
 * ``slag3.cli``             -- command-line interface.
 """
 

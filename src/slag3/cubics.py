@@ -19,6 +19,7 @@ Conventions (load-bearing, used across the package):
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -338,19 +339,11 @@ def invariants(h: HarmonicCubic):
     return i2, i4
 
 
-def _transport_matrix(w):
-    """Raw rotation matrix carrying the z-axis to unit w (hot path)."""
-    if w[2] < -0.5:
-        return _transport_matrix(-w) @ np.diag([1.0, -1.0, -1.0])
-    k = np.array([[0.0, 0.0, w[0]],
-                  [0.0, 0.0, w[1]],
-                  [-w[0], -w[1], 0.0]])
-    return np.eye(3) + k + (k @ k) / (1.0 + w[2])
-
-
 def _transport_matrices(ws):
-    """Vectorized _transport_matrix for unit rows of ws (n, 3)."""
+    """transport_rotation for the direction of each row of ws (n, 3), as raw
+    (n, 3, 3) matrices; rows need not be unit (hot path)."""
     ws = np.asarray(ws, dtype=float)
+    ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
     flip = ws[:, 2] < -0.5
     wf = np.where(flip[:, None], -ws, ws)
     w0, w1, w2 = wf[:, 0], wf[:, 1], wf[:, 2]
@@ -377,10 +370,9 @@ def transport_rotation(w) -> Rotation3:
     fixed half-turn about x composed with the stable geodesic to -w.
     """
     w = np.asarray(w, dtype=float)
-    n = np.linalg.norm(w)
-    if n < 1e-12:
+    if np.linalg.norm(w) < 1e-12:
         raise ValueError("zero-length axis")
-    return Rotation3(_transport_matrix(w / n))
+    return Rotation3(_transport_matrices(w[None])[0])
 
 
 def _components7(c):
@@ -402,60 +394,85 @@ def axis_decompose(h: HarmonicCubic, w) -> AxisDecomposition:
         raise ValueError("zero-length axis")
     if abs(n - 1.0) > 1e-9:
         raise ValueError("axis must be a unit vector")
-    c0, c1, c2, c3 = _components7(_rot10(h.coeffs, _transport_matrix(w / n)))
+    c0, c1, c2, c3 = _components7(
+        _rot10(h.coeffs, _transport_matrices(w[None])[0]))
     return AxisDecomposition(axis=w, c0=c0, c1=c1, c2=c2, c3=c3)
 
 
 # ---------------------------------------------------------------------------
-# smooth residual functionals on the sphere (frame-free, vectorized)
+# axis search: Maxwell-point seeds polished by lockstep Gauss-Newton
 
-def _functional_fields(h: HarmonicCubic, w):
-    """c0^2, |c1|^2, |c2|^2, |c3|^2 at each row of w (n,3), frame-free."""
-    t = h.tensor
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    g = np.einsum("pjk,nj,nk->np", t, w, w)
-    hv = np.einsum("np,np->n", g, w)
-    m = np.einsum("pqk,nk->npq", t, w)
-    mw = np.einsum("npq,nq->np", m, w)
-    norm2 = h.inner(h)
-    c0sq = 2.5 * hv ** 2
-    c1sq = 3.75 * (np.einsum("np,np->n", g, g) - hv ** 2)
-    c2sq = (3.0 * np.einsum("npq,npq->n", m, m)
-            - 6.0 * np.einsum("np,np->n", mw, mw) + 1.5 * hv ** 2)
-    c3sq = norm2 - c0sq - c1sq - c2sq
-    return c0sq, np.maximum(c1sq, 0.0), np.maximum(c2sq, 0.0), \
-        np.maximum(c3sq, 0.0)
+# coefficient (ascending powers of zeta) of x, y, z on the null curve
+# (1 - zeta^2, i(1 + zeta^2), 2 zeta); row k of _SEXTIC @ coeffs is the
+# zeta^k coefficient of the binary sextic p(zeta) = h(null curve)
+_NULL_CURVE = np.array([[1.0, 0.0, -1.0], [1j, 0.0, 1j], [0.0, 2.0, 0.0]])
+_SEXTIC = np.stack([
+    m * np.convolve(np.convolve(_NULL_CURVE[i - 1], _NULL_CURVE[j - 1]),
+                    _NULL_CURVE[k - 1])
+    for m, (i, j, k) in zip(MULTIPLICITY, LEX_TRIPLES)], axis=1)
 
 
-def _fibonacci_sphere(n):
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+def _maxwell_directions(c):
+    """Unit Maxwell directions v1, v2, v3 (3, 3) of raw coefficients c.
+
+    By Sylvester's theorem the six roots of the sextic, as points of
+    S^2 = CP^1, are three antipodal pairs +-v_i, and every rotation fixing
+    the cubic permutes them.  The root zeta is the point
+    (-2 Re zeta, -2 Im zeta, 1 - |zeta|^2) / (1 + |zeta|^2), read through
+    1/zeta when |zeta| > 1; a degree lost to vanishing leading coefficients
+    is a root at infinity, the pole -z.  Pairs are matched closest first and
+    one vector per pair is kept.
+    """
+    roots = np.roots((_SEXTIC @ c)[::-1])
+    far = np.abs(roots) > 1.0
+    z = roots.copy()
+    z[far] = 1.0 / roots[far]
+    sign = np.where(far, -1.0, 1.0)
+    d = 1.0 + np.abs(z) ** 2
+    pts = np.stack([-2.0 * z.real / d, -2.0 * sign * z.imag / d,
+                    sign * (2.0 / d - 1.0)], axis=1)
+    pts = np.vstack([pts, np.tile([0.0, 0.0, -1.0], (6 - len(pts), 1))])
+    gap = np.linalg.norm(pts[:, None] + pts[None], axis=2)
+    free = np.ones(6, dtype=bool)
+    out = []
+    for i, j in zip(*np.unravel_index(np.argsort(gap, axis=None), gap.shape)):
+        if i != j and free[i] and free[j]:
+            free[i] = free[j] = False
+            out.append(pts[i] - pts[j])
+    out = np.array(out)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-_KIND_ROWS = {(1, 3): np.array([1, 2, 5, 6]),
+# linear seed combinations of (v1, v2, v3) per kind: the circle axis is a
+# Maxwell direction, an order-2 axis one of v_i or v_i +- v_j, an order-3
+# axis one of v_i or v1 +- v2 +- v3.  The order-2 and order-3 searches also
+# seed the normals v_i x v_j: S3's Maxwell directions are coplanar, and its
+# order-3 axis is their common normal.
+_SEED_SUMS = {
+    (1, 2, 3): np.eye(3),
+    (1, 3): np.vstack([np.eye(3), [[1, 1, 0], [1, -1, 0], [1, 0, 1],
+                                   [1, 0, -1], [0, 1, 1], [0, 1, -1]]]),
+    (1, 2): np.vstack([np.eye(3), [[1, 1, 1], [1, 1, -1], [1, -1, 1],
+                                   [1, -1, -1]]]),
+}
+
+
+def _axis_seeds(v, kinds):
+    """Unit seed axes for one component condition from Maxwell directions."""
+    seeds = _SEED_SUMS[kinds] @ v
+    if kinds != (1, 2, 3):
+        seeds = np.vstack([seeds, np.cross(v, v[[1, 2, 0]])])
+    n = np.linalg.norm(seeds, axis=1)
+    keep = n > 1e-12
+    return seeds[keep] / n[keep, None]
+
+
+# component rows of _BASIS7 whose joint zeros each search looks for: the
+# gradient (c0, c1), and the order-2, order-3 and circle conditions
+_KIND_ROWS = {(0, 1): np.array([0, 1, 2]),
+              (1, 3): np.array([1, 2, 5, 6]),
               (1, 2): np.array([1, 2, 3, 4]),
               (1, 2, 3): np.array([1, 2, 3, 4, 5, 6])}
-
-
-def _chart_transports(xis):
-    """Transport matrices z -> [xi0, xi1, 1]/|.| for chart points (n, 2)."""
-    x0, x1 = xis[:, 0], xis[:, 1]
-    nrm = np.sqrt(1.0 + x0 * x0 + x1 * x1)
-    w0, w1, w2 = x0 / nrm, x1 / nrm, 1.0 / nrm
-    d = 1.0 + w2
-    rmat = np.empty((len(xis), 3, 3))
-    rmat[:, 0, 0] = 1.0 - w0 * w0 / d
-    rmat[:, 0, 1] = rmat[:, 1, 0] = -w0 * w1 / d
-    rmat[:, 0, 2] = w0
-    rmat[:, 1, 1] = 1.0 - w1 * w1 / d
-    rmat[:, 1, 2] = w1
-    rmat[:, 2, 0] = -w0
-    rmat[:, 2, 1] = -w1
-    rmat[:, 2, 2] = w2
-    return rmat
 
 
 def _pullback_many(tloc, rmats):
@@ -470,15 +487,11 @@ def _pullback_many(tloc, rmats):
 # so its five transports are fixed; precompute their exact coefficient
 # pullback operators composed with the component projection, per kind set.
 _REFINE_STEP = 1e-6
-_STENCIL = np.array([[0.0, 0.0], [_REFINE_STEP, 0.0], [-_REFINE_STEP, 0.0],
-                     [0.0, _REFINE_STEP], [0.0, -_REFINE_STEP]])
-_P_STEN = np.empty((5, 10, 10))
-for _s in range(5):
-    _T = _chart_transports(_STENCIL[_s:_s + 1])[0]
-    for _j in range(10):
-        _e = np.zeros(10)
-        _e[_j] = 1.0
-        _P_STEN[_s, :, _j] = _rot10(_e, _T)
+_STENCIL = _transport_matrices(
+    [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
+     [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
+_P_STEN = np.stack([np.stack([_rot10(e, t) for e in np.eye(10)], axis=1)
+                    for t in _STENCIL])
 _STEN_OPS = {k: np.einsum("mj,sji->smi", _BASIS7[r], _P_STEN)
              for k, r in _KIND_ROWS.items()}
 
@@ -531,9 +544,10 @@ def _refine_axes(h, seeds, kinds, max_iter=60):
         delta = np.clip(delta, -1.0, 1.0)  # keep trials inside the chart
         m = len(active)
         tloc = (cloc[active] @ _SCATTER.T).reshape(m, 3, 3, 3)
-        pts = delta[:, None, :] * lams[None, :, None]
-        rmats = _chart_transports(pts.reshape(-1, 2)).reshape(m, len(lams),
-                                                              3, 3)
+        pts = np.ones((m, len(lams), 3))  # chart point (xi0, xi1) at z = 1
+        pts[:, :, :2] = delta[:, None, :] * lams[None, :, None]
+        rmats = _transport_matrices(pts.reshape(-1, 3)).reshape(
+            m, len(lams), 3, 3)
         trials = _pullback_many(tloc, rmats)
         tvals = ((trials @ _BASIS7[rows].T) ** 2).sum(-1)
         improving = tvals < fval[active, None]
@@ -574,6 +588,14 @@ def _dedupe(cands, ang_tol=1e-4):
     return out
 
 
+def _fibonacci_sphere(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
 def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
     # prefilter to the best few hundred lattice points, then greedily pick
     # value-ordered representatives separated by min_sep (antipodally aware)
@@ -595,11 +617,9 @@ def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
     return seeds
 
 
-def _search_axes(h, kinds, threshold, lattice, fvals, n_basins=40):
-    """Lattice scan + Gauss-Newton refinement for one component condition."""
-    seeds = _seed_points(lattice, fvals, n_basins)
-    if not seeds:
-        return []
+def _search_axes(h, kinds, threshold, maxwell):
+    """Gauss-Newton polish of the Maxwell seeds for one component condition."""
+    seeds = _axis_seeds(maxwell, kinds)
     axes, final = _refine_axes(h, seeds, kinds)
     found = []
     for i in range(len(seeds)):
@@ -615,19 +635,19 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     """Locate all axes whose rotational components vanish.
 
     order-2 condition: c1 = c3 = 0; order-3: c1 = c2 = 0; circle: all of
-    c1, c2, c3 = 0.  Residual threshold is tol * ||h||; axes meeting the
-    circle condition are removed from the order-2/order-3 lists.
+    c1, c2, c3 = 0.  The candidates are built from the cubic's Maxwell
+    directions, which every symmetry permutes.  Residual threshold is
+    tol * ||h||; axes meeting the circle condition are removed from the
+    order-2/order-3 lists.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero; axes are undefined")
     threshold = tol * norm
-    lattice = _fibonacci_sphere(2000)
-    _, c1sq, c2sq, c3sq = _functional_fields(h, lattice)
-    circle = _search_axes(h, (1, 2, 3), threshold, lattice,
-                          c1sq + c2sq + c3sq)
-    order2 = _search_axes(h, (1, 3), threshold, lattice, c1sq + c3sq)
-    order3 = _search_axes(h, (1, 2), threshold, lattice, c1sq + c2sq)
+    maxwell = _maxwell_directions(h.coeffs)
+    circle = _search_axes(h, (1, 2, 3), threshold, maxwell)
+    order2 = _search_axes(h, (1, 3), threshold, maxwell)
+    order3 = _search_axes(h, (1, 2), threshold, maxwell)
 
     def drop_circle(lst):
         keep = []
@@ -655,6 +675,13 @@ def _phase_rotation(k, current, target):
 _FLIP_Z = Rotation3(np.diag([1.0, -1.0, -1.0]))  # half-turn about x
 
 
+def _fit_residual(h, R, tag, r, s):
+    """Norm of rotate(h, R) minus the normal form, on raw coefficients, so
+    no absolute trace floor applies to the difference."""
+    d = _rot10(h.coeffs, R.entries) - normal_form(tag, r, s).coeffs
+    return math.sqrt(float(np.dot(MULTIPLICITY * d, d)))
+
+
 def _fit_circle(h, axis):
     R = transport_rotation(axis)
     c0 = _components7(_rot10(h.coeffs, R.entries))[0]
@@ -662,7 +689,7 @@ def _fit_circle(h, axis):
     if r < 0:
         R = R.compose(_FLIP_Z)
         r = -r
-    resid = (rotate(h, R) - normal_form(StabilizerType.CIRCLE, r, 0.0)).norm()
+    resid = _fit_residual(h, R, StabilizerType.CIRCLE, r, 0.0)
     return NormalFormResult(StabilizerType.CIRCLE, R, float(r), 0.0, resid)
 
 
@@ -671,7 +698,7 @@ def _fit_s3(h, order3_axis):
     c3 = _components7(_rot10(h.coeffs, R.entries))[3]
     R = R.compose(_phase_rotation(3, c3, 0.0))
     s = abs(c3) / 2.0
-    resid = (rotate(h, R) - normal_form(StabilizerType.S3, 0.0, s)).norm()
+    resid = _fit_residual(h, R, StabilizerType.S3, 0.0, s)
     return NormalFormResult(StabilizerType.S3, R, 0.0, float(s), resid)
 
 
@@ -685,7 +712,7 @@ def _fit_a4(h, order2_axes):
     # target phase -pi/2: xyz component positive, (x^2-y^2)z component zero
     R = R.compose(_phase_rotation(2, c2, -math.pi / 2.0))
     s = abs(c2) / math.sqrt(6.0)
-    resid = (rotate(h, R) - normal_form(StabilizerType.A4, 0.0, s)).norm()
+    resid = _fit_residual(h, R, StabilizerType.A4, 0.0, s)
     return NormalFormResult(StabilizerType.A4, R, 0.0, float(s), resid)
 
 
@@ -699,7 +726,7 @@ def _fit_z2(h, axis):
     c2 = _components7(_rot10(h.coeffs, R.entries))[2]
     R = R.compose(_phase_rotation(2, c2, -math.pi / 2.0))
     s = abs(c2) / math.sqrt(6.0)
-    resid = (rotate(h, R) - normal_form(StabilizerType.Z2, r, s)).norm()
+    resid = _fit_residual(h, R, StabilizerType.Z2, r, s)
     return NormalFormResult(StabilizerType.Z2, R, float(r), float(s), resid,
                             dist_s_minus_r=float(abs(s - r)))
 
@@ -714,7 +741,7 @@ def _fit_z3(h, axis):
     c3 = _components7(_rot10(h.coeffs, R.entries))[3]
     R = R.compose(_phase_rotation(3, c3, 0.0))
     s = abs(c3) / 2.0
-    resid = (rotate(h, R) - normal_form(StabilizerType.Z3, r, s)).norm()
+    resid = _fit_residual(h, R, StabilizerType.Z3, r, s)
     return NormalFormResult(
         StabilizerType.Z3, R, float(r), float(s), resid,
         dist_s_minus_rsqrt2=float(abs(s - r * math.sqrt(2.0))))
@@ -743,36 +770,31 @@ def classify(h: HarmonicCubic, tol: float = 1e-6) -> NormalFormResult:
         return _fit_a4(h, axes.order2)
     if (n2, n3) == (3, 1):
         return _fit_s3(h, axes.order3[0][0])
-    if (n2, n3) == (1, 0):
-        fit = _fit_z2(h, axes.order2[0][0])
-        if fit.dist_s_minus_r <= tol * norm:
-            loose = find_symmetry_axes(
-                h, tol=max(TAU_AXIS, 100.0 * (fit.dist_s_minus_r / norm) ** 2))
-            if loose.order3:
-                collapsed = _fit_s3(h, loose.order3[0][0])
-            else:
-                collapsed = NormalFormResult(StabilizerType.S3, fit.rotation,
-                                             0.0, norm / 2.0, fit.residual)
-            return NormalFormResult(StabilizerType.S3, collapsed.rotation,
-                                    0.0, collapsed.s, collapsed.residual,
-                                    dist_s_minus_r=fit.dist_s_minus_r)
-        return fit
-    if (n2, n3) == (0, 1):
-        fit = _fit_z3(h, axes.order3[0][0])
-        if fit.dist_s_minus_rsqrt2 <= tol * norm:
-            loose = find_symmetry_axes(
-                h, tol=max(TAU_AXIS,
-                           100.0 * (fit.dist_s_minus_rsqrt2 / norm) ** 2))
-            if len(loose.order2) >= 2:
-                collapsed = _fit_a4(h, loose.order2)
-            else:
-                collapsed = NormalFormResult(StabilizerType.A4, fit.rotation,
-                                             0.0, norm / math.sqrt(6.0),
-                                             fit.residual)
-            return NormalFormResult(StabilizerType.A4, collapsed.rotation,
-                                    0.0, collapsed.s, collapsed.residual,
-                                    dist_s_minus_rsqrt2=fit.dist_s_minus_rsqrt2)
-        return fit
+    if (n2, n3) in ((1, 0), (0, 1)):
+        if n2:
+            fit, field = _fit_z2(h, axes.order2[0][0]), "dist_s_minus_r"
+        else:
+            fit, field = _fit_z3(h, axes.order3[0][0]), "dist_s_minus_rsqrt2"
+        dist = getattr(fit, field)
+        if dist > tol * norm:
+            return fit
+        # on the collapse line the cubic is S3 (from Z2) or A4 (from Z3);
+        # re-search with a threshold loose enough for the symmetry broken
+        # by a distance of `dist`
+        loose = find_symmetry_axes(
+            h, tol=max(TAU_AXIS, 100.0 * (dist / norm) ** 2))
+        if n2 and loose.order3:
+            collapsed = _fit_s3(h, loose.order3[0][0])
+        elif n3 and len(loose.order2) >= 2:
+            collapsed = _fit_a4(h, loose.order2)
+        elif n2:
+            collapsed = NormalFormResult(StabilizerType.S3, fit.rotation,
+                                         0.0, norm / 2.0, fit.residual)
+        else:
+            collapsed = NormalFormResult(StabilizerType.A4, fit.rotation,
+                                         0.0, norm / math.sqrt(6.0),
+                                         fit.residual)
+        return dataclasses.replace(collapsed, **{field: dist})
     raise CensusError(
         f"axis census ({n2} order-2, {n3} order-3) matches no stabilizer "
         f"pattern",
@@ -784,8 +806,9 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
     """Projective directions in which the cubic's gradient vanishes.
 
     Returns at most three unit vectors w (first nonzero coordinate positive)
-    with ||grad h(w)|| <= tol * ||h||, located by a sphere scan plus
-    Gauss-Newton refinement of the gradient field.
+    with ||grad h(w)|| <= tol * ||h||.  The gradient vanishes at w exactly
+    when the components c0 and c1 about w do, so the lockstep axis refiner
+    searches for those zeros from the best basins of a sphere scan.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
@@ -794,57 +817,11 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
     lattice = _fibonacci_sphere(2000)
     g = 3.0 * np.einsum("pjk,nj,nk->np", t, lattice, lattice)
     fvals = np.einsum("np,np->n", g, g)
-
-    def grad_at(w):
-        return 3.0 * ((t @ w) @ w)
-
-    found = []
-    for w0 in _seed_points(lattice, fvals, 40):
-        w = np.asarray(w0, dtype=float)
-        f0 = float(np.dot(grad_at(w), grad_at(w)))
-        for it in range(60):
-            fv = grad_at(w)
-            base = float(np.dot(fv, fv))
-            if base <= 1e-30:
-                break
-            if it == 4 and base > 0.25 * f0:
-                break
-            t1, t2 = _tangent_basis(w)
-            jac = np.empty((3, 2))
-            step = 1e-6
-            for a, tv in enumerate((t1, t2)):
-                wp = w + step * tv
-                wp /= np.linalg.norm(wp)
-                wm = w - step * tv
-                wm /= np.linalg.norm(wm)
-                jac[:, a] = (grad_at(wp) - grad_at(wm)) / (2 * step)
-            delta, *_ = np.linalg.lstsq(jac, -fv, rcond=None)
-            if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) < 1e-14:
-                break
-            lam, moved = 1.0, False
-            for _ in range(20):
-                trial = w + lam * (delta[0] * t1 + delta[1] * t2)
-                trial /= np.linalg.norm(trial)
-                tv2 = grad_at(trial)
-                if float(np.dot(tv2, tv2)) < base:
-                    w, moved = trial, True
-                    break
-                lam *= 0.5
-            if not moved:
-                break
-        res = np.linalg.norm(grad_at(w))
-        if res <= tol * norm:
-            found.append((w, res))
-    found = _dedupe(found)
+    axes, _ = _refine_axes(h, _seed_points(lattice, fvals, 40), (0, 1))
+    grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
+    res = np.linalg.norm(grads, axis=1)
+    found = _dedupe([(w, r) for w, r in zip(axes, res) if r <= tol * norm])
     return [w for w, _ in found[:3]]
-
-
-def _tangent_basis(w):
-    a = (np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9
-         else np.array([0.0, 1.0, 0.0]))
-    t1 = np.cross(w, a)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(w, t1)
 
 
 def is_reducible(h: HarmonicCubic, tol: float = 1e-6):

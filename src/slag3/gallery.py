@@ -21,7 +21,7 @@ import numpy as np
 
 from .ambient import apply_j, from_complex, to_complex, upsilon0
 from .cubics import StabilizerType
-from .geometry import ImmersionPatch
+from .geometry import ImmersionPatch, grid_axes
 
 __all__ = [
     "GalleryEntry",
@@ -411,10 +411,7 @@ def legendrian_residual(s: LegendrianSurface, counts=(12, 12), margin=0.05):
     theta_res is max |<Jx, t>| / |t| over grid tangents; psi_res is
     max |Im Υ₀(x, t₁, t₂)| normalized by the spanned 3-volume.
     """
-    axes = []
-    for (lo, hi), n in zip(s.domain, counts):
-        pad = margin * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, int(n)))
+    axes = grid_axes(s.domain, counts, margin)
     theta_res = psi_res = 0.0
     for a in axes[0]:
         for b in axes[1]:

@@ -27,8 +27,8 @@ from .ambient import apply_j, omega0, upsilon0
 from .cubics import (
     CensusError,
     HarmonicCubic,
-    LEX_TRIPLES,
     NormalFormResult,
+    _gather,
     classify,
     project_traceless,
 )
@@ -70,8 +70,6 @@ _CSV_FIELDS = (["u1", "u2", "u3"]
                + ["lag_res", "im_res", "trace_res"]
                + [f"c{i}" for i in range(1, 11)]
                + ["type", "r", "s"])
-# gather indices: full (3,3,3) tensor -> 10 independent entries in lex order
-_LEX_IDX = tuple(np.array([t[a] - 1 for t in LEX_TRIPLES]) for a in range(3))
 
 
 class GeometryError(ValueError):
@@ -293,7 +291,8 @@ def adapted_frame(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
 
 
 def _cubic_from_derivatives(t, h2, frame):
-    """Cubic components + raw trace residual from jacobian/hessian/frame."""
+    """Cubic, raw trace residual and the jacobian preimages of the frame
+    legs (3, 3) from jacobian/hessian/frame."""
     e = frame.matrix()
     v = np.linalg.lstsq(t, e, rcond=None)[0]     # preimages: t @ v[:,a] = e_a
     je = apply_j(e.T).T
@@ -306,7 +305,7 @@ def _cubic_from_derivatives(t, h2, frame):
         raise TraceResidualError(
             f"raw cubic trace residual {trace_res:.3e} exceeds "
             f"{_TRACE_FAIL:.0e} of the cubic norm {scale:.3e}")
-    return project_traceless(s[_LEX_IDX]), trace_res
+    return project_traceless(_gather(s)), trace_res, v
 
 
 def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
@@ -322,7 +321,7 @@ def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     frame = adapted_frame(patch, u, frame_tol)
     t = jacobian(patch, u)
     h2 = hessian(patch, u)
-    cubic, trace_res = _cubic_from_derivatives(t, h2, frame)
+    cubic, trace_res, _ = _cubic_from_derivatives(t, h2, frame)
     return cubic, frame, trace_res
 
 
@@ -394,15 +393,11 @@ def reports_to_csv(reports) -> str:
 _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
 
 
-def _frame_preimages(t, frame):
-    return np.linalg.lstsq(t, frame.matrix(), rcond=None)[0]
-
-
 def _aligned_cubic(patch, u, frame0, frame_tol):
     """Cubic at u expressed in the frame best aligned with frame0."""
     frame = adapted_frame(patch, u, frame_tol)
     t = jacobian(patch, u)
-    cubic, _ = _cubic_from_derivatives(t, hessian(patch, u), frame)
+    cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), frame)
     m = frame.matrix().T @ frame0.matrix()
     uu, sv, vt = np.linalg.svd(m)
     rot = uu @ vt
@@ -458,8 +453,7 @@ def _compat_residuals(patch, u, step, frame_tol):
     u = np.asarray(u, dtype=float)
     frame0 = adapted_frame(patch, u, frame_tol)
     t0 = jacobian(patch, u)
-    cubic0, _ = _cubic_from_derivatives(t0, hessian(patch, u), frame0)
-    v = _frame_preimages(t0, frame0)
+    cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), frame0)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
     # neighbor cubics pulled back through the closest frame rotation, must be

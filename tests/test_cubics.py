@@ -467,6 +467,22 @@ class TestClassifyProperties:
             flipped = classify(HarmonicCubic(-h.coeffs))
             assert flipped.type is expected, name
 
+    def test_near_collapse_lines(self):
+        # n(1, 1 +- d) and m(1, sqrt2 +- d) have nearly double Maxwell
+        # directions; the type and (r, s) must not depend on the orientation
+        rng = np.random.default_rng(17)
+        for d in [10.0 ** -k for k in range(3, 10)]:
+            for h in (n_family(1.0, 1.0 + d), n_family(1.0, 1.0 - d),
+                      m_family(1.0, math.sqrt(2.0) + d),
+                      m_family(1.0, math.sqrt(2.0) - d)):
+                ref = classify(h)
+                scale = h.norm()
+                for _ in range(20):
+                    fit = classify(rotate(h, random_rotation(rng)))
+                    assert fit.type is ref.type, (d, ref.type)
+                    assert abs(fit.r - ref.r) <= 1e-6 * scale
+                    assert abs(fit.s - ref.s) <= 1e-6 * scale
+
     def test_scale_equivariance(self):
         for lam in (0.37, 5.0):
             for name, h, expected, _, _ in CORPUS:
@@ -521,6 +537,25 @@ class TestSingularDirections:
         for _ in range(5):
             h = random_cubic(rng)
             assert len(singular_directions(h)) <= 3
+
+    def test_z2_two_lines_in_the_equator(self):
+        # on n(1, s) the gradient vanishes only in z = 0, where
+        # -3(x^2 + y^2) + 6s xy = 0: the lines at sin(2 theta) = 1/s
+        rng = np.random.default_rng(18)
+        assert singular_directions(n_family(1.0, 0.5)) == []
+        for s in (1.5, 3.0):
+            theta = 0.5 * math.asin(1.0 / s)
+            lines = [np.array([math.cos(a), math.sin(a), 0.0])
+                     for a in (theta, 0.5 * math.pi - theta)]
+            for _ in range(5):
+                R = random_rotation(rng)
+                dirs = singular_directions(rotate(n_family(1.0, s), R))
+                assert len(dirs) == 2
+                for line in lines:
+                    w = R.entries.T @ line
+                    assert min(min(np.linalg.norm(d - w),
+                                   np.linalg.norm(d + w))
+                               for d in dirs) < 1e-6
 
     def test_circle_type_has_no_singular_direction(self):
         h = rotate(P0.scaled(2.5), Rotation3.about_axis([1.0, 0.0, 1.0], 0.7))
