@@ -427,22 +427,16 @@ def legendrian_residual(s: LegendrianSurface, counts=(12, 12), margin=0.05):
     return theta_res, psi_res
 
 
-def _star_forms(s, avec, theta):
-    """Pointwise ★db (2,) and ★dx (2,6) for the height b = <avec, x>."""
-    x, t, g = _surface_frame(s, theta)
+def _beta(avec, frame):
+    """The R⁶-valued 1-form β = x·★db − b·★dx for the height b = <avec, x>,
+    rows indexed by dθ_a, at the point whose ``_surface_frame`` is frame."""
+    x, t, g = frame
     sq = math.sqrt(max(np.linalg.det(g), 0.0))
     ginv = np.linalg.inv(g)
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    db = t.T @ avec                                     # (2,)
-    star_db = sq * (eps @ (ginv @ db))
+    star_db = sq * (eps @ (ginv @ (t.T @ avec)))        # (2,)
     star_dx = sq * (eps @ (ginv @ t.T))                 # (2, 6)
-    return x, float(avec @ x), star_db, star_dx
-
-
-def _beta(s, avec, theta):
-    """The R⁶-valued 1-form β = x·★db − b·★dx, rows indexed by dθ_a."""
-    x, b, star_db, star_dx = _star_forms(s, avec, theta)
-    return np.outer(star_db, x) - b * star_dx           # (2, 6)
+    return np.outer(star_db, x) - float(avec @ x) * star_dx
 
 
 def _simpson_leg(fun, start, stop, n):
@@ -458,11 +452,15 @@ def _simpson_leg(fun, start, stop, n):
 
 def _rect_loop(s, avec, rect, n):
     (a0, a1), (b0, b1) = rect
+
+    def leg(theta, row):
+        return _beta(avec, _surface_frame(s, theta))[row]
+
     total = np.zeros(6)
-    total += _simpson_leg(lambda t: _beta(s, avec, (t, b0))[0], a0, a1, n)
-    total += _simpson_leg(lambda t: _beta(s, avec, (a1, t))[1], b0, b1, n)
-    total -= _simpson_leg(lambda t: _beta(s, avec, (t, b1))[0], a0, a1, n)
-    total -= _simpson_leg(lambda t: _beta(s, avec, (a0, t))[1], b0, b1, n)
+    total += _simpson_leg(lambda t: leg((t, b0), 0), a0, a1, n)
+    total += _simpson_leg(lambda t: leg((a1, t), 1), b0, b1, n)
+    total -= _simpson_leg(lambda t: leg((t, b1), 0), a0, a1, n)
+    total -= _simpson_leg(lambda t: leg((a0, t), 1), b0, b1, n)
     return float(np.linalg.norm(total))
 
 
@@ -506,10 +504,12 @@ def twisted_cone(s: LegendrianSurface, avec, t_range=(0.6, 1.6),
     def _bvec(theta):
         if np.linalg.norm(avec) == 0.0:
             return np.zeros(6)
-        leg1 = _simpson_leg(lambda t: _beta(s, avec, (t, b0))[0],
-                            a0, theta[0], n_simpson)
-        leg2 = _simpson_leg(lambda t: _beta(s, avec, (theta[0], t))[1],
-                            b0, theta[1], n_simpson)
+        leg1 = _simpson_leg(
+            lambda t: _beta(avec, _surface_frame(s, (t, b0)))[0],
+            a0, theta[0], n_simpson)
+        leg2 = _simpson_leg(
+            lambda t: _beta(avec, _surface_frame(s, (theta[0], t)))[1],
+            b0, theta[1], n_simpson)
         return leg1 + leg2
 
     def ev(u):
@@ -517,8 +517,9 @@ def twisted_cone(s: LegendrianSurface, avec, t_range=(0.6, 1.6),
         return _bvec(u[1:]) + u[0] * x
 
     def jc(u):
-        x, t, _ = _surface_frame(s, u[1:])
-        beta = _beta(s, avec, u[1:])
+        frame = _surface_frame(s, u[1:])
+        x, t, _ = frame
+        beta = _beta(avec, frame)
         out = np.empty((6, 3))
         out[:, 0] = x
         out[:, 1] = beta[0] + u[0] * t[:, 0]

@@ -104,6 +104,8 @@ class ImmersionPatch:
     ``hess``, when given, are the analytic derivative maps u -> (6,3) and
     u -> (6,3,3); missing derivatives fall back to central finite
     differences with steps eps^(1/3)·(1+|u|) and eps^(1/4)·(1+|u|).
+    ``eval`` serves positions and that fallback only: frames, cubics and
+    the Codazzi–Gauss audit read ``jac`` and ``hess`` alone.
     """
 
     name: str
@@ -243,9 +245,7 @@ def _checked_jacobian(patch, u):
     return t
 
 
-def lagrangian_residual(patch: ImmersionPatch, u):
-    """Worst normalized symplectic pairing of two tangent vectors at u."""
-    t = _checked_jacobian(patch, np.asarray(u, dtype=float))
+def _pairing_residual(t):
     jt = apply_j(t.T).T                     # J applied to each column
     pair = jt.T @ t                         # pair[a,b] = ω₀(t_a, t_b)
     norms = np.linalg.norm(t, axis=0)
@@ -256,6 +256,12 @@ def lagrangian_residual(patch: ImmersionPatch, u):
     return float(res)
 
 
+def lagrangian_residual(patch: ImmersionPatch, u):
+    """Worst normalized symplectic pairing of two tangent vectors at u."""
+    t = _checked_jacobian(patch, np.asarray(u, dtype=float))
+    return _pairing_residual(t)
+
+
 def special_residual(patch: ImmersionPatch, u):
     """(|Im Υ₀| of the tangent frame / tangent 3-volume, sign of Re Υ₀)."""
     t = _checked_jacobian(patch, np.asarray(u, dtype=float))
@@ -264,15 +270,30 @@ def special_residual(patch: ImmersionPatch, u):
     return abs(ups.imag) / vol, float(np.sign(ups.real))
 
 
-def _gram_schmidt_frame(t, position):
+def _checked_frame(patch, u, frame_tol):
+    """(jacobian, frame matrix (6,3)) at u from one jacobian call.
+
+    The jacobian passes the rank check and the Lagrangian check against
+    frame_tol; the frame is its oriented Gram–Schmidt frame.
+    """
+    t = _checked_jacobian(patch, u)
+    res = _pairing_residual(t)
+    if res > frame_tol:
+        raise NotLagrangianError(
+            f"Lagrangian residual {res:.3e} at {u} exceeds {frame_tol:.1e}")
     q, r = np.linalg.qr(t)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs                           # classical GS: e1 along t1, etc.
     if upsilon0(q[:, 0], q[:, 1], q[:, 2]).real < 0.0:
         q = q[:, [0, 2, 1]]
-    return AdaptedFrame(e1=q[:, 0], e2=q[:, 1], e3=q[:, 2],
-                        position=np.asarray(position, dtype=float))
+    return t, q
+
+
+def _frame_at(patch, u, e):
+    """AdaptedFrame with the legs of the frame matrix e, placed at F(u)."""
+    return AdaptedFrame(e1=e[:, 0], e2=e[:, 1], e3=e[:, 2],
+                        position=np.asarray(patch.eval(u), dtype=float))
 
 
 def adapted_frame(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
@@ -283,20 +304,15 @@ def adapted_frame(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     Lagrangian residual exceeds frame_tol are rejected.
     """
     u = np.asarray(u, dtype=float)
-    res = lagrangian_residual(patch, u)
-    if res > frame_tol:
-        raise NotLagrangianError(
-            f"Lagrangian residual {res:.3e} at {u} exceeds {frame_tol:.1e}")
-    return _gram_schmidt_frame(jacobian(patch, u), patch.eval(u))
+    return _frame_at(patch, u, _checked_frame(patch, u, frame_tol)[1])
 
 
-def _cubic_from_derivatives(t, h2, frame):
+def _cubic_from_derivatives(t, h2, e):
     """Cubic, raw trace residual and the jacobian preimages of the frame
-    legs (3, 3) from jacobian/hessian/frame."""
-    e = frame.matrix()
+    legs (3, 3) from jacobian/hessian/frame matrix."""
     v = np.linalg.lstsq(t, e, rcond=None)[0]     # preimages: t @ v[:,a] = e_a
     je = apply_j(e.T).T
-    a = np.einsum("xab,aj,bk,xi->ijk", h2, v, v, je, optimize=True)
+    a = np.tensordot(je, v.T @ h2 @ v, axes=(0, 0))
     s = (a + a.transpose(0, 2, 1) + a.transpose(1, 0, 2) + a.transpose(1, 2, 0)
          + a.transpose(2, 0, 1) + a.transpose(2, 1, 0)) / 6.0
     trace_res = float(np.linalg.norm(np.einsum("iik->k", s)))
@@ -318,10 +334,9 @@ def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
     u = np.asarray(u, dtype=float)
-    frame = adapted_frame(patch, u, frame_tol)
-    t = jacobian(patch, u)
-    h2 = hessian(patch, u)
-    cubic, trace_res, _ = _cubic_from_derivatives(t, h2, frame)
+    t, e = _checked_frame(patch, u, frame_tol)
+    frame = _frame_at(patch, u, e)
+    cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
     return cubic, frame, trace_res
 
 
@@ -391,14 +406,15 @@ def reports_to_csv(reports) -> str:
 # --- first-order compatibility (Codazzi and Gauss) residuals ---------------
 
 _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
+# contraction order of riem_frame, fixed so it is not planned on every call
+_RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
-def _aligned_cubic(patch, u, frame0, frame_tol):
-    """Cubic at u expressed in the frame best aligned with frame0."""
-    frame = adapted_frame(patch, u, frame_tol)
-    t = jacobian(patch, u)
-    cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), frame)
-    m = frame.matrix().T @ frame0.matrix()
+def _aligned_cubic(patch, u, e0, frame_tol):
+    """Cubic at u expressed in the frame best aligned with the frame e0."""
+    t, e = _checked_frame(patch, u, frame_tol)
+    cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
+    m = e.T @ e0
     uu, sv, vt = np.linalg.svd(m)
     rot = uu @ vt
     if sv[-1] < 0.5 or np.linalg.det(rot) < 0.0:
@@ -451,17 +467,16 @@ def _curvature_param(patch, u, step):
 def _compat_residuals(patch, u, step, frame_tol):
     """(codazzi, gauss) Frobenius residuals at one step size."""
     u = np.asarray(u, dtype=float)
-    frame0 = adapted_frame(patch, u, frame_tol)
-    t0 = jacobian(patch, u)
-    cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), frame0)
+    t0, e0 = _checked_frame(patch, u, frame_tol)
+    cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), e0)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
     # neighbor cubics pulled back through the closest frame rotation, must be
     # symmetric in all four slots.
     grad = np.empty((3, 3, 3, 3))
     for l in range(3):
-        hp = _aligned_cubic(patch, u + step * v[:, l], frame0, frame_tol)
-        hm = _aligned_cubic(patch, u - step * v[:, l], frame0, frame_tol)
+        hp = _aligned_cubic(patch, u + step * v[:, l], e0, frame_tol)
+        hm = _aligned_cubic(patch, u - step * v[:, l], e0, frame_tol)
         grad[l] = (hp - hm) / (2.0 * step)
     sym = np.zeros_like(grad)
     for perm in itertools.permutations(range(4)):
@@ -472,7 +487,7 @@ def _compat_residuals(patch, u, step, frame_tol):
     # Gauss: intrinsic curvature against the quadratic expression in h.
     riem = _curvature_param(patch, u, step)
     riem_frame = np.einsum("abcd,ai,bj,ck,dl->ijkl", riem, v, v, v, v,
-                           optimize=True)
+                           optimize=_RIEM_PATH)
     h = cubic0.tensor
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
     gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
@@ -489,6 +504,9 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3,
     quadratic cubic expression it must equal.  Both are recomputed at half
     the step; a residual that grows under halving means the step is already
     in the cancellation regime and raises StepTooSmallError.
+
+    The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
+    the finite-difference fallback of a patch without an analytic ``jac``.
     """
     full = _compat_residuals(patch, u, float(step), frame_tol)
     half = _compat_residuals(patch, u, 0.5 * float(step), frame_tol)

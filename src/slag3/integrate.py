@@ -265,9 +265,7 @@ def _renormalize(y):
     y = np.array(y, copy=True)
     u = _frame_unitary(y)
     gram = u @ np.conj(np.swapaxes(u, -1, -2))
-    eye = np.eye(3)
-    drift = float(np.sqrt(np.abs(gram - eye) ** 2
-                          .sum(axis=(-2, -1))).max())
+    drift = float(np.linalg.norm(gram - np.eye(3), axis=(-2, -1)).max())
     uu, _, vh = np.linalg.svd(u)
     y[..., _EE] = from_complex(uu @ vh).reshape(y.shape[:-1] + (18,))
     return y, drift

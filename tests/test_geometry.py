@@ -1,5 +1,6 @@
 """Tests for the ambient forms and patch-geometry operations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from slag3 import ambient, geometry as geo
 from slag3.cubics import StabilizerType, classify, invariants
 from slag3.gallery import (
+    default_gallery,
     harvey_lawson_so3,
     hl_cone,
     l_lambda,
@@ -303,6 +305,17 @@ class TestCodazziGauss:
         with pytest.raises(geo.StepTooSmallError):
             geo.codazzi_gauss_residual(harvey_lawson_so3(1.0),
                                        np.array([-0.7, 1.2, 0.8]), step=1e-9)
+
+    @pytest.mark.parametrize("patch,u", [
+        (hl_cone(), np.array([1.1, 1.3, 2.2])),
+        (default_gallery()["twisted_cone"].patch, np.array([1.1, 2.0, 4.1]))])
+    def test_audit_never_evaluates_the_patch_map(self, patch, u):
+        def no_eval(u):
+            raise AssertionError(f"F evaluated at {u}")
+
+        blind = dataclasses.replace(patch, eval=no_eval)
+        assert (geo.codazzi_gauss_residual(blind, u)
+                == geo.codazzi_gauss_residual(patch, u))
 
 
 class TestInvariance:
