@@ -443,36 +443,37 @@ def _maxwell_directions(c):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-# linear seed combinations of (v1, v2, v3) per kind: the circle axis is a
-# Maxwell direction, an order-2 axis one of v_i or v_i +- v_j, an order-3
-# axis one of v_i or v1 +- v2 +- v3.  The order-2 and order-3 searches also
-# seed the normals v_i x v_j: S3's Maxwell directions are coplanar, and its
-# order-3 axis is their common normal.
-_SEED_SUMS = {
-    (1, 2, 3): np.eye(3),
-    (1, 3): np.vstack([np.eye(3), [[1, 1, 0], [1, -1, 0], [1, 0, 1],
-                                   [1, 0, -1], [0, 1, 1], [0, 1, -1]]]),
-    (1, 2): np.vstack([np.eye(3), [[1, 1, 1], [1, 1, -1], [1, -1, 1],
-                                   [1, -1, -1]]]),
-}
+# 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2, Re/Im c3)
+# selecting the components whose joint zeros a search looks for: the
+# gradient (c0, c1), and (rows of _CONDITION_MASKS) the circle, order-2 and
+# order-3 conditions
+_GRADIENT = np.array([1, 1, 1, 0, 0, 0, 0.0])
+_CONDITION_MASKS = np.array([[0, 1, 1, 1, 1, 1, 1],
+                             [0, 1, 1, 0, 0, 1, 1],
+                             [0, 1, 1, 1, 1, 0, 0.0]])
+
+# seed candidates from the Maxwell directions (v1, v2, v3): rows 0-12 of
+# _SEED_SUMS are v_i, v_i +- v_j and v1 +- v2 +- v3, rows 13-15 the normals
+# v_i x v_j.  A circle axis is a v_i, an order-2 axis one of v_i or
+# v_i +- v_j, an order-3 axis one of v_i or v1 +- v2 +- v3; both finite
+# orders also seed the normals, because S3's Maxwell directions are coplanar
+# and its order-3 axis is their common normal.
+_SEED_SUMS = np.vstack([np.eye(3),
+                        [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1],
+                         [0, 1, 1], [0, 1, -1]],
+                        [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]])
+_SEED_ROWS = np.r_[0:3, 0:9, 13:16, 0:3, 9:16]
+_SEED_KIND = np.repeat(np.arange(3), [3, 12, 10])  # row of _CONDITION_MASKS
 
 
-def _axis_seeds(v, kinds):
-    """Unit seed axes for one component condition from Maxwell directions."""
-    seeds = _SEED_SUMS[kinds] @ v
-    if kinds != (1, 2, 3):
-        seeds = np.vstack([seeds, np.cross(v, v[[1, 2, 0]])])
+def _axis_seeds(v):
+    """(unit seed axes (n, 3), condition index (n,)) for all three symmetry
+    conditions from the Maxwell directions v."""
+    cands = np.vstack([_SEED_SUMS @ v, np.cross(v, v[[1, 2, 0]])])
+    seeds = cands[_SEED_ROWS]
     n = np.linalg.norm(seeds, axis=1)
     keep = n > 1e-12
-    return seeds[keep] / n[keep, None]
-
-
-# component rows of _BASIS7 whose joint zeros each search looks for: the
-# gradient (c0, c1), and the order-2, order-3 and circle conditions
-_KIND_ROWS = {(0, 1): np.array([0, 1, 2]),
-              (1, 3): np.array([1, 2, 5, 6]),
-              (1, 2): np.array([1, 2, 3, 4]),
-              (1, 2, 3): np.array([1, 2, 3, 4, 5, 6])}
+    return seeds[keep] / n[keep, None], _SEED_KIND[keep]
 
 
 def _pullback_many(tloc, rmats):
@@ -485,32 +486,35 @@ def _pullback_many(tloc, rmats):
 
 # The finite-difference stencil lives in a chart recentred after every step,
 # so its five transports are fixed; precompute their exact coefficient
-# pullback operators composed with the component projection, per kind set.
+# pullback operators composed with the projection onto all seven components.
 _REFINE_STEP = 1e-6
 _STENCIL = _transport_matrices(
     [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
      [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
 _P_STEN = np.stack([np.stack([_rot10(e, t) for e in np.eye(10)], axis=1)
                     for t in _STENCIL])
-_STEN_OPS = {k: np.einsum("mj,sji->smi", _BASIS7[r], _P_STEN)
-             for k, r in _KIND_ROWS.items()}
+_STEN_OP = np.einsum("mj,sji->smi", _BASIS7, _P_STEN)
 
 
-def _refine_axes(h, seeds, kinds, max_iter=60):
-    """Damped Gauss-Newton zero search of the selected components, run from
-    all seeds in lockstep on the sphere.
+def _refine_axes(h, seeds, mask, max_iter=60):
+    """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
+    sphere, of the components each seed's row of mask (n, 7) selects.
 
     Each seed carries its own chart, recentred after every accepted step so
     the transport underlying the component phases stays smooth; basins that
-    stop descending are retired early.  Returns (axes (n,3), functional (n,)).
+    stop descending are retired early.  Only the union of the masked rows is
+    projected; a masked-out row adds exact zeros, so every seed's sums are
+    those of its own components.  Returns (axes (n,3), functional (n,)).
     """
-    rows = _KIND_ROWS[tuple(kinds)]
-    sten = _STEN_OPS[tuple(kinds)]
+    cols = np.flatnonzero(np.any(mask, axis=0))
+    mask = mask[:, cols]
+    basis_t = _BASIS7[cols].T
+    sten = _STEN_OP[:, cols]
     n = len(seeds)
     base = _transport_matrices(seeds)
     cloc = _pullback_many(np.broadcast_to(h.tensor, (n, 3, 3, 3)),
                           base[:, None])[:, 0, :]
-    fval = ((cloc @ _BASIS7[rows].T) ** 2).sum(1)
+    fval = ((cloc @ basis_t * mask) ** 2).sum(1)
     f0 = fval.copy()
     lams = 0.5 ** np.arange(8)
     active = np.arange(n)
@@ -521,7 +525,8 @@ def _refine_axes(h, seeds, kinds, max_iter=60):
         active = active[keep]
         if not len(active):
             break
-        comps = np.einsum("smi,ni->nsm", sten, cloc[active])
+        comps = (np.einsum("smi,ni->nsm", sten, cloc[active])
+                 * mask[active, None])
         fvec = comps[:, 0, :]
         fval[active] = (fvec ** 2).sum(1)
         j1 = (comps[:, 1] - comps[:, 2]) / (2 * _REFINE_STEP)
@@ -549,7 +554,7 @@ def _refine_axes(h, seeds, kinds, max_iter=60):
         rmats = _transport_matrices(pts.reshape(-1, 3)).reshape(
             m, len(lams), 3, 3)
         trials = _pullback_many(tloc, rmats)
-        tvals = ((trials @ _BASIS7[rows].T) ** 2).sum(-1)
+        tvals = ((trials @ basis_t * mask[active, None]) ** 2).sum(-1)
         improving = tvals < fval[active, None]
         pick = np.argmax(improving, axis=1)  # first (largest) improving lam
         stepn = np.linalg.norm(delta, axis=1) * lams[pick]
@@ -596,6 +601,9 @@ def _fibonacci_sphere(n):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
+_LATTICE = _fibonacci_sphere(2000)  # singular_directions' scan points
+
+
 def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
     # prefilter to the best few hundred lattice points, then greedily pick
     # value-ordered representatives separated by min_sep (antipodally aware)
@@ -617,37 +625,30 @@ def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
     return seeds
 
 
-def _search_axes(h, kinds, threshold, maxwell):
-    """Gauss-Newton polish of the Maxwell seeds for one component condition."""
-    seeds = _axis_seeds(maxwell, kinds)
-    axes, final = _refine_axes(h, seeds, kinds)
-    found = []
-    for i in range(len(seeds)):
-        if final[i] <= threshold:
-            found.append((axes[i], float(final[i])))
-        else:
-            log.debug("axis seed %s rejected: functional %.3e above %.3e",
-                      np.round(seeds[i], 4), final[i], threshold)
-    return _dedupe(found)
-
-
 def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     """Locate all axes whose rotational components vanish.
 
     order-2 condition: c1 = c3 = 0; order-3: c1 = c2 = 0; circle: all of
     c1, c2, c3 = 0.  The candidates are built from the cubic's Maxwell
-    directions, which every symmetry permutes.  Residual threshold is
-    tol * ||h||; axes meeting the circle condition are removed from the
-    order-2/order-3 lists.
+    directions, which every symmetry permutes, and all three conditions are
+    polished in one lockstep refine.  Residual threshold is tol * ||h||;
+    axes meeting the circle condition are removed from the order-2/order-3
+    lists.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero; axes are undefined")
     threshold = tol * norm
-    maxwell = _maxwell_directions(h.coeffs)
-    circle = _search_axes(h, (1, 2, 3), threshold, maxwell)
-    order2 = _search_axes(h, (1, 3), threshold, maxwell)
-    order3 = _search_axes(h, (1, 2), threshold, maxwell)
+    seeds, kind = _axis_seeds(_maxwell_directions(h.coeffs))
+    axes, final = _refine_axes(h, seeds, _CONDITION_MASKS[kind])
+    found = ([], [], [])
+    for i in range(len(seeds)):
+        if final[i] <= threshold:
+            found[kind[i]].append((axes[i], float(final[i])))
+        else:
+            log.debug("axis seed %s rejected: functional %.3e above %.3e",
+                      np.round(seeds[i], 4), final[i], threshold)
+    circle, order2, order3 = (_dedupe(f) for f in found)
 
     def drop_circle(lst):
         keep = []
@@ -814,10 +815,11 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero")
     t = h.tensor
-    lattice = _fibonacci_sphere(2000)
-    g = 3.0 * np.einsum("pjk,nj,nk->np", t, lattice, lattice)
+    g = 3.0 * np.einsum("pjk,nj,nk->np", t, _LATTICE, _LATTICE)
     fvals = np.einsum("np,np->n", g, g)
-    axes, _ = _refine_axes(h, _seed_points(lattice, fvals, 40), (0, 1))
+    seeds = np.array(_seed_points(_LATTICE, fvals, 40))
+    axes, _ = _refine_axes(h, seeds, np.broadcast_to(_GRADIENT,
+                                                     (len(seeds), 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)
     found = _dedupe([(w, r) for w, r in zip(axes, res) if r <= tol * norm])

@@ -396,13 +396,28 @@ def flat_torus() -> LegendrianSurface:
     return LegendrianSurface(name="flat_torus", eval=ev, jac=jc)
 
 
+def _check_unit(s, deviation):
+    """Reject a surface whose points' norms deviate from 1 by `deviation`."""
+    if deviation > 1e-12:
+        raise ValueError(f"{s.name!r} does not map into the unit sphere")
+
+
 def _surface_frame(s: LegendrianSurface, theta):
     """(x, tangents, metric) of a surface point, all in real 6-vector form."""
     x = from_complex(np.asarray(s.eval(theta)))
     t = from_complex(np.asarray(s.jac(theta)).T).T      # (6, 2)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
-        raise ValueError(f"{s.name!r} does not map into the unit sphere")
+    _check_unit(s, abs(np.linalg.norm(x) - 1.0))
     return x, t, t.T @ t
+
+
+def _surface_frames(s: LegendrianSurface, thetas):
+    """_surface_frame at each row of thetas (n, 2), stacked: x (n, 6),
+    tangents (n, 6, 2) and metrics (n, 2, 2).  The surface maps take one
+    point per call."""
+    x = from_complex(np.array([s.eval(th) for th in thetas]))
+    tt = from_complex(np.array([np.asarray(s.jac(th)).T for th in thetas]))
+    _check_unit(s, np.abs(np.linalg.norm(x, axis=1) - 1.0).max())
+    return x, tt.transpose(0, 2, 1), tt @ tt.transpose(0, 2, 1)
 
 
 def legendrian_residual(s: LegendrianSurface, counts=(12, 12), margin=0.05):
@@ -427,41 +442,61 @@ def legendrian_residual(s: LegendrianSurface, counts=(12, 12), margin=0.05):
     return theta_res, psi_res
 
 
+_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def _beta(avec, frame):
     """The R⁶-valued 1-form β = x·★db − b·★dx for the height b = <avec, x>,
     rows indexed by dθ_a, at the point whose ``_surface_frame`` is frame."""
     x, t, g = frame
     sq = math.sqrt(max(np.linalg.det(g), 0.0))
     ginv = np.linalg.inv(g)
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    star_db = sq * (eps @ (ginv @ (t.T @ avec)))        # (2,)
-    star_dx = sq * (eps @ (ginv @ t.T))                 # (2, 6)
+    star_db = sq * (_EPS2 @ (ginv @ (t.T @ avec)))      # (2,)
+    star_dx = sq * (_EPS2 @ (ginv @ t.T))               # (2, 6)
     return np.outer(star_db, x) - float(avec @ x) * star_dx
 
 
-def _simpson_leg(fun, start, stop, n):
-    """Composite Simpson of a vector-valued function over [start, stop]."""
+def _betas(avec, frames):
+    """_beta at every frame of a _surface_frames stack, (n, 2, 6)."""
+    x, t, g = frames
+    sq = np.sqrt(np.maximum(np.linalg.det(g), 0.0))[:, None, None]
+    ginv = np.linalg.inv(g)
+    tt = t.transpose(0, 2, 1)                           # (n, 2, 6)
+    star_db = sq * (_EPS2 @ (ginv @ (tt @ avec)[:, :, None]))  # (n, 2, 1)
+    star_dx = sq * (_EPS2 @ (ginv @ tt))                # (n, 2, 6)
+    height = x[:, None, :] @ avec                       # (n, 1): b = <a, x>
+    return star_db * x[:, None, :] - height[:, :, None] * star_dx
+
+
+def _path_simpson(s, avec, legs, n):
+    """Composite Simpson integrals of β along axis-parallel legs, with one
+    stacked frame evaluation for the nodes of all legs.
+
+    A leg (axis, fixed, start, stop) runs θ_axis from start to stop with the
+    other coordinate at fixed, and integrates the dθ_axis row of β.  Returns
+    one 6-vector per leg.
+    """
     n = int(n) + (int(n) % 2)
-    ts = np.linspace(start, stop, n + 1)
-    vals = np.stack([fun(t) for t in ts])
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return (stop - start) / (3.0 * n) * np.einsum("s,s...->...", w, vals)
+    thetas = np.empty((len(legs), n + 1, 2))
+    for k, (axis, fixed, start, stop) in enumerate(legs):
+        thetas[k, :, axis] = np.linspace(start, stop, n + 1)
+        thetas[k, :, 1 - axis] = fixed
+    betas = _betas(avec, _surface_frames(s, thetas.reshape(-1, 2)))
+    betas = betas.reshape(len(legs), n + 1, 2, 6)
+    return [(stop - start) / (3.0 * n)
+            * np.einsum("s,s...->...", w, betas[k, :, axis])
+            for k, (axis, _, start, stop) in enumerate(legs)]
 
 
 def _rect_loop(s, avec, rect, n):
     (a0, a1), (b0, b1) = rect
-
-    def leg(theta, row):
-        return _beta(avec, _surface_frame(s, theta))[row]
-
-    total = np.zeros(6)
-    total += _simpson_leg(lambda t: leg((t, b0), 0), a0, a1, n)
-    total += _simpson_leg(lambda t: leg((a1, t), 1), b0, b1, n)
-    total -= _simpson_leg(lambda t: leg((t, b1), 0), a0, a1, n)
-    total -= _simpson_leg(lambda t: leg((a0, t), 1), b0, b1, n)
-    return float(np.linalg.norm(total))
+    bottom, right, top, left = _path_simpson(
+        s, avec, [(0, b0, a0, a1), (1, a1, b0, b1), (0, b1, a0, a1),
+                  (1, a0, b0, b1)], n)
+    return float(np.linalg.norm(bottom + right - top - left))
 
 
 def legendrian_loop_residual(s: LegendrianSurface, avec, n=400):
@@ -504,12 +539,9 @@ def twisted_cone(s: LegendrianSurface, avec, t_range=(0.6, 1.6),
     def _bvec(theta):
         if np.linalg.norm(avec) == 0.0:
             return np.zeros(6)
-        leg1 = _simpson_leg(
-            lambda t: _beta(avec, _surface_frame(s, (t, b0)))[0],
-            a0, theta[0], n_simpson)
-        leg2 = _simpson_leg(
-            lambda t: _beta(avec, _surface_frame(s, (theta[0], t)))[1],
-            b0, theta[1], n_simpson)
+        leg1, leg2 = _path_simpson(
+            s, avec, [(0, b0, a0, theta[0]), (1, theta[0], b0, theta[1])],
+            n_simpson)
         return leg1 + leg2
 
     def ev(u):

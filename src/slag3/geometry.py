@@ -262,12 +262,16 @@ def lagrangian_residual(patch: ImmersionPatch, u):
     return _pairing_residual(t)
 
 
-def special_residual(patch: ImmersionPatch, u):
-    """(|Im Υ₀| of the tangent frame / tangent 3-volume, sign of Re Υ₀)."""
-    t = _checked_jacobian(patch, np.asarray(u, dtype=float))
+def _volume_residual(t):
     ups = upsilon0(t[:, 0], t[:, 1], t[:, 2])
     vol = math.sqrt(max(np.linalg.det(t.T @ t), 0.0))
     return abs(ups.imag) / vol, float(np.sign(ups.real))
+
+
+def special_residual(patch: ImmersionPatch, u):
+    """(|Im Υ₀| of the tangent frame / tangent 3-volume, sign of Re Υ₀)."""
+    return _volume_residual(
+        _checked_jacobian(patch, np.asarray(u, dtype=float)))
 
 
 def _checked_frame(patch, u, frame_tol):
@@ -324,6 +328,15 @@ def _cubic_from_derivatives(t, h2, e):
     return project_traceless(_gather(s)), trace_res, v
 
 
+def _cubic_at(patch, u, frame_tol):
+    """(jacobian, cubic, frame, raw trace residual) from one checked
+    jacobian."""
+    t, e = _checked_frame(patch, u, frame_tol)
+    frame = _frame_at(patch, u, e)
+    cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
+    return t, cubic, frame, trace_res
+
+
 def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     """Second fundamental form at u as a traceless cubic in the adapted frame.
 
@@ -333,22 +346,22 @@ def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    u = np.asarray(u, dtype=float)
-    t, e = _checked_frame(patch, u, frame_tol)
-    frame = _frame_at(patch, u, e)
-    cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
-    return cubic, frame, trace_res
+    return _cubic_at(patch, np.asarray(u, dtype=float), frame_tol)[1:]
 
 
 def point_report(patch: ImmersionPatch, u, frame_tol=FRAME_TOL,
                  classify_tol=1e-6) -> PointReport:
-    """Full residual/cubic/classification record at one parameter point."""
+    """Full residual/cubic/classification record at one parameter point.
+
+    The Lagrangian and special residuals are read off the one jacobian that
+    the frame and the cubic are built from.
+    """
     u = np.asarray(u, dtype=float)
     try:
         position = np.asarray(patch.eval(u), dtype=float)
-        lag = lagrangian_residual(patch, u)
-        im_res, _ = special_residual(patch, u)
-        cubic, _, trace_res = fundamental_cubic(patch, u, frame_tol)
+        t, cubic, _, trace_res = _cubic_at(patch, u, frame_tol)
+        lag = _pairing_residual(t)
+        im_res, _ = _volume_residual(t)
         nf = classify(cubic, tol=classify_tol)
     except (GeometryError, CensusError, ValueError) as exc:
         return PointReport(u=u, error=f"{type(exc).__name__}: {exc}")

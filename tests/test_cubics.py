@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slag3 import cubics
 from slag3.cubics import (
     LEX_TRIPLES,
     AxisDecomposition,
@@ -405,6 +406,28 @@ class TestFindSymmetryAxes:
     def test_rejects_zero_cubic(self):
         with pytest.raises(ValueError):
             find_symmetry_axes(HarmonicCubic.zero())
+
+    def test_one_lockstep_refine_per_search(self, monkeypatch):
+        # each search polishes all of its seeds in one call of the refiner:
+        # the circle, order-2 and order-3 seeds together, or the gradient
+        # seeds
+        calls = []
+        refine = cubics._refine_axes
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(cubics, "_refine_axes", counted)
+        h = rotate(m_family(1.0, 3.0),
+                   Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
+        find_symmetry_axes(h)
+        assert len(calls) == 1
+        singular_directions(h)
+        assert len(calls) == 2
+        # a Z3 cubic far from the collapse line needs no loose re-search
+        assert classify(h).type is ST.Z3
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slag3 import gallery as gal, geometry as geo
+from slag3.ambient import from_complex
 from slag3.cubics import StabilizerType, classify
 
 
@@ -37,6 +38,13 @@ def warped_torus():
                               z * np.array([0.0, 1.0, -1.0])]).T
 
     return gal.LegendrianSurface(name="warped_torus", eval=ev, jac=jc)
+
+
+def off_sphere():
+    """Surface whose point lies off the unit sphere."""
+    return gal.LegendrianSurface(
+        name="bad", eval=lambda th: np.array([1.1, 0.0, 0.0], complex),
+        jac=lambda th: np.array([[1j, 0], [0, 1j], [0, 0]], complex))
 
 
 class TestDerivativeContracts:
@@ -173,11 +181,8 @@ class TestLegendrianSurfaces:
         assert theta_res > 0.1
 
     def test_unit_sphere_enforced(self):
-        bad = gal.LegendrianSurface(
-            name="bad", eval=lambda th: np.array([1.1, 0.0, 0.0], complex),
-            jac=lambda th: np.array([[1j, 0], [0, 1j], [0, 0]], complex))
         with pytest.raises(ValueError):
-            gal.legendrian_residual(bad)
+            gal.legendrian_residual(off_sphere())
 
 
 class TestTwistedCone:
@@ -196,6 +201,37 @@ class TestTwistedCone:
                             gal.clifford_link().eval(th).imag])
         assert np.allclose(patch.eval(np.array([1.3, *th])), 1.3 * x,
                            atol=1e-15)
+
+    def test_map_matches_scalar_simpson_reference(self):
+        # F = b(θ) + t·x(θ), with b the composite Simpson integral of the
+        # scalar β along (a0, b0) -> (θ1, b0) -> (θ1, θ2), 150 intervals a leg
+        s = gal.clifford_link()
+        patch = gal.twisted_cone(s, E1)
+        (a0, a1), (b0, b1) = s.domain
+        n = 150
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+
+        def leg(row, start, stop, point):
+            frames = [gal._surface_frame(s, point(v))
+                      for v in np.linspace(start, stop, n + 1)]
+            vals = np.stack([gal._beta(E1, f)[row] for f in frames])
+            return (stop - start) / (3.0 * n) * np.einsum("s,s...->...", w,
+                                                          vals)
+
+        points = [(0.6, a0, b0), (1.3, a0, 0.4 * b1), (0.9, 0.7 * a1, b0),
+                  (1.1, 0.3 * a1, 0.8 * b1), (1.6, a1, b1)]
+        for t, th1, th2 in points:
+            ref = (leg(0, a0, th1, lambda v: (v, b0))
+                   + leg(1, b0, th2, lambda v: (th1, v))
+                   + t * from_complex(s.eval((th1, th2))))
+            got = patch.eval(np.array([t, th1, th2]))
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    def test_off_sphere_surface_rejected(self):
+        with pytest.raises(ValueError, match="unit sphere"):
+            gal.twisted_cone(off_sphere(), E1)
 
     def test_direction_shape_checked(self):
         with pytest.raises(ValueError):
