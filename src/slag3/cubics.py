@@ -19,7 +19,6 @@ Conventions (load-bearing, used across the package):
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ import numpy as np
 __all__ = [
     "TAU_ZERO",
     "TAU_AXIS",
-    "TAU_FIT",
     "LEX_TRIPLES",
     "MULTIPLICITY",
     "HarmonicCubic",
@@ -57,8 +55,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 TAU_ZERO = 1e-9    # absolute: below this norm a cubic counts as zero
-TAU_AXIS = 1e-6    # relative: axis residual acceptance
-TAU_FIT = 1e-6     # relative: normal-form fit residual
+TAU_AXIS = 1e-6    # relative: norm of the components a symmetry forbids
 _TAU_TRACE = 1e-8  # relative: trace residual admitted by the constructor
 
 LEX_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
@@ -214,9 +211,10 @@ class SymmetryAxes:
     """Axes found for each rotational-symmetry condition.
 
     Each entry is (unit axis, residual), the residual being the value of the
-    defining functional (order-2: |c1|^2 + |c3|^2; order-3: |c1|^2 + |c2|^2;
-    circle: the sum of all three).  Axes satisfying the circle condition are
-    listed only under `circle`.
+    defining squared functional (order-2: |c1|^2 + |c3|^2; order-3:
+    |c1|^2 + |c2|^2; circle: the sum of all three), at most (tol * ||h||)^2
+    for the search's `tol`.  Axes satisfying the circle condition are listed
+    only under `circle`.
     """
 
     order2: tuple
@@ -604,15 +602,14 @@ def _fibonacci_sphere(n):
 _LATTICE = _fibonacci_sphere(2000)  # singular_directions' scan points
 
 
-def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
-    # prefilter to the best few hundred lattice points, then greedily pick
-    # value-ordered representatives separated by min_sep (antipodally aware)
-    k = min(len(fvals), 320)
+def _seed_points(fvals, n_basins=40, min_sep=0.15):
+    """Up to n_basins points of _LATTICE, best value first, each at least
+    min_sep from the points picked before it (antipodally aware), taken from
+    the best few hundred; only the picked points' distance rows are built."""
+    k = 320
     cand = np.argpartition(fvals, k - 1)[:k]
     cand = cand[np.argsort(fvals[cand])]
-    pts = lattice[cand]
-    gram = pts @ pts.T
-    d2min = 2.0 - 2.0 * np.abs(gram)  # min of |w-u|^2, |w+u|^2
+    pts = _LATTICE[cand]
     ok = np.ones(k, dtype=bool)
     seeds = []
     for i in range(k):
@@ -621,7 +618,8 @@ def _seed_points(lattice, fvals, n_basins, min_sep=0.15):
         seeds.append(pts[i])
         if len(seeds) >= n_basins:
             break
-        ok &= d2min[i] >= min_sep * min_sep
+        # min of |w - u|^2 and |w + u|^2 over the candidates u
+        ok &= 2.0 - 2.0 * np.abs(pts @ pts[i]) >= min_sep * min_sep
     return seeds
 
 
@@ -631,14 +629,16 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     order-2 condition: c1 = c3 = 0; order-3: c1 = c2 = 0; circle: all of
     c1, c2, c3 = 0.  The candidates are built from the cubic's Maxwell
     directions, which every symmetry permutes, and all three conditions are
-    polished in one lockstep refine.  Residual threshold is tol * ||h||;
-    axes meeting the circle condition are removed from the order-2/order-3
-    lists.
+    polished in one lockstep refine.  An axis is accepted when its squared
+    functional is at most (tol * ||h||)^2, i.e. when the components the
+    symmetry forbids have norm at most tol * ||h||, so the census is
+    invariant under dilation; axes meeting the circle condition are removed
+    from the order-2/order-3 lists.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero; axes are undefined")
-    threshold = tol * norm
+    threshold = (tol * norm) ** 2
     seeds, kind = _axis_seeds(_maxwell_directions(h.coeffs))
     axes, final = _refine_axes(h, seeds, _CONDITION_MASKS[kind])
     found = ([], [], [])
@@ -667,135 +667,94 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
 # ---------------------------------------------------------------------------
 # classification
 
-def _phase_rotation(k, current, target):
-    """Rotation about z multiplying c_k by exp(i k alpha) to reach `target`."""
-    alpha = (target - np.angle(current)) / k
-    return Rotation3.about_axis([0.0, 0.0, 1.0], alpha)
-
-
 _FLIP_Z = Rotation3(np.diag([1.0, -1.0, -1.0]))  # half-turn about x
 
+# per type: (axial part r, phase order k (0: none), target phase of c_k,
+# |c_k| per unit s)
+_FITS = {
+    StabilizerType.CIRCLE: (True, 0, 0.0, 1.0),
+    StabilizerType.S3: (False, 3, 0.0, 2.0),
+    StabilizerType.A4: (False, 2, -math.pi / 2.0, math.sqrt(6.0)),
+    StabilizerType.Z2: (True, 2, -math.pi / 2.0, math.sqrt(6.0)),
+    StabilizerType.Z3: (True, 3, 0.0, 2.0),
+}
+# per type with a collapse line s = slope * r: (NormalFormResult field, slope)
+_COLLAPSE = {StabilizerType.Z2: ("dist_s_minus_r", 1.0),
+             StabilizerType.Z3: ("dist_s_minus_rsqrt2", math.sqrt(2.0))}
+# axis census (order-2, order-3) of the types with one distinguished axis
+_CENSUS = {(3, 1): StabilizerType.S3, (1, 0): StabilizerType.Z2,
+           (0, 1): StabilizerType.Z3}
 
-def _fit_residual(h, R, tag, r, s):
-    """Norm of rotate(h, R) minus the normal form, on raw coefficients, so
-    no absolute trace floor applies to the difference."""
+
+def _fit(h, tag, R):
+    """Normal form of type `tag` from a frame R whose z-column is the type's
+    distinguished axis: flip z so that r >= 0 (types with an axial part),
+    then turn about z, which multiplies c_k by exp(i k alpha), until c_k has
+    its target phase (types with one).  The target phase -pi/2 of c2 makes
+    the xyz component positive and the (x^2-y^2)z component zero.  The
+    residual is taken on raw coefficients, so no absolute trace floor
+    applies to the difference."""
+    axial, k, target, per_s = _FITS[tag]
+    r = s = 0.0
+    if axial:
+        r = _components7(_rot10(h.coeffs, R.entries))[0] / _NORM_P0
+        if r < 0:
+            R = R.compose(_FLIP_Z)
+            r = -r
+    if k:
+        ck = _components7(_rot10(h.coeffs, R.entries))[k]
+        R = R.compose(Rotation3.about_axis([0.0, 0.0, 1.0],
+                                           (target - np.angle(ck)) / k))
+        s = abs(ck) / per_s
     d = _rot10(h.coeffs, R.entries) - normal_form(tag, r, s).coeffs
-    return math.sqrt(float(np.dot(MULTIPLICITY * d, d)))
+    dist = {}
+    if tag in _COLLAPSE:
+        field, slope = _COLLAPSE[tag]
+        dist[field] = float(abs(s - r * slope))
+    return NormalFormResult(tag, R, float(r), float(s),
+                            math.sqrt(float(np.dot(MULTIPLICITY * d, d))),
+                            **dist)
 
 
-def _fit_circle(h, axis):
-    R = transport_rotation(axis)
-    c0 = _components7(_rot10(h.coeffs, R.entries))[0]
-    r = c0 / _NORM_P0
-    if r < 0:
-        R = R.compose(_FLIP_Z)
-        r = -r
-    resid = _fit_residual(h, R, StabilizerType.CIRCLE, r, 0.0)
-    return NormalFormResult(StabilizerType.CIRCLE, R, float(r), 0.0, resid)
-
-
-def _fit_s3(h, order3_axis):
-    R = transport_rotation(order3_axis)
-    c3 = _components7(_rot10(h.coeffs, R.entries))[3]
-    R = R.compose(_phase_rotation(3, c3, 0.0))
-    s = abs(c3) / 2.0
-    resid = _fit_residual(h, R, StabilizerType.S3, 0.0, s)
-    return NormalFormResult(StabilizerType.S3, R, 0.0, float(s), resid)
-
-
-def _fit_a4(h, order2_axes):
+def _a4_frame(order2_axes):
+    """Frame of two order-2 axes (orthogonalized) and their cross product."""
     w1 = order2_axes[0][0]
     w2 = order2_axes[1][0]
     w2 = w2 - np.dot(w1, w2) * w1
     w2 /= np.linalg.norm(w2)
-    R = Rotation3(np.column_stack([w1, w2, np.cross(w1, w2)]))
-    c2 = _components7(_rot10(h.coeffs, R.entries))[2]
-    # target phase -pi/2: xyz component positive, (x^2-y^2)z component zero
-    R = R.compose(_phase_rotation(2, c2, -math.pi / 2.0))
-    s = abs(c2) / math.sqrt(6.0)
-    resid = _fit_residual(h, R, StabilizerType.A4, 0.0, s)
-    return NormalFormResult(StabilizerType.A4, R, 0.0, float(s), resid)
+    return Rotation3(np.column_stack([w1, w2, np.cross(w1, w2)]))
 
 
-def _fit_z2(h, axis):
-    R = transport_rotation(axis)
-    c0 = _components7(_rot10(h.coeffs, R.entries))[0]
-    r = c0 / _NORM_P0
-    if r < 0:
-        R = R.compose(_FLIP_Z)
-        r = -r
-    c2 = _components7(_rot10(h.coeffs, R.entries))[2]
-    R = R.compose(_phase_rotation(2, c2, -math.pi / 2.0))
-    s = abs(c2) / math.sqrt(6.0)
-    resid = _fit_residual(h, R, StabilizerType.Z2, r, s)
-    return NormalFormResult(StabilizerType.Z2, R, float(r), float(s), resid,
-                            dist_s_minus_r=float(abs(s - r)))
-
-
-def _fit_z3(h, axis):
-    R = transport_rotation(axis)
-    c0 = _components7(_rot10(h.coeffs, R.entries))[0]
-    r = c0 / _NORM_P0
-    if r < 0:
-        R = R.compose(_FLIP_Z)
-        r = -r
-    c3 = _components7(_rot10(h.coeffs, R.entries))[3]
-    R = R.compose(_phase_rotation(3, c3, 0.0))
-    s = abs(c3) / 2.0
-    resid = _fit_residual(h, R, StabilizerType.Z3, r, s)
-    return NormalFormResult(
-        StabilizerType.Z3, R, float(r), float(s), resid,
-        dist_s_minus_rsqrt2=float(abs(s - r * math.sqrt(2.0))))
-
-
-def classify(h: HarmonicCubic, tol: float = 1e-6) -> NormalFormResult:
+def classify(h: HarmonicCubic, tol: float = TAU_AXIS) -> NormalFormResult:
     """Stabilizer type and normal form of a cubic under rotations.
 
     Decision tree: zero norm -> Full; a circle axis -> Circle; otherwise the
     census of order-2/order-3 axes selects the type (3+4 -> A4, 3+1 -> S3,
-    0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  Z2 fits with |s - r| and Z3
-    fits with |s - r*sqrt(2)| within tol * ||h|| collapse to S3 / A4.
+    0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  `tol` is the one symmetry
+    tolerance: an axis counts when its components that the symmetry forbids
+    have norm at most tol * ||h||, so a cubic within that distance of a
+    collapse line (Z2 with s = r, Z3 with s = r*sqrt(2)) has the larger
+    census of S3 / A4 and is classified so.  Z2 and Z3 fits report their
+    distance to the collapse line.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         return NormalFormResult(StabilizerType.FULL, Rotation3.identity(),
                                 0.0, 0.0, float(norm))
-    axes = find_symmetry_axes(h, tol=TAU_AXIS)
+    axes = find_symmetry_axes(h, tol=tol)
     if axes.circle:
-        return _fit_circle(h, axes.circle[0][0])
+        return _fit(h, StabilizerType.CIRCLE,
+                    transport_rotation(axes.circle[0][0]))
     n2, n3 = len(axes.order2), len(axes.order3)
     if (n2, n3) == (0, 0):
         return NormalFormResult(StabilizerType.TRIVIAL, Rotation3.identity(),
                                 0.0, 0.0, 0.0)
     if (n2, n3) == (3, 4):
-        return _fit_a4(h, axes.order2)
-    if (n2, n3) == (3, 1):
-        return _fit_s3(h, axes.order3[0][0])
-    if (n2, n3) in ((1, 0), (0, 1)):
-        if n2:
-            fit, field = _fit_z2(h, axes.order2[0][0]), "dist_s_minus_r"
-        else:
-            fit, field = _fit_z3(h, axes.order3[0][0]), "dist_s_minus_rsqrt2"
-        dist = getattr(fit, field)
-        if dist > tol * norm:
-            return fit
-        # on the collapse line the cubic is S3 (from Z2) or A4 (from Z3);
-        # re-search with a threshold loose enough for the symmetry broken
-        # by a distance of `dist`
-        loose = find_symmetry_axes(
-            h, tol=max(TAU_AXIS, 100.0 * (dist / norm) ** 2))
-        if n2 and loose.order3:
-            collapsed = _fit_s3(h, loose.order3[0][0])
-        elif n3 and len(loose.order2) >= 2:
-            collapsed = _fit_a4(h, loose.order2)
-        elif n2:
-            collapsed = NormalFormResult(StabilizerType.S3, fit.rotation,
-                                         0.0, norm / 2.0, fit.residual)
-        else:
-            collapsed = NormalFormResult(StabilizerType.A4, fit.rotation,
-                                         0.0, norm / math.sqrt(6.0),
-                                         fit.residual)
-        return dataclasses.replace(collapsed, **{field: dist})
+        return _fit(h, StabilizerType.A4, _a4_frame(axes.order2))
+    if (n2, n3) in _CENSUS:
+        # the distinguished axis is the order-3 one where there is one
+        axis = (axes.order3 or axes.order2)[0][0]
+        return _fit(h, _CENSUS[n2, n3], transport_rotation(axis))
     raise CensusError(
         f"axis census ({n2} order-2, {n3} order-3) matches no stabilizer "
         f"pattern",
@@ -817,7 +776,7 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
     t = h.tensor
     g = 3.0 * np.einsum("pjk,nj,nk->np", t, _LATTICE, _LATTICE)
     fvals = np.einsum("np,np->n", g, g)
-    seeds = np.array(_seed_points(_LATTICE, fvals, 40))
+    seeds = np.array(_seed_points(fvals))
     axes, _ = _refine_axes(h, seeds, np.broadcast_to(_GRADIENT,
                                                      (len(seeds), 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)

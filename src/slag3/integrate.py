@@ -377,14 +377,12 @@ class Z2Field:
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
-        y = self.data[self.center]
+        y = self.data[self.center][None]  # one batch axis on every leg
         counter = [0, 0.0]
         for axis in range(3):
             m = self._n_subs[axis]
-            h = u[axis] / m
-            y = _march(y[None, :], axis, h, m, counter)[-1]
-            y = y[0] if False else y  # keep batch of one throughout
-        y = np.asarray(y)[0]
+            y = _march(y, axis, u[axis] / m, m, counter)[-1]
+        y = y[0]
         self._cache[key] = y
         if len(self._cache) > 50000:
             self._cache.popitem(last=False)
@@ -656,8 +654,8 @@ def _leaf_planes(mesh):
     return q
 
 
-def z2_foliation_check(fld: Z2Field, patch=None, *, spans=(0.08, 0.08),
-                       counts=(9, 9), n_starts=5) -> FoliationResult:
+def z2_foliation_check(fld: Z2Field, *, spans=(0.08, 0.08), counts=(9, 9),
+                       n_starts=5) -> FoliationResult:
     """Audit the leaves transverse to the first coframe component.
 
     Along each traced leaf the 3-plane spanned by (e2, e3, Je1 - t1 e1)
@@ -666,8 +664,6 @@ def z2_foliation_check(fld: Z2Field, patch=None, *, spans=(0.08, 0.08),
     the plane field (radians) and the worst quadric-fit residual (total
     least squares on diameter-scaled coordinates, plus any off-plane
     drift), both over up to ``n_starts`` leaves seeded from field nodes.
-    The ``patch`` argument is accepted for signature symmetry with the
-    other audits and is not consulted.
     """
     c = fld.center
     seeds = [c]

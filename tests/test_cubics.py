@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slag3 import cubics
 from slag3.cubics import (
@@ -425,9 +426,14 @@ class TestFindSymmetryAxes:
         assert len(calls) == 1
         singular_directions(h)
         assert len(calls) == 2
-        # a Z3 cubic far from the collapse line needs no loose re-search
+        # classify decides from the one census of its single search, also
+        # for cubics near a collapse line
         assert classify(h).type is ST.Z3
         assert len(calls) == 3
+        near = rotate(n_family(1.0, 1.0 + 1e-7),
+                      Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
+        assert classify(near).type is ST.S3
+        assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +511,38 @@ class TestClassifyProperties:
                     assert fit.type is ref.type, (d, ref.type)
                     assert abs(fit.r - ref.r) <= 1e-6 * scale
                     assert abs(fit.s - ref.s) <= 1e-6 * scale
+
+    def test_near_collapse_keeps_the_one_axis_type(self):
+        # 1e-3 from a collapse line is far outside tol * ||h||, so the axes
+        # that S3 / A4 would add are no symmetry axes
+        R = Rotation3.about_axis([1.0, 2.0, -1.0], 0.8)
+        near = rotate(n_family(1.0, 1.001), R)
+        z2 = classify(near)
+        assert z2.type is ST.Z2
+        assert z2.r == pytest.approx(1.0, abs=1e-9)
+        assert z2.s == pytest.approx(1.001, abs=1e-9)
+        # a tolerance above the distance admits the collapsed symmetry
+        assert classify(near, tol=1e-2).type is ST.S3
+        z3 = classify(rotate(m_family(1.0, math.sqrt(2.0) + 1e-3), R))
+        assert z3.type is ST.Z3
+        assert z3.r == pytest.approx(1.0, abs=1e-9)
+        assert z3.s == pytest.approx(math.sqrt(2.0) + 1e-3, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.sampled_from([c for c in CORPUS if c[2] is not ST.FULL]),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+           sign=st.sampled_from((1.0, -1.0)))
+    def test_dilation_rotation_sign_invariance(self, case, seed, exponent,
+                                               sign):
+        name, h, expected, r, s = case
+        lam = 10.0 ** exponent
+        moved = rotate(h.scaled(sign * lam),
+                       random_rotation(np.random.default_rng(seed)))
+        fit = classify(moved)
+        assert fit.type is expected, name
+        bound = 1e-6 * lam * h.norm()
+        assert abs(fit.r - lam * r) <= bound, name
+        assert abs(fit.s - lam * s) <= bound, name
 
     def test_scale_equivariance(self):
         for lam in (0.37, 5.0):

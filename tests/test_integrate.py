@@ -1,5 +1,7 @@
 """Tests for the moving-frame integrator's helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,25 @@ def test_renormalize_snaps_frame_to_unitary_and_reports_drift():
     keep = np.ones(36, dtype=bool)
     keep[integrate._EE] = False
     assert np.array_equal(out[keep], y[keep])
+
+
+def _packed(state):
+    return np.concatenate([state.x, state.e1, state.e2, state.e3,
+                           [state.r, state.s, state.t1, state.t2, state.t3,
+                            state.u1]])
+
+
+def test_canonical_path_reproduces_stored_nodes():
+    fld, _ = integrate._reconstruct((1.0, 2.0, 0.1, 0.1, -0.2, 0.3),
+                                    (0.2, 0.2, 0.2), 1e-2)
+    c = fld.center
+    last = tuple(n - 1 for n in fld.shape)
+    nodes = [c, (0, c[1], c[2]), (last[0], c[1], c[2])]
+    nodes += list(itertools.product(*((0, m) for m in last)))
+    for idx in nodes:
+        u = [fld.axes[a][i] for a, i in enumerate(idx)]
+        got = _packed(fld.state_at(u))
+        want = _packed(fld.node_state(idx))
+        assert np.abs(got - want).max() <= 1e-12, idx
+    patch = integrate._field_patch(fld)
+    assert patch.jac(np.array([0.03, -0.02, 0.05])).shape == (6, 3)
