@@ -18,7 +18,6 @@ Subpackage map:
 * ``slag3.integrate``       -- reconstruction of immersions from closed
                                moving-frame systems (circle-symmetric profile
                                and the six-function order-2-symmetric system).
-* ``slag3.cli``             -- command-line interface.
 """
 
 __version__ = "0.1.0"

@@ -514,10 +514,11 @@ def _refine_axes(h, seeds, mask, max_iter=60):
                           base[:, None])[:, 0, :]
     fval = ((cloc @ basis_t * mask) ** 2).sum(1)
     f0 = fval.copy()
+    floor = 1e-30 * h.inner(h)  # retire floor, in the functional's units
     lams = 0.5 ** np.arange(8)
     active = np.arange(n)
     for it in range(max_iter):
-        keep = fval[active] > 1e-30
+        keep = fval[active] > floor
         if it >= 2:
             keep &= fval[active] <= 0.5 ** it * f0[active]
         active = active[keep]
@@ -591,36 +592,42 @@ def _dedupe(cands, ang_tol=1e-4):
     return out
 
 
-def _fibonacci_sphere(n):
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+# orthonormal basis (5, 9) of the traceless symmetric 3x3 matrices
+_TRACELESS = np.array([
+    [1, 0, 0, 0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, -2],
+    [0, 1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 1, 0.0]]) / np.sqrt([[2], [6], [2], [2], [2]])
 
 
-_LATTICE = _fibonacci_sphere(2000)  # singular_directions' scan points
+def _singular_seeds(t):
+    """At most seven seed directions (n, 3) for the gradient zeros of the
+    cubic with full tensor t.
 
+    The slices A_p = t[p] are traceless, so grad h(w)_p = 3 tr(A_p w w^T)
+    vanishes exactly when w w^T - I/3 is orthogonal to all three.  Unless h
+    is a cone, that orthogonal complement among the traceless symmetric
+    matrices is a pencil Y(theta), and its members of the form
+    a (w w^T - I/3) are those with a repeated eigenvalue: the zeros of the
+    binary sextic tr(Y^2)^3 - 54 det(Y)^2 in (cos theta, sin theta).  Seven
+    samples give the sextic's harmonics exp(2ik theta), |k| <= 3, exactly;
+    each root yields the eigenvector of the simple (largest in modulus)
+    eigenvalue of Y.  A cone cubic adds the kernel of c -> t(c, ., .).
+    """
+    u, _, vh = np.linalg.svd(t.reshape(3, 9) @ _TRACELESS.T)
+    y1, y2 = (vh[3:] @ _TRACELESS).reshape(2, 3, 3)
 
-def _seed_points(fvals, n_basins=40, min_sep=0.15):
-    """Up to n_basins points of _LATTICE, best value first, each at least
-    min_sep from the points picked before it (antipodally aware), taken from
-    the best few hundred; only the picked points' distance rows are built."""
-    k = 320
-    cand = np.argpartition(fvals, k - 1)[:k]
-    cand = cand[np.argsort(fvals[cand])]
-    pts = _LATTICE[cand]
-    ok = np.ones(k, dtype=bool)
-    seeds = []
-    for i in range(k):
-        if not ok[i]:
-            continue
-        seeds.append(pts[i])
-        if len(seeds) >= n_basins:
-            break
-        # min of |w - u|^2 and |w + u|^2 over the candidates u
-        ok &= 2.0 - 2.0 * np.abs(pts @ pts[i]) >= min_sep * min_sep
-    return seeds
+    def pencil(theta):
+        return (np.cos(theta)[:, None, None] * y1
+                + np.sin(theta)[:, None, None] * y2)
+
+    ys = pencil(np.arange(7) * math.pi / 7.0)
+    disc = (np.trace(ys @ ys, axis1=1, axis2=2) ** 3
+            - 54.0 * np.linalg.det(ys) ** 2)
+    harm = np.fft.fft(disc)  # 7 x (harmonic k mod 7)
+    roots = np.roots(harm[[3, 2, 1, 0, 6, 5, 4]])
+    vals, vecs = np.linalg.eigh(pencil(np.angle(roots) / 2.0))
+    pick = np.argmax(np.abs(vals), axis=1)
+    return np.vstack([vecs[np.arange(len(roots)), :, pick], u[:, 2]])
 
 
 def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
@@ -766,17 +773,18 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
     """Projective directions in which the cubic's gradient vanishes.
 
     Returns at most three unit vectors w (first nonzero coordinate positive)
-    with ||grad h(w)|| <= tol * ||h||.  The gradient vanishes at w exactly
-    when the components c0 and c1 about w do, so the lockstep axis refiner
-    searches for those zeros from the best basins of a sphere scan.
+    with ||grad h(w)|| <= tol * ||h||.  The seeds are algebraic (see
+    _singular_seeds): the members with a repeated eigenvalue of the pencil
+    orthogonal to the cubic's traceless slices, at the roots of a binary
+    sextic, plus the kernel direction of a cone.  The gradient vanishes at
+    w exactly when the components c0 and c1 about w do, and the lockstep
+    axis refiner polishes those zeros from the seeds.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero")
     t = h.tensor
-    g = 3.0 * np.einsum("pjk,nj,nk->np", t, _LATTICE, _LATTICE)
-    fvals = np.einsum("np,np->n", g, g)
-    seeds = np.array(_seed_points(fvals))
+    seeds = _singular_seeds(t)
     axes, _ = _refine_axes(h, seeds, np.broadcast_to(_GRADIENT,
                                                      (len(seeds), 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)

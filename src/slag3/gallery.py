@@ -75,8 +75,9 @@ def plane() -> ImmersionPatch:
 
 # --- the rotationally invariant family over S² -------------------------------
 
-def _branch_rho(c3, gamma):
-    """ρ with ρ³·(-sin 3γ) = c3 on the branch where -sign(c3)·sin 3γ > 0."""
+def _circle_profile(c3, gamma):
+    """w = ρ(γ)·e^{iγ} and its first two γ-derivatives, where ρ³·(-sin 3γ) = c3
+    on the branch -sign(c3)·sin 3γ > 0."""
     third = math.pi / 3.0
     in_branch = (-third < gamma < 0.0) if c3 > 0.0 else (0.0 < gamma < third)
     p = -math.copysign(1.0, c3) * math.sin(3.0 * gamma)
@@ -84,10 +85,11 @@ def _branch_rho(c3, gamma):
         raise ValueError(f"gamma={gamma} is outside the profile branch")
     amp = abs(c3) ** (1.0 / 3.0)
     rho = amp * p ** (-1.0 / 3.0)
-    d_rho = amp * math.copysign(1.0, c3) * math.cos(3.0 * gamma) * p ** (-4.0 / 3.0)
-    dd_rho = amp * (3.0 * p ** (-1.0 / 3.0)
-                    + 4.0 * math.cos(3.0 * gamma) ** 2 * p ** (-7.0 / 3.0))
-    return rho, d_rho, dd_rho
+    d1 = amp * math.copysign(1.0, c3) * math.cos(3.0 * gamma) * p ** (-4.0 / 3.0)
+    d2 = amp * (3.0 * p ** (-1.0 / 3.0)
+                + 4.0 * math.cos(3.0 * gamma) ** 2 * p ** (-7.0 / 3.0))
+    e = complex(math.cos(gamma), math.sin(gamma))
+    return rho * e, (d1 + 1j * rho) * e, (d2 + 2j * d1 - rho) * e
 
 
 def _sphere_chart(phi, psi):
@@ -112,23 +114,18 @@ def harvey_lawson_so3(c: float) -> ImmersionPatch:
     if c <= 0.0:
         raise ValueError("the waist radius c must be positive")
 
-    def _w(gamma):
-        rho, d1, d2 = _branch_rho(c ** 3, gamma)
-        e = complex(math.cos(gamma), math.sin(gamma))
-        return rho * e, (d1 + 1j * rho) * e, (d2 + 2j * d1 - rho) * e
-
     def ev(u):
-        w, _, _ = _w(u[0])
+        w, _, _ = _circle_profile(c ** 3, u[0])
         n = _sphere_chart(u[1], u[2])[0]
         return from_complex(w * n)
 
     def jc(u):
-        w, wg, _ = _w(u[0])
+        w, wg, _ = _circle_profile(c ** 3, u[0])
         n, n_phi, n_psi = _sphere_chart(u[1], u[2])[:3]
         return from_complex(np.stack([wg * n, w * n_phi, w * n_psi])).T
 
     def hs(u):
-        w, wg, wgg = _w(u[0])
+        w, wg, wgg = _circle_profile(c ** 3, u[0])
         n, n_phi, n_psi, n_pp, n_pq, n_qq = _sphere_chart(u[1], u[2])
         rows = np.array([[wgg * n, wg * n_phi, wg * n_psi],
                          [wg * n_phi, w * n_pp, w * n_pq],
@@ -575,17 +572,12 @@ def z3_family(s: LegendrianSurface, c: float) -> ImmersionPatch:
     if c == 0.0:
         raise ValueError("the profile constant c must be nonzero")
 
-    def _w(gamma):
-        rho, d1, _ = _branch_rho(c, gamma)
-        e = complex(math.cos(gamma), math.sin(gamma))
-        return rho * e, (d1 + 1j * rho) * e
-
     def ev(u):
-        w, _ = _w(u[0])
+        w, _, _ = _circle_profile(c, u[0])
         return from_complex(w * np.asarray(s.eval(u[1:])))
 
     def jc(u):
-        w, wg = _w(u[0])
+        w, wg, _ = _circle_profile(c, u[0])
         x = np.asarray(s.eval(u[1:]))
         t = np.asarray(s.jac(u[1:]))
         return from_complex(np.stack([wg * x, w * t[:, 0], w * t[:, 1]])).T

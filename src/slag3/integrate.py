@@ -225,7 +225,7 @@ def _z2_rhs(y, axis, w_override=None):
     if w_override is None:
         t = _stack_rows(z2_coframe_rates(q))
         out[..., _V1] = 0.0 if axis == 0 else _two_form(t, w, v1)
-        out[..., _V2] = 0.0 if axis == 1 else _two_form(t, w, v2)
+        out[..., _V2] = 0.0 if axis in (0, 1) else _two_form(t, w, v2)
     else:
         out[..., _V1] = 0.0
         out[..., _V2] = 0.0

@@ -79,6 +79,12 @@ CORPUS = [
 ]
 
 
+# number of singular directions of each corpus cubic (n(1, 2) has the two
+# equator lines at sin(2 theta) = 1/2, the collapses count as S3 and A4)
+SINGULAR_COUNT = {"axial": 0, "xyz": 3, "cube": 1, "n12": 2, "m13": 0,
+                  "random": 0, "n11": 1, "m1r2": 3}
+
+
 def poly_value(h, x):
     """Oracle: brute-force sum of h_ijk x_i x_j x_k over all 27 triples."""
     t = h.tensor
@@ -621,6 +627,52 @@ class TestSingularDirections:
     def test_circle_type_has_no_singular_direction(self):
         h = rotate(P0.scaled(2.5), Rotation3.about_axis([1.0, 0.0, 1.0], 0.7))
         assert singular_directions(h) == []
+
+    def test_count_holds_at_small_scale(self):
+        # the refiner's retire floor is relative to ||h||^2, so seeds near
+        # a degenerate singular point still converge at ||h|| ~ 1e-8
+        assert len(singular_directions(CUBE3.scaled(1e-8))) == 1
+        R = Rotation3.about_axis([1.0, 2.0, -1.0], 0.8)
+        assert len(singular_directions(rotate(n_family(1.0, 1.0), R)
+                                       .scaled(1e-8))) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=st.sampled_from([c for c in CORPUS if c[2] is not ST.FULL]),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+           sign=st.sampled_from((1.0, -1.0)))
+    def test_rotation_sign_dilation_equivariance(self, case, seed, exponent,
+                                                 sign):
+        name, h, _, _, _ = case
+        R = random_rotation(np.random.default_rng(seed))
+        moved = rotate(h.scaled(sign * 10.0 ** exponent), R)
+        ref = singular_directions(h)
+        dirs = singular_directions(moved)
+        assert len(ref) == len(dirs) == SINGULAR_COUNT[name], name
+        # h(R x) is singular at x exactly when h is singular at R x
+        for w in ref:
+            v = R.entries.T @ w
+            assert min(min(np.linalg.norm(d - v), np.linalg.norm(d + v))
+                       for d in dirs) < 1e-6, name
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_ratio=st.floats(-1.0, 1.0),
+           phase2=st.floats(0.0, 2.0 * math.pi),
+           phase3=st.floats(0.0, 2.0 * math.pi))
+    def test_nodal_cubic_has_its_node_only(self, seed, log_ratio, phase2,
+                                           phase3):
+        # c2 and c3 about z, no c0 or c1: a nodal cubic with its node at z
+        rho2 = 10.0 ** log_ratio
+        c = (rho2 * math.cos(phase2) * cubics._Q2A / cubics._NORM_Q2A
+             + rho2 * math.sin(phase2) * cubics._Q2B / cubics._NORM_Q2B
+             + math.cos(phase3) * cubics._Q3A / cubics._NORM_Q3
+             + math.sin(phase3) * cubics._Q3B / cubics._NORM_Q3)
+        R = random_rotation(np.random.default_rng(seed))
+        h = rotate(HarmonicCubic(c), R.transpose())  # node at R z
+        w = R.entries[:, 2]
+        dirs = singular_directions(h)
+        assert len(dirs) == 1
+        assert min(np.linalg.norm(dirs[0] - w),
+                   np.linalg.norm(dirs[0] + w)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from slag3 import integrate
 from slag3.ambient import from_complex
+from slag3.cubics import StabilizerType
 
 
 def test_renormalize_snaps_frame_to_unitary_and_reports_drift():
@@ -50,3 +51,47 @@ def test_canonical_path_reproduces_stored_nodes():
         assert np.abs(got - want).max() <= 1e-12, idx
     patch = integrate._field_patch(fld)
     assert patch.jac(np.array([0.03, -0.02, 0.05])).shape == (6, 3)
+
+
+# ---------------------------------------------------------------------------
+# the order-2 reconstruction at its default init
+
+Z2_INIT = (1.0, 2.0, 0.1, 0.1, -0.2, 0.3)
+
+
+@pytest.fixture(scope="module")
+def z2_run():
+    """(field, patch, report) at the default box, census on 3 nodes."""
+    return integrate.z2_integrate(Z2_INIT, census_counts=(1, 1, 3))
+
+
+def test_z2_integrate_returns_a_flat_field_of_type_z2(z2_run):
+    _, _, report = z2_run
+    assert report.loop_residual < 1e-4
+    assert report.frame_drift < 1e-6
+    assert report.slag_res < 1e-8
+    assert report.type_census == {StabilizerType.Z2: 3}
+
+
+def test_z2_leaves_are_quadrics_in_fixed_three_planes(z2_run):
+    fld, _, _ = z2_run
+    plane, quadric = integrate.z2_foliation_check(fld)
+    assert plane < 1e-6
+    assert quadric < 1e-8
+
+
+def test_rk4_convergence_exponent_is_fourth_order():
+    assert integrate.rk4_convergence_exponent(extents=(0.1, 0.1, 0.1)) > 3.5
+
+
+def test_corrupted_scalar_law_fails_the_flatness_gate(monkeypatch):
+    law = integrate.z2_scalar_rates
+
+    def corrupted(state):
+        rows = [list(row) for row in law(state)]
+        rows[2][1] = rows[2][1] + 0.5  # dt1 gains a w2 component
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(integrate, "z2_scalar_rates", corrupted)
+    with pytest.raises(integrate.FlatnessError):
+        integrate.z2_integrate(Z2_INIT, census_counts=None)
