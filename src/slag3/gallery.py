@@ -8,8 +8,8 @@ stabilizer type its fundamental cubic must have on the whole default grid.
 The cone-with-twist construction builds Lagrangian 3-folds over a minimal
 Legendrian surface x: Σ → S⁵ and a linear height b = <a, x>: the R⁶-valued
 1-form β = x·★db − b·★dx is closed precisely because b is a first-order
-spherical harmonic restricted to Σ, its primitive 𝐛 is found by composite
-Simpson integration along axis paths, and X = 𝐛 + t·x is the patch.
+spherical harmonic restricted to Σ, its primitive 𝐛 is found by
+Gauss–Legendre integration along axis paths, and X = 𝐛 + t·x is the patch.
 """
 
 from __future__ import annotations
@@ -465,43 +465,33 @@ def _betas(avec, frames):
     return star_db * x[:, None, :] - height[:, :, None] * star_dx
 
 
-def _path_simpson(s, avec, legs, n):
-    """Composite Simpson integrals of β along axis-parallel legs, with one
+def _path_integral(s, avec, legs, rule):
+    """Gauss–Legendre integrals of β along axis-parallel legs, with one
     stacked frame evaluation for the nodes of all legs.
 
     A leg (axis, fixed, start, stop) runs θ_axis from start to stop with the
-    other coordinate at fixed, and integrates the dθ_axis row of β.  Returns
-    one 6-vector per leg.
+    other coordinate at fixed, and integrates the dθ_axis row of β.  rule is
+    a (nodes, weights) pair on [-1, 1].  Returns one 6-vector per leg.
     """
-    n = int(n) + (int(n) % 2)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    thetas = np.empty((len(legs), n + 1, 2))
+    nodes, weights = rule
+    thetas = np.empty((len(legs), len(nodes), 2))
     for k, (axis, fixed, start, stop) in enumerate(legs):
-        thetas[k, :, axis] = np.linspace(start, stop, n + 1)
+        thetas[k, :, axis] = 0.5 * (start + stop) + 0.5 * (stop - start) * nodes
         thetas[k, :, 1 - axis] = fixed
     betas = _betas(avec, _surface_frames(s, thetas.reshape(-1, 2)))
-    betas = betas.reshape(len(legs), n + 1, 2, 6)
-    return [(stop - start) / (3.0 * n)
-            * np.einsum("s,s...->...", w, betas[k, :, axis])
+    betas = betas.reshape(len(legs), len(nodes), 2, 6)
+    return [0.5 * (stop - start) * (weights @ betas[k, :, axis])
             for k, (axis, _, start, stop) in enumerate(legs)]
 
 
-def _rect_loop(s, avec, rect, n):
-    (a0, a1), (b0, b1) = rect
-    bottom, right, top, left = _path_simpson(
-        s, avec, [(0, b0, a0, a1), (1, a1, b0, b1), (0, b1, a0, a1),
-                  (1, a0, b0, b1)], n)
-    return float(np.linalg.norm(bottom + right - top - left))
-
-
-def legendrian_loop_residual(s: LegendrianSurface, avec, n=400):
+def legendrian_loop_residual(s: LegendrianSurface, avec, n=16):
     """Worst |∮β| over test rectangles in the domain; zero when β is closed.
 
-    The rectangles deliberately span irregular fractions of the domain: on a
-    full period box the boundary integral cancels by periodicity whether or
-    not β is closed, so sub-rectangles are what actually probe dβ.
+    Each side of a rectangle is integrated by n-node Gauss–Legendre, the
+    rule `twisted_cone` integrates its height with.  The rectangles
+    deliberately span irregular fractions of the domain: on a full period
+    box the boundary integral cancels by periodicity whether or not β is
+    closed, so sub-rectangles are what actually probe dβ.
     """
     avec = np.asarray(avec, dtype=float)
     (a0, a1), (b0, b1) = s.domain
@@ -511,34 +501,45 @@ def legendrian_loop_residual(s: LegendrianSurface, avec, n=400):
         ((a0 + 0.05 * da, a0 + 0.47 * da), (b0 + 0.05 * db, b0 + 0.71 * db)),
         ((a0 + 0.13 * da, a0 + 0.83 * da), (b0 + 0.29 * db, b0 + 0.57 * db)),
     )
-    return max(_rect_loop(s, avec, rect, n) for rect in rects)
+    legs = []       # bottom, right, top, left of each rectangle
+    for (p0, p1), (q0, q1) in rects:
+        legs += [(0, q0, p0, p1), (1, p1, q0, q1), (0, q1, p0, p1),
+                 (1, p0, q0, q1)]
+    sides = np.reshape(_path_integral(
+        s, avec, legs, np.polynomial.legendre.leggauss(int(n))), (-1, 4, 6))
+    loops = sides[:, 0] + sides[:, 1] - sides[:, 2] - sides[:, 3]
+    return float(np.linalg.norm(loops, axis=1).max())
 
 
 def twisted_cone(s: LegendrianSurface, avec, t_range=(0.6, 1.6),
-                 n_simpson=150, loop_tol=1e-6) -> ImmersionPatch:
+                 n_nodes=16, loop_tol=1e-6) -> ImmersionPatch:
     """Cone with a twist over a minimal Legendrian surface.
 
     F(t, θ₁, θ₂) = 𝐛(θ) + t·x(θ) with d𝐛 = β = x·★db − b·★dx and b = <a, x>.
-    Closedness of β is audited by the boundary loop integral at construction
-    time; a = 0 reduces to the plain cone t·x.
+    𝐛(θ) integrates β from the domain corner along θ₁, then along θ₂, with
+    an n_nodes-point Gauss–Legendre rule on each leg, built once here.
+    Closedness of β is audited at construction time by the boundary loop
+    integral on the same rule; a = 0 reduces to the plain cone t·x.
     """
     avec = np.asarray(avec, dtype=float)
     if avec.shape != (6,):
         raise ValueError("the direction a must be a real 6-vector")
-    if np.linalg.norm(avec) > 0.0:
-        loop = legendrian_loop_residual(s, avec)
+    twisted = bool(np.any(avec))
+    if twisted:
+        loop = legendrian_loop_residual(s, avec, n_nodes)
         if loop > loop_tol:
             raise ValueError(
                 f"β is not closed on {s.name!r} (loop residual {loop:.3e}); "
                 "the height <a, x> is not compatible with this surface")
+    rule = np.polynomial.legendre.leggauss(int(n_nodes))
     (a0, _), (b0, _) = s.domain
 
     def _bvec(theta):
-        if np.linalg.norm(avec) == 0.0:
+        if not twisted:
             return np.zeros(6)
-        leg1, leg2 = _path_simpson(
+        leg1, leg2 = _path_integral(
             s, avec, [(0, b0, a0, theta[0]), (1, theta[0], b0, theta[1])],
-            n_simpson)
+            rule)
         return leg1 + leg2
 
     def ev(u):

@@ -65,6 +65,7 @@ _FD_STEP_2 = _EPS ** 0.25          # direct second differences
 FRAME_TOL = 1e-6                   # Lagrangian residual admitted by frames
 _RANK_TOL = 1e-8                   # singular-value ratio for immersion rank
 _TRACE_FAIL = 1e-3                 # relative trace residual that aborts
+_ROUNDOFF_SHARE = 1e-6             # largest roundoff floor, per unit ‖h‖²
 _CSV_FIELDS = (["u1", "u2", "u3"]
                + [f"x{i}" for i in range(1, 7)]
                + ["lag_res", "im_res", "trace_res"]
@@ -478,7 +479,8 @@ def _curvature_param(patch, u, step):
 
 
 def _compat_residuals(patch, u, step, frame_tol):
-    """(codazzi, gauss) Frobenius residuals at one step size."""
+    """(codazzi, gauss, floors): the Frobenius residuals at one step size
+    and, for each, the roundoff floor of its stencil at that step."""
     u = np.asarray(u, dtype=float)
     t0, e0 = _checked_frame(patch, u, frame_tol)
     cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), e0)
@@ -504,7 +506,19 @@ def _compat_residuals(patch, u, step, frame_tol):
     h = cubic0.tensor
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
     gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
-    return codazzi, gauss
+
+    # Roundoff floors: eps times the differenced values times the stencil's
+    # absolute weights, in frame units.  ∇h differences cubics (‖h‖) with
+    # weights 1/step; each curvature entry is half of four second differences
+    # of g (‖g‖) with weights 4/step², carried to the frame by v⁴.  Both
+    # residuals are curvatures; roundoff above _ROUNDOFF_SHARE of ‖h‖² is no
+    # longer negligible, so it excuses no growth.
+    hh = float(np.sum(h * h))
+    cap = _ROUNDOFF_SHARE * hh
+    roundoff = (_EPS * math.sqrt(hh) / step,
+                8.0 * _EPS * np.linalg.norm(t0.T @ t0)
+                * np.linalg.norm(v) ** 4 / step**2)
+    return codazzi, gauss, tuple(float(min(r, cap)) for r in roundoff)
 
 
 def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3,
@@ -515,22 +529,23 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3,
     derivative of the fundamental cubic. gauss: Frobenius norm of the
     difference between the finite-difference intrinsic curvature and the
     quadratic cubic expression it must equal.  Both are recomputed at half
-    the step; a residual that grows under halving means the step is already
-    in the cancellation regime and raises StepTooSmallError.
+    the step; a residual that grows under halving by more than its
+    stencil's roundoff floor (at most 1e-6·‖h‖²) means the step is in the
+    cancellation regime and raises StepTooSmallError.
 
     The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
     the finite-difference fallback of a patch without an analytic ``jac``.
     """
-    full = _compat_residuals(patch, u, float(step), frame_tol)
-    half = _compat_residuals(patch, u, 0.5 * float(step), frame_tol)
-    for name, f, h in zip(("codazzi", "gauss"), full, half):
+    *full, _ = _compat_residuals(patch, u, float(step), frame_tol)
+    *half, floors = _compat_residuals(patch, u, 0.5 * float(step), frame_tol)
+    for name, f, h, floor in zip(("codazzi", "gauss"), full, half, floors):
         # truncation-dominated residuals shrink ~4x under halving; growth
         # beyond the roundoff floor means the step is cancellation-limited
-        if h > 1.6 * f + 1e-8:
+        if h > 1.6 * f + floor:
             raise StepTooSmallError(
                 f"{name} residual grows under step halving "
                 f"({f:.3e} -> {h:.3e}); step {step:.1e} is too small")
-    return full
+    return tuple(full)
 
 
 # --- patch transformations for invariance checks ----------------------------

@@ -202,13 +202,14 @@ class TestTwistedCone:
         assert np.allclose(patch.eval(np.array([1.3, *th])), 1.3 * x,
                            atol=1e-15)
 
-    def test_map_matches_scalar_simpson_reference(self):
-        # F = b(θ) + t·x(θ), with b the composite Simpson integral of the
-        # scalar β along (a0, b0) -> (θ1, b0) -> (θ1, θ2), 150 intervals a leg
+    def test_map_matches_converged_reference(self):
+        # F = b(θ) + t·x(θ), with b the integral of the scalar β along
+        # (a0, b0) -> (θ1, b0) -> (θ1, θ2); the reference is composite Simpson
+        # on 4000 intervals a leg, converged far below the tolerance
         s = gal.clifford_link()
         patch = gal.twisted_cone(s, E1)
         (a0, a1), (b0, b1) = s.domain
-        n = 150
+        n = 4000
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -227,7 +228,7 @@ class TestTwistedCone:
                    + leg(1, b0, th2, lambda v: (th1, v))
                    + t * from_complex(s.eval((th1, th2))))
             got = patch.eval(np.array([t, th1, th2]))
-            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_off_sphere_surface_rejected(self):
         with pytest.raises(ValueError, match="unit sphere"):

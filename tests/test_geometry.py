@@ -306,6 +306,19 @@ class TestCodazziGauss:
             geo.codazzi_gauss_residual(harvey_lawson_so3(1.0),
                                        np.array([-0.7, 1.2, 0.8]), step=1e-9)
 
+    def test_roundoff_growth_below_the_stencil_floor_passes(self):
+        # hl_cone's metric is quadratic in the radius, so its Gauss residual
+        # is pure roundoff and grows 5x under halving (2.9e-9 -> 1.6e-8)
+        u = np.array([0.6497080702507638, 5.195321075497304, 3.37605033048794])
+        cod, gau = geo.codazzi_gauss_residual(hl_cone(), u)
+        assert cod <= 1e-3 and gau <= 1e-3
+
+    def test_deep_cancellation_step_still_raises(self):
+        # at step 1e-6 the Gauss roundoff is 3e-3, far above 1e-6·‖h‖²
+        u = np.array([0.6497080702507638, 5.195321075497304, 3.37605033048794])
+        with pytest.raises(geo.StepTooSmallError, match="gauss"):
+            geo.codazzi_gauss_residual(hl_cone(), u, step=1e-6)
+
     @pytest.mark.parametrize("patch,u", [
         (hl_cone(), np.array([1.1, 1.3, 2.2])),
         (default_gallery()["twisted_cone"].patch, np.array([1.1, 2.0, 4.1]))])

@@ -95,3 +95,37 @@ def test_corrupted_scalar_law_fails_the_flatness_gate(monkeypatch):
     monkeypatch.setattr(integrate, "z2_scalar_rates", corrupted)
     with pytest.raises(integrate.FlatnessError):
         integrate.z2_integrate(Z2_INIT, census_counts=None)
+
+
+# ---------------------------------------------------------------------------
+# the SO(2) profile and the integration guards
+
+def test_so2_march_reproduces_the_closed_form_profile():
+    r, t = integrate.so2_march(1.0, -0.3, 0.3)
+    want = integrate.so2_profile(1.0, 0.3)
+    assert abs(r - want.r) <= 1e-12 and abs(t - want.t) <= 1e-12
+
+
+@pytest.mark.parametrize("init,match", [
+    ((1.0, np.nan, 0.1, 0.1, -0.2, 0.3), "non-finite"),
+    ((1.0, 2.0, 50.0, 0.1, -0.2, 0.3), "blow-up"),
+    ((1.0, 1.0 + 1e-9, 0.1, 0.1, -0.2, 0.3), "crossing")])
+def test_z2_integrate_raises_on_a_bad_state(init, match):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(integrate.IntegrationError, match=match):
+            integrate.z2_integrate(init, extents=(0.02, 0.02, 0.02),
+                                   census_counts=None, loop_tol=None)
+
+
+@pytest.mark.parametrize("index,value,match", [
+    (30, np.inf, "non-finite"),
+    (24, 0.5 * integrate._R_BOUNDS[0], "blow-up"),
+    (25, 2.0 * integrate._R_BOUNDS[1], "blow-up"),
+    (25, 1.0 + 5e-9, "crossing")])
+def test_check_state_rejects_each_bad_node(index, value, match):
+    y = np.zeros((2, 36))
+    y[:, 24], y[:, 25] = 1.0, 2.0
+    integrate._check_state(y)
+    y[1, index] = value
+    with pytest.raises(integrate.IntegrationError, match=match):
+        integrate._check_state(y)
