@@ -57,6 +57,8 @@ log = logging.getLogger(__name__)
 TAU_ZERO = 1e-9    # absolute: below this norm a cubic counts as zero
 TAU_AXIS = 1e-6    # relative: norm of the components a symmetry forbids
 _TAU_TRACE = 1e-8  # relative: trace residual admitted by the constructor
+_TAU_GRAD = 1e-6   # relative: gradient norm of a singular direction
+_MERGE_ANGLE = 1e-4  # directions closer than this (radians) are one
 
 LEX_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
                (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
@@ -486,6 +488,7 @@ def _pullback_many(tloc, rmats):
 # so its five transports are fixed; precompute their exact coefficient
 # pullback operators composed with the projection onto all seven components.
 _REFINE_STEP = 1e-6
+_REFINE_ITERS = 60
 _STENCIL = _transport_matrices(
     [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
      [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
@@ -494,7 +497,7 @@ _P_STEN = np.stack([np.stack([_rot10(e, t) for e in np.eye(10)], axis=1)
 _STEN_OP = np.einsum("mj,sji->smi", _BASIS7, _P_STEN)
 
 
-def _refine_axes(h, seeds, mask, max_iter=60):
+def _refine_axes(h, seeds, mask):
     """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
@@ -517,7 +520,7 @@ def _refine_axes(h, seeds, mask, max_iter=60):
     floor = 1e-30 * h.inner(h)  # retire floor, in the functional's units
     lams = 0.5 ** np.arange(8)
     active = np.arange(n)
-    for it in range(max_iter):
+    for it in range(_REFINE_ITERS):
         keep = fval[active] > floor
         if it >= 2:
             keep &= fval[active] <= 0.5 ** it * f0[active]
@@ -575,7 +578,7 @@ def _canonical_sign(w):
     return w
 
 
-def _dedupe(cands, ang_tol=1e-4):
+def _dedupe(cands):
     """Antipodal canonicalization + angular merge, best residual kept."""
     out = []
     held = np.empty((len(cands), 3))
@@ -584,7 +587,7 @@ def _dedupe(cands, ang_tol=1e-4):
         if out:
             d2 = np.minimum(((held[:len(out)] - w) ** 2).sum(1),
                             ((held[:len(out)] + w) ** 2).sum(1))
-            if d2.min() < ang_tol * ang_tol:
+            if d2.min() < _MERGE_ANGLE * _MERGE_ANGLE:
                 continue
         held[len(out)] = w
         out.append((w, res))
@@ -660,8 +663,8 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     def drop_circle(lst):
         keep = []
         for w, res in lst:
-            if any(min(np.linalg.norm(w - u), np.linalg.norm(w + u)) < 1e-4
-                   for u, _ in circle):
+            if any(min(np.linalg.norm(w - u), np.linalg.norm(w + u))
+                   < _MERGE_ANGLE for u, _ in circle):
                 continue
             keep.append((w, res))
         return tuple(keep)
@@ -769,11 +772,11 @@ def classify(h: HarmonicCubic, tol: float = TAU_AXIS) -> NormalFormResult:
                 "circle": axes.circle})
 
 
-def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
+def singular_directions(h: HarmonicCubic):
     """Projective directions in which the cubic's gradient vanishes.
 
     Returns at most three unit vectors w (first nonzero coordinate positive)
-    with ||grad h(w)|| <= tol * ||h||.  The seeds are algebraic (see
+    with ||grad h(w)|| <= 1e-6 * ||h||.  The seeds are algebraic (see
     _singular_seeds): the members with a repeated eigenvalue of the pencil
     orthogonal to the cubic's traceless slices, at the roots of a binary
     sextic, plus the kernel direction of a cone.  The gradient vanishes at
@@ -789,22 +792,24 @@ def singular_directions(h: HarmonicCubic, tol: float = 1e-6):
                                                      (len(seeds), 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)
-    found = _dedupe([(w, r) for w, r in zip(axes, res) if r <= tol * norm])
+    found = _dedupe([(w, r) for w, r in zip(axes, res)
+                     if r <= _TAU_GRAD * norm])
     return [w for w, _ in found[:3]]
 
 
-def is_reducible(h: HarmonicCubic, tol: float = 1e-6):
+def is_reducible(h: HarmonicCubic):
     """Whether a linear form divides the cubic; returns (flag, form or None).
 
     A cubic is divisible by a linear form exactly when it has an order-2
-    (or circle) symmetry axis.  The factor returned is the coordinate of the
-    distinguished axis after normal-form alignment, pulled back to the input
-    frame: the z-coordinate for Circle/Z2/A4 forms, the x-coordinate for S3.
+    (or circle) symmetry axis, found at the default tolerance of `classify`.
+    The factor returned is the coordinate of the distinguished axis after
+    normal-form alignment, pulled back to the input frame: the z-coordinate
+    for Circle/Z2/A4 forms, the x-coordinate for S3.
     """
     norm = h.norm()
     if norm <= TAU_ZERO:
         raise ValueError("cubic is numerically zero")
-    fit = classify(h, tol=tol)
+    fit = classify(h)
     m = fit.rotation.entries
     if fit.type in (StabilizerType.CIRCLE, StabilizerType.Z2,
                     StabilizerType.A4):
@@ -814,28 +819,26 @@ def is_reducible(h: HarmonicCubic, tol: float = 1e-6):
     return False, None
 
 
+# the six symmetric unit matrices E_pq (p <= q), and the operator (3, 27, 6)
+# whose contraction with a linear form ell has the columns 3 sym(ell (x) E_pq)
+_SYM_UNITS = np.zeros((6, 3, 3))
+for _col, (_p, _q) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+                                 (2, 2))):
+    _SYM_UNITS[_col, _p, _q] = _SYM_UNITS[_col, _q, _p] = 1.0
+_DIVIDE_OP = (np.einsum("li,cjk->lijkc", np.eye(3), _SYM_UNITS)
+              + np.einsum("lj,cik->lijkc", np.eye(3), _SYM_UNITS)
+              + np.einsum("lk,cij->lijkc", np.eye(3), _SYM_UNITS)
+              ).reshape(3, 27, 6)
+
+
 def divide_by_linear(h: HarmonicCubic, ell):
     """Least-squares quotient of the cubic by the linear form ell . x.
 
     Returns (quadratic coefficients as a symmetric 3x3, remainder norm);
     the remainder vanishes exactly when the form divides the cubic.
     """
-    ell = np.asarray(ell, dtype=float)
-    # columns: symmetrized products ell (x) E_pq over the 6 independent E_pq
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    cols = []
-    for p, q in pairs:
-        e = np.zeros((3, 3))
-        e[p, q] = e[q, p] = 1.0
-        prod = (np.einsum("i,jk->ijk", ell, e)
-                + np.einsum("j,ik->ijk", ell, e)
-                + np.einsum("k,ij->ijk", ell, e)) / 3.0
-        cols.append(prod.reshape(-1))
-    a = np.stack(cols, axis=1)
+    a = np.tensordot(np.asarray(ell, dtype=float), _DIVIDE_OP, axes=1) / 3.0
     b = h.tensor.reshape(-1)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = np.linalg.norm(a @ sol - b)
-    quad = np.zeros((3, 3))
-    for (p, q), v in zip(pairs, sol):
-        quad[p, q] = quad[q, p] = v
-    return quad, float(resid)
+    return np.tensordot(sol, _SYM_UNITS, axes=1), float(resid)

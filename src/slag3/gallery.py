@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_GL_NODES = 16               # Gauss–Legendre nodes per twisted-cone leg
+_LEGENDRIAN_GRID = (12, 12)  # audit grid of legendrian_residual
+_LOOP_TOL = 1e-6             # |∮β| that twisted_cone admits as closed
 
 
 @dataclass(frozen=True)
@@ -417,13 +420,14 @@ def _surface_frames(s: LegendrianSurface, thetas):
     return x, tt.transpose(0, 2, 1), tt @ tt.transpose(0, 2, 1)
 
 
-def legendrian_residual(s: LegendrianSurface, counts=(12, 12), margin=0.05):
+def legendrian_residual(s: LegendrianSurface):
     """(theta_res, psi_res): worst contact pairing and worst Im Υ₀ pairing.
 
-    theta_res is max |<Jx, t>| / |t| over grid tangents; psi_res is
-    max |Im Υ₀(x, t₁, t₂)| normalized by the spanned 3-volume.
+    theta_res is max |<Jx, t>| / |t| over the tangents of a 12 x 12
+    `grid_axes` grid; psi_res is max |Im Υ₀(x, t₁, t₂)| normalized by the
+    spanned 3-volume.
     """
-    axes = grid_axes(s.domain, counts, margin)
+    axes = grid_axes(s.domain, _LEGENDRIAN_GRID)
     theta_res = psi_res = 0.0
     for a in axes[0]:
         for b in axes[1]:
@@ -484,10 +488,10 @@ def _path_integral(s, avec, legs, rule):
             for k, (axis, _, start, stop) in enumerate(legs)]
 
 
-def legendrian_loop_residual(s: LegendrianSurface, avec, n=16):
+def legendrian_loop_residual(s: LegendrianSurface, avec):
     """Worst |∮β| over test rectangles in the domain; zero when β is closed.
 
-    Each side of a rectangle is integrated by n-node Gauss–Legendre, the
+    Each side of a rectangle is integrated by 16-node Gauss–Legendre, the
     rule `twisted_cone` integrates its height with.  The rectangles
     deliberately span irregular fractions of the domain: on a full period
     box the boundary integral cancels by periodicity whether or not β is
@@ -505,33 +509,34 @@ def legendrian_loop_residual(s: LegendrianSurface, avec, n=16):
     for (p0, p1), (q0, q1) in rects:
         legs += [(0, q0, p0, p1), (1, p1, q0, q1), (0, q1, p0, p1),
                  (1, p0, q0, q1)]
-    sides = np.reshape(_path_integral(
-        s, avec, legs, np.polynomial.legendre.leggauss(int(n))), (-1, 4, 6))
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    sides = np.reshape(_path_integral(s, avec, legs, rule), (-1, 4, 6))
     loops = sides[:, 0] + sides[:, 1] - sides[:, 2] - sides[:, 3]
     return float(np.linalg.norm(loops, axis=1).max())
 
 
-def twisted_cone(s: LegendrianSurface, avec, t_range=(0.6, 1.6),
-                 n_nodes=16, loop_tol=1e-6) -> ImmersionPatch:
+def twisted_cone(s: LegendrianSurface, avec,
+                 t_range=(0.6, 1.6)) -> ImmersionPatch:
     """Cone with a twist over a minimal Legendrian surface.
 
     F(t, θ₁, θ₂) = 𝐛(θ) + t·x(θ) with d𝐛 = β = x·★db − b·★dx and b = <a, x>.
     𝐛(θ) integrates β from the domain corner along θ₁, then along θ₂, with
-    an n_nodes-point Gauss–Legendre rule on each leg, built once here.
+    a 16-point Gauss–Legendre rule on each leg, built once here.
     Closedness of β is audited at construction time by the boundary loop
-    integral on the same rule; a = 0 reduces to the plain cone t·x.
+    integral on the same rule, which must stay below 1e-6; a = 0 reduces to
+    the plain cone t·x.
     """
     avec = np.asarray(avec, dtype=float)
     if avec.shape != (6,):
         raise ValueError("the direction a must be a real 6-vector")
     twisted = bool(np.any(avec))
     if twisted:
-        loop = legendrian_loop_residual(s, avec, n_nodes)
-        if loop > loop_tol:
+        loop = legendrian_loop_residual(s, avec)
+        if loop > _LOOP_TOL:
             raise ValueError(
                 f"β is not closed on {s.name!r} (loop residual {loop:.3e}); "
                 "the height <a, x> is not compatible with this surface")
-    rule = np.polynomial.legendre.leggauss(int(n_nodes))
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
     (a0, _), (b0, _) = s.domain
 
     def _bvec(theta):

@@ -44,6 +44,7 @@ __all__ = [
     "AdaptedFrame",
     "PointReport",
     "FRAME_TOL",
+    "grid_axes",
     "jacobian",
     "hessian",
     "validate_derivatives",
@@ -64,6 +65,8 @@ _FD_STEP_1 = _EPS ** (1.0 / 3.0)   # first-derivative central differences
 _FD_STEP_2 = _EPS ** 0.25          # direct second differences
 FRAME_TOL = 1e-6                   # Lagrangian residual admitted by frames
 _RANK_TOL = 1e-8                   # singular-value ratio for immersion rank
+_JAC_RTOL = 1e-6                   # analytic-vs-FD jacobian deviation admitted
+_GRID_INSET = 0.05                 # share of each domain side left off grids
 _TRACE_FAIL = 1e-3                 # relative trace residual that aborts
 _ROUNDOFF_SHARE = 1e-6             # largest roundoff floor, per unit ‖h‖²
 _CSV_FIELDS = (["u1", "u2", "u3"]
@@ -206,17 +209,18 @@ def hessian(patch: ImmersionPatch, u):
     return h
 
 
-def _interior_points(domain, n, rng, margin=0.05):
+def _interior_points(domain, n, rng):
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
     span = hi - lo
-    return lo + span * (margin + (1 - 2 * margin) * rng.random((n, 3)))
+    return lo + span * (_GRID_INSET
+                        + (1 - 2 * _GRID_INSET) * rng.random((n, 3)))
 
 
-def validate_derivatives(patch: ImmersionPatch, n=20, seed=0, rtol=1e-6):
+def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
     """Check an analytic jacobian against central FD at random interior points.
 
-    Returns the worst relative deviation; raises GeometryError above rtol.
+    Returns the worst relative deviation; raises GeometryError above 1e-6.
     """
     if patch.jac is None:
         return 0.0
@@ -229,7 +233,7 @@ def validate_derivatives(patch: ImmersionPatch, n=20, seed=0, rtol=1e-6):
         jf = jacobian(fd_patch, u)
         dev = np.linalg.norm(ja - jf) / max(1.0, np.linalg.norm(jf))
         worst = max(worst, dev)
-    if worst > rtol:
+    if worst > _JAC_RTOL:
         raise GeometryError(
             f"analytic jacobian of {patch.name!r} deviates from finite "
             f"differences by {worst:.3e}")
@@ -275,17 +279,17 @@ def special_residual(patch: ImmersionPatch, u):
         _checked_jacobian(patch, np.asarray(u, dtype=float)))
 
 
-def _checked_frame(patch, u, frame_tol):
+def _checked_frame(patch, u):
     """(jacobian, frame matrix (6,3)) at u from one jacobian call.
 
     The jacobian passes the rank check and the Lagrangian check against
-    frame_tol; the frame is its oriented Gram–Schmidt frame.
+    FRAME_TOL; the frame is its oriented Gram–Schmidt frame.
     """
     t = _checked_jacobian(patch, u)
     res = _pairing_residual(t)
-    if res > frame_tol:
+    if res > FRAME_TOL:
         raise NotLagrangianError(
-            f"Lagrangian residual {res:.3e} at {u} exceeds {frame_tol:.1e}")
+            f"Lagrangian residual {res:.3e} at {u} exceeds {FRAME_TOL:.1e}")
     q, r = np.linalg.qr(t)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
@@ -301,15 +305,15 @@ def _frame_at(patch, u, e):
                         position=np.asarray(patch.eval(u), dtype=float))
 
 
-def adapted_frame(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
+def adapted_frame(patch: ImmersionPatch, u):
     """Orthonormal tangent frame with Re Υ₀(e1,e2,e3) > 0 at a Lagrangian point.
 
     Gram–Schmidt of the jacobian columns; the last two legs are swapped when
     the holomorphic volume of the frame has negative real part.  Points whose
-    Lagrangian residual exceeds frame_tol are rejected.
+    Lagrangian residual exceeds FRAME_TOL are rejected.
     """
     u = np.asarray(u, dtype=float)
-    return _frame_at(patch, u, _checked_frame(patch, u, frame_tol)[1])
+    return _frame_at(patch, u, _checked_frame(patch, u)[1])
 
 
 def _cubic_from_derivatives(t, h2, e):
@@ -329,16 +333,16 @@ def _cubic_from_derivatives(t, h2, e):
     return project_traceless(_gather(s)), trace_res, v
 
 
-def _cubic_at(patch, u, frame_tol):
+def _cubic_at(patch, u):
     """(jacobian, cubic, frame, raw trace residual) from one checked
     jacobian."""
-    t, e = _checked_frame(patch, u, frame_tol)
+    t, e = _checked_frame(patch, u)
     frame = _frame_at(patch, u, e)
     cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
     return t, cubic, frame, trace_res
 
 
-def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
+def fundamental_cubic(patch: ImmersionPatch, u):
     """Second fundamental form at u as a traceless cubic in the adapted frame.
 
     h_ijk = g₀(D²F(v_j, v_k), J e_i) with v_a the jacobian preimages of the
@@ -347,35 +351,37 @@ def fundamental_cubic(patch: ImmersionPatch, u, frame_tol=FRAME_TOL):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    return _cubic_at(patch, np.asarray(u, dtype=float), frame_tol)[1:]
+    return _cubic_at(patch, np.asarray(u, dtype=float))[1:]
 
 
-def point_report(patch: ImmersionPatch, u, frame_tol=FRAME_TOL,
-                 classify_tol=1e-6) -> PointReport:
+def point_report(patch: ImmersionPatch, u) -> PointReport:
     """Full residual/cubic/classification record at one parameter point.
 
     The Lagrangian and special residuals are read off the one jacobian that
-    the frame and the cubic are built from.
+    the frame and the cubic are built from; frames admit a Lagrangian
+    residual up to FRAME_TOL, and the cubic is classified at the default
+    symmetry tolerance of :func:`slag3.cubics.classify`.
     """
     u = np.asarray(u, dtype=float)
     try:
         position = np.asarray(patch.eval(u), dtype=float)
-        t, cubic, _, trace_res = _cubic_at(patch, u, frame_tol)
+        t, cubic, _, trace_res = _cubic_at(patch, u)
         lag = _pairing_residual(t)
         im_res, _ = _volume_residual(t)
-        nf = classify(cubic, tol=classify_tol)
+        nf = classify(cubic)
     except (GeometryError, CensusError, ValueError) as exc:
         return PointReport(u=u, error=f"{type(exc).__name__}: {exc}")
     return PointReport(u=u, position=position, lag_res=lag, im_res=im_res,
                        trace_res=trace_res, cubic=cubic, nf=nf)
 
 
-def grid_axes(domain, counts, margin=0.05):
-    """Per-axis node coordinates: `counts` nodes inset by `margin` per side."""
+def grid_axes(domain, counts):
+    """Per-axis node coordinates: `counts` nodes, inset by 5% of the side at
+    each end; a count of 1 is the side's midpoint."""
     axes = []
     for (lo, hi), n in zip(domain, counts):
         n = int(n)
-        pad = margin * (hi - lo)
+        pad = _GRID_INSET * (hi - lo)
         if n == 1:
             axes.append(np.array([0.5 * (lo + hi)]))
         else:
@@ -383,15 +389,14 @@ def grid_axes(domain, counts, margin=0.05):
     return axes
 
 
-def sweep(patch: ImmersionPatch, counts, frame_tol=FRAME_TOL,
-          classify_tol=1e-6, margin=0.05):
-    """One PointReport per interior grid node, in row-major node order.
+def sweep(patch: ImmersionPatch, counts):
+    """One PointReport per node of the `grid_axes` grid, in row-major order.
 
     Nodes where a precondition fails (rank, Lagrangian residual, trace
     residual, classification census) carry the error message instead of data.
     """
-    axes = grid_axes(patch.domain, counts, margin)
-    return [point_report(patch, np.array(node), frame_tol, classify_tol)
+    axes = grid_axes(patch.domain, counts)
+    return [point_report(patch, np.array(node))
             for node in itertools.product(*axes)]
 
 
@@ -424,9 +429,9 @@ _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
 _RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
-def _aligned_cubic(patch, u, e0, frame_tol):
+def _aligned_cubic(patch, u, e0):
     """Cubic at u expressed in the frame best aligned with the frame e0."""
-    t, e = _checked_frame(patch, u, frame_tol)
+    t, e = _checked_frame(patch, u)
     cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
     m = e.T @ e0
     uu, sv, vt = np.linalg.svd(m)
@@ -478,11 +483,11 @@ def _curvature_param(patch, u, step):
     return riem
 
 
-def _compat_residuals(patch, u, step, frame_tol):
+def _compat_residuals(patch, u, step):
     """(codazzi, gauss, floors): the Frobenius residuals at one step size
     and, for each, the roundoff floor of its stencil at that step."""
     u = np.asarray(u, dtype=float)
-    t0, e0 = _checked_frame(patch, u, frame_tol)
+    t0, e0 = _checked_frame(patch, u)
     cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), e0)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
@@ -490,8 +495,8 @@ def _compat_residuals(patch, u, step, frame_tol):
     # symmetric in all four slots.
     grad = np.empty((3, 3, 3, 3))
     for l in range(3):
-        hp = _aligned_cubic(patch, u + step * v[:, l], e0, frame_tol)
-        hm = _aligned_cubic(patch, u - step * v[:, l], e0, frame_tol)
+        hp = _aligned_cubic(patch, u + step * v[:, l], e0)
+        hm = _aligned_cubic(patch, u - step * v[:, l], e0)
         grad[l] = (hp - hm) / (2.0 * step)
     sym = np.zeros_like(grad)
     for perm in itertools.permutations(range(4)):
@@ -521,8 +526,7 @@ def _compat_residuals(patch, u, step, frame_tol):
     return codazzi, gauss, tuple(float(min(r, cap)) for r in roundoff)
 
 
-def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3,
-                           frame_tol=FRAME_TOL):
+def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     """First-order compatibility residuals (codazzi, gauss) at u.
 
     codazzi: Frobenius norm of the non-totally-symmetric part of the frame
@@ -536,8 +540,8 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3,
     The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
     the finite-difference fallback of a patch without an analytic ``jac``.
     """
-    *full, _ = _compat_residuals(patch, u, float(step), frame_tol)
-    *half, floors = _compat_residuals(patch, u, 0.5 * float(step), frame_tol)
+    *full, _ = _compat_residuals(patch, u, float(step))
+    *half, floors = _compat_residuals(patch, u, 0.5 * float(step))
     for name, f, h, floor in zip(("codazzi", "gauss"), full, half, floors):
         # truncation-dominated residuals shrink ~4x under halving; growth
         # beyond the roundoff floor means the step is cancellation-limited

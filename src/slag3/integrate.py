@@ -75,7 +75,7 @@ class FlatnessError(IntegrationError):
 # ---------------------------------------------------------------------------
 # Circle-symmetric profile.
 
-_SO2_EDGE = SO2_BRANCH_HALFWIDTH
+_SO2_STEPS = 4000  # RK4 steps of so2_march
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def so2_profile(c: float, theta: float) -> SO2Profile:
     theta = float(theta)
     if c <= 0.0:
         raise ValueError("profile constant c must be positive")
-    if abs(theta) >= _SO2_EDGE:
+    if abs(theta) >= SO2_BRANCH_HALFWIDTH:
         raise ValueError("theta outside the open branch (|theta| < pi/6)")
     r, t = so2_closed_form(c, theta)
     return SO2Profile(c=c, theta=theta, r=r, t=t)
@@ -117,19 +117,17 @@ def so2_theta_rates(c: float, theta: float):
     return dr * w, dt * w
 
 
-def so2_march(c: float, theta0: float, theta1: float, n_steps: int = 4000):
+def so2_march(c: float, theta0: float, theta1: float):
     """RK4 re-integration of the (r, t) pair from theta0 to theta1.
 
     Starts from the closed form at ``theta0`` and returns the integrated
-    (r, t) at ``theta1``; used to check the rate laws against the closed
-    form independently of how either was derived.
+    (r, t) at ``theta1`` after 4000 equal steps; used to check the rate laws
+    against the closed form independently of how either was derived.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
     p0 = so2_profile(c, theta0)
     so2_profile(c, theta1)  # validate the whole span sits inside the branch
     y = np.array([p0.r, p0.t])
-    h = (theta1 - theta0) / n_steps
+    h = (theta1 - theta0) / _SO2_STEPS
 
     def rhs(theta, y):
         dr, dt = so2_rates(y[0], y[1])
@@ -137,7 +135,7 @@ def so2_march(c: float, theta0: float, theta1: float, n_steps: int = 4000):
         return np.array([dr * w, dt * w])
 
     theta = theta0
-    for _ in range(n_steps):
+    for _ in range(_SO2_STEPS):
         k1 = rhs(theta, y)
         k2 = rhs(theta + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(theta + 0.5 * h, y + 0.5 * h * k2)
@@ -166,77 +164,52 @@ _R_BOUNDS = (1e-6, 1e6)
 _SPLIT_TOL = 1e-8
 
 
-def _stack_rows(rows):
-    """Nested (6 or 3)-tuple-of-3 arrays -> array (..., nrows, 3)."""
-    return np.stack([np.stack([np.asarray(c, float) for c in row], axis=-1)
-                     for row in rows], axis=-2)
-
-
-def _stack_cube(cube):
-    """Nested 3x3x3 tuple of arrays -> array (..., 3, 3, 3)."""
-    return np.stack([_stack_rows(row) for row in cube], axis=-3)
-
-
 def _two_form(t, a, b):
-    """Contraction sum_{i<j} T_k[ij] (a_i b_j - a_j b_i), shape (..., 3)."""
+    """Contraction sum_{i<j} T_k[ij] (a_i b_j - a_j b_i), shape (..., 3);
+    ``t`` is the coframe law's output, its axes (k, pair) leading."""
     p12 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     p13 = a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0]
     p23 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    return (t[..., 0] * p12[..., None] + t[..., 1] * p13[..., None]
-            + t[..., 2] * p23[..., None])
+    return np.moveaxis(t[:, 0] * p12 + t[:, 1] * p13 + t[:, 2] * p23, 0, -1)
 
 
-def _z2_rhs(y, axis, w_override=None):
+def _z2_rhs(y, axis):
     """Derivative of the packed state along one chart direction.
 
     ``axis`` selects the chart direction; the 1-form values driving the
     flow are the stored coframe column for that direction (the triangular
     gauge freezes a column along its own direction, so the transported
-    columns evolve by the coframe structure law).  ``w_override`` flows
-    with fixed 1-form values instead — used for leaf tracing, where the
-    chart is irrelevant — and transports nothing.
+    columns evolve by the coframe structure law).  Each coefficient law is
+    evaluated once, as one array with the law's axes leading.
     """
     y = np.asarray(y, dtype=float)
     lead = y.shape[:-1]
     ee = y[..., _EE].reshape(lead + (3, 6))
-    q = tuple(y[..., 24 + i] for i in range(6))
+    q = np.moveaxis(y[..., _Q], -1, 0)
     v1 = y[..., _V1]
     v2 = y[..., _V2]
-    if w_override is not None:
-        w = np.broadcast_to(np.asarray(w_override, float), lead + (3,))
-    elif axis == 0:
-        w = v1
-    elif axis == 1:
-        w = v2
-    else:
-        w = np.broadcast_to(_W3, lead + (3,))
+    w = (v1, v2, np.broadcast_to(_W3, lead + (3,)))[axis]
 
-    g = _stack_rows(z2_scalar_rates(q))
-    a = _stack_cube(z2_connection(q))
-    b = _stack_cube(z2_second_form(q))
-    alpha = np.einsum("...kjm,...m->...kj", a, w)
-    beta = np.einsum("...kjm,...m->...kj", b, w)
+    alpha = np.einsum("kjm...,...m->...kj", np.asarray(z2_connection(q)), w)
+    beta = np.einsum("kjm...,...m->...kj", np.asarray(z2_second_form(q)), w)
     out = np.empty_like(y)
     out[..., _X] = np.einsum("...m,...mx->...x", w, ee)
     edot = (np.einsum("...kj,...kx->...jx", alpha, ee)
             + np.einsum("...kj,...kx->...jx", beta, apply_j(ee)))
     out[..., _EE] = edot.reshape(lead + (18,))
-    out[..., _Q] = np.einsum("...qm,...m->...q", g, w)
-    if w_override is None:
-        t = _stack_rows(z2_coframe_rates(q))
-        out[..., _V1] = 0.0 if axis == 0 else _two_form(t, w, v1)
-        out[..., _V2] = 0.0 if axis in (0, 1) else _two_form(t, w, v2)
-    else:
-        out[..., _V1] = 0.0
-        out[..., _V2] = 0.0
+    out[..., _Q] = np.einsum("qm...,...m->...q",
+                             np.asarray(z2_scalar_rates(q)), w)
+    t = np.asarray(z2_coframe_rates(q))
+    out[..., _V1] = 0.0 if axis == 0 else _two_form(t, w, v1)
+    out[..., _V2] = 0.0 if axis in (0, 1) else _two_form(t, w, v2)
     return out
 
 
-def _rk4_step(y, axis, h, w_override=None):
-    k1 = _z2_rhs(y, axis, w_override)
-    k2 = _z2_rhs(y + 0.5 * h * k1, axis, w_override)
-    k3 = _z2_rhs(y + 0.5 * h * k2, axis, w_override)
-    k4 = _z2_rhs(y + h * k3, axis, w_override)
+def _rk4_step(y, axis, h):
+    k1 = _z2_rhs(y, axis)
+    k2 = _z2_rhs(y + 0.5 * h * k1, axis)
+    k3 = _z2_rhs(y + 0.5 * h * k2, axis)
+    k4 = _z2_rhs(y + h * k3, axis)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -274,7 +247,7 @@ def _renormalize(y):
 _RENORM_EVERY = 10
 
 
-def _march(y, axis, h, n, counter, w_override=None):
+def _march(y, axis, h, n, counter):
     """March ``n`` RK4 steps of size ``h``; yields each stored step.
 
     ``counter`` is a mutable [step_count, max_drift] pair shared across
@@ -282,7 +255,7 @@ def _march(y, axis, h, n, counter, w_override=None):
     """
     out = []
     for _ in range(n):
-        y = _rk4_step(y, axis, h, w_override)
+        y = _rk4_step(y, axis, h)
         counter[0] += 1
         if counter[0] % _RENORM_EVERY == 0:
             y, drift = _renormalize(y)
@@ -311,15 +284,10 @@ class StructureStateZ2:
     t3: float
     u1: float
 
-    @property
-    def u2(self) -> float:
+    def auxiliary(self):
+        """The eliminated auxiliaries (u2, u3) at this node."""
         return z2_auxiliary((self.r, self.s, self.t1,
-                             self.t2, self.t3, self.u1))[0]
-
-    @property
-    def u3(self) -> float:
-        return z2_auxiliary((self.r, self.s, self.t1,
-                             self.t2, self.t3, self.u1))[1]
+                             self.t2, self.t3, self.u1))
 
     def frame(self) -> np.ndarray:
         """Frame rows stacked as a (3, 6) matrix."""
@@ -430,9 +398,6 @@ def _validate_init(init):
 def _initial_node(init):
     y = np.zeros(36)
     y[_EE] = np.eye(3, 6).reshape(-1)  # adapted frame of the flat 3-plane
-    y[18:24] = np.eye(3, 6)[2]
-    y[6:12] = np.array([1.0, 0, 0, 0, 0, 0])
-    y[12:18] = np.array([0.0, 1.0, 0, 0, 0, 0])
     y[_Q] = init
     y[_V1] = np.array([1.0, 0.0, 0.0])
     y[_V2] = np.array([0.0, 1.0, 0.0])
@@ -451,24 +416,18 @@ def _reconstruct(init, extents, step):
     shape = tuple(2 * m + 1 for m in n)
     data = np.empty(shape + (36,))
     counter = [0, 0.0]
-
-    y0 = _initial_node(init)
-    c1, c2, c3 = n
-    data[c1, c2, c3] = y0
-    for sign in (1, -1):
-        ys = _march(y0[None, :], 0, sign * step, n[0], counter)
-        for i, y in enumerate(ys, start=1):
-            data[c1 + sign * i, c2, c3] = y[0]
-    base = data[:, c2, c3]
-    for sign in (1, -1):
-        ys = _march(base, 1, sign * step, n[1], counter)
-        for j, y in enumerate(ys, start=1):
-            data[:, c2 + sign * j, c3] = y
-    base = data[:, :, c3].reshape(-1, 36)
-    for sign in (1, -1):
-        ys = _march(base, 2, sign * step, n[2], counter)
-        for k, y in enumerate(ys, start=1):
-            data[:, :, c3 + sign * k] = y.reshape(shape[0], shape[1], 36)
+    data[tuple(n)] = _initial_node(init)
+    for axis in range(3):
+        # the slab filled so far: whole along the earlier axes, centred on
+        # this one and the later ones
+        slab = [slice(None)] * axis + n[axis:]
+        base = data[tuple(slab)]
+        for sign in (1, -1):
+            ys = _march(base.reshape(-1, 36), axis, sign * step, n[axis],
+                        counter)
+            for i, y in enumerate(ys, start=1):
+                slab[axis] = n[axis] + sign * i
+                data[tuple(slab)] = y.reshape(base.shape)
 
     axes = tuple(np.arange(-m, m + 1) * step for m in n)
     n_subs = tuple(max(1, m) for m in n)
@@ -565,11 +524,8 @@ def path_independence(fld) -> float:
     transported columns, which is gauge-free).  Exact solutions of a flat
     system satisfy every one of these identities, so the residual measures
     integration error — it collapses at O(step^4) — while a corrupted
-    coefficient law leaves an O(1) defect.  One-dimensional profiles are
-    path-independent by construction.
+    coefficient law leaves an O(1) defect.
     """
-    if isinstance(fld, SO2Profile):
-        return 0.0
     data = fld.data
     shape = fld.shape
     defect = 0.0
@@ -581,8 +537,7 @@ def path_independence(fld) -> float:
         defect = max(defect, float(np.abs(num - _interior(rhs, axis)).max()))
     cols = {0: data[..., _V1], 1: data[..., _V2],
             2: np.broadcast_to(_W3, shape + (3,))}
-    t = _stack_rows(z2_coframe_rates(tuple(data[..., 24 + i]
-                                           for i in range(6))))
+    t = np.asarray(z2_coframe_rates(np.moveaxis(data[..., _Q], -1, 0)))
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if shape[a] < 5 or shape[b] < 5:
             continue
@@ -610,12 +565,14 @@ def _leaf_mesh(y0, spans, counts, step):
 
     The kernel distribution is spanned by the second and third frame
     directions; its leaves are swept by composing the two constant-1-form
-    flows from the start state.  Returns packed states (counts[0],
-    counts[1], 36).
+    flows w = (0, 1, 0) and w = (0, 0, 1) from the start state.  Both are
+    chart marches: with V(:,2) set to (0, 1, 0) at the start, the gauge
+    freezes it along chart axis 1, and V(:,3) is the constant W3 along
+    chart axis 2, so marching axis 1, then axis 2, is exactly the pair of
+    flows.  Returns packed states (counts[0], counts[1], 36).
     """
-    w2 = np.array([0.0, 1.0, 0.0])
 
-    def flow_line(ys, w, span, count):
+    def flow_line(ys, axis, span, count):
         vals = np.linspace(-span, span, count)
         order = np.argsort(np.abs(vals), kind="stable")
         out = np.empty((count,) + ys.shape)
@@ -629,7 +586,7 @@ def _leaf_mesh(y0, spans, counts, step):
                 dist, cur = target - neg_s, neg
             if abs(dist) > 0.0:
                 m = max(1, int(math.ceil(abs(dist) / step)))
-                cur = _march(cur, 0, dist / m, m, [0, 0.0], w_override=w)[-1]
+                cur = _march(cur, axis, dist / m, m, [0, 0.0])[-1]
             if target >= 0.0:
                 pos, pos_s = cur, target
             else:
@@ -637,9 +594,10 @@ def _leaf_mesh(y0, spans, counts, step):
             out[idx] = cur
         return out
 
-    rows = flow_line(y0[None, :], w2, spans[0], counts[0])  # (n2, 1, 36)
-    rows = rows[:, 0, :]
-    mesh = flow_line(rows, _W3, spans[1], counts[1])  # (n3, n2, 36)
+    start = np.array(y0, dtype=float)
+    start[_V2] = (0.0, 1.0, 0.0)
+    rows = flow_line(start[None, :], 1, spans[0], counts[0])[:, 0, :]
+    mesh = flow_line(rows, 2, spans[1], counts[1])  # (n3, n2, 36)
     return np.swapaxes(mesh, 0, 1)
 
 
@@ -654,8 +612,12 @@ def _leaf_planes(mesh):
     return q
 
 
-def z2_foliation_check(fld: Z2Field, *, spans=(0.08, 0.08), counts=(9, 9),
-                       n_starts=5) -> FoliationResult:
+_LEAF_SPANS = (0.08, 0.08)  # half-widths of a traced leaf's mesh
+_LEAF_COUNTS = (9, 9)       # its nodes per direction
+_LEAF_STARTS = 5            # leaves traced per audit
+
+
+def z2_foliation_check(fld: Z2Field) -> FoliationResult:
     """Audit the leaves transverse to the first coframe component.
 
     Along each traced leaf the 3-plane spanned by (e2, e3, Je1 - t1 e1)
@@ -663,7 +625,8 @@ def z2_foliation_check(fld: Z2Field, *, spans=(0.08, 0.08), counts=(9, 9),
     surface inside that plane.  Returns the maximal principal angle of
     the plane field (radians) and the worst quadric-fit residual (total
     least squares on diameter-scaled coordinates, plus any off-plane
-    drift), both over up to ``n_starts`` leaves seeded from field nodes.
+    drift), both over up to five leaves seeded from field nodes, each a
+    9 x 9 mesh of half-width 0.08.
     """
     c = fld.center
     seeds = [c]
@@ -674,13 +637,13 @@ def z2_foliation_check(fld: Z2Field, *, spans=(0.08, 0.08), counts=(9, 9),
                 idx = list(c)
                 idx[axis] += sign * off
                 seeds.append(tuple(idx))
-    seeds = seeds[:n_starts]
+    seeds = seeds[:_LEAF_STARTS]
     plane_var = 0.0
     quad_res = 0.0
     for idx in seeds:
-        mesh = _leaf_mesh(fld.data[idx], spans, counts, fld.step)
+        mesh = _leaf_mesh(fld.data[idx], _LEAF_SPANS, _LEAF_COUNTS, fld.step)
         planes = _leaf_planes(mesh)
-        q0 = planes[counts[0] // 2, counts[1] // 2]
+        q0 = planes[_LEAF_COUNTS[0] // 2, _LEAF_COUNTS[1] // 2]
         overlaps = np.einsum("xa,ijxb->ijab", q0, planes)
         sv = np.linalg.svd(overlaps, compute_uv=False)
         angles = np.arccos(np.clip(sv, -1.0, 1.0))

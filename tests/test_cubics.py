@@ -718,3 +718,34 @@ class TestReducibility:
         assert remainder < 1e-12
         # quotient x^2 - 3y^2
         assert np.allclose(quad, np.diag([1.0, -3.0, 0.0]), atol=1e-12)
+
+
+def _divide_by_linear_reference(h, ell):
+    """The quotient system built column by column, as sym(ell (x) E_pq)."""
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    cols = []
+    for p, q in pairs:
+        e = np.zeros((3, 3))
+        e[p, q] = e[q, p] = 1.0
+        prod = (np.einsum("i,jk->ijk", ell, e) + np.einsum("j,ik->ijk", ell, e)
+                + np.einsum("k,ij->ijk", ell, e)) / 3.0
+        cols.append(prod.reshape(-1))
+    a = np.stack(cols, axis=1)
+    b = h.tensor.reshape(-1)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    quad = np.zeros((3, 3))
+    for (p, q), v in zip(pairs, sol):
+        quad[p, q] = quad[q, p] = v
+    return quad, float(np.linalg.norm(a @ sol - b))
+
+
+def test_divide_by_linear_matches_the_columnwise_system():
+    rng = np.random.default_rng(21)
+    cases = [(CUBE3, np.array([1.0, 0.0, 0.0]))]
+    cases += [(project_traceless(rng.normal(size=10)), rng.normal(size=3))
+              for _ in range(10)]
+    for h, ell in cases:
+        quad, remainder = divide_by_linear(h, ell)
+        want_quad, want_remainder = _divide_by_linear_reference(h, ell)
+        assert np.array_equal(quad, want_quad)
+        assert remainder == want_remainder

@@ -267,6 +267,13 @@ class TestSweepAndCsv:
         us = np.array([r.u for r in reports])
         assert us.min() >= -0.901 and us.max() <= 0.901
 
+    def test_grid_axes_inset_five_percent_and_centre_a_single_node(self):
+        axes = geo.grid_axes(((0.0, 2.0), (-1.0, 3.0), (1.0, 1.5)), (3, 1, 2))
+        assert np.allclose(axes[0], [0.1, 1.0, 1.9], rtol=0, atol=1e-15)
+        assert np.array_equal(axes[1], [1.0])
+        assert np.allclose(axes[2], [1.025, 1.475], rtol=0, atol=1e-15)
+        assert "grid_axes" in geo.__all__
+
 
 class TestCodazziGauss:
     def test_plane_is_exact(self):
@@ -292,11 +299,11 @@ class TestCodazziGauss:
         # flipping the sign of the quadratic cubic term must wreck the match
         patch = harvey_lawson_so3(1.0)
         u = np.array([-0.7, 1.2, 0.8])
-        good = geo._compat_residuals(patch, u, 1e-3, 1e-6)[1]
+        good = geo._compat_residuals(patch, u, 1e-3)[1]
         orig = geo._GAUSS_SIGN
         try:
             geo._GAUSS_SIGN = -orig
-            bad = geo._compat_residuals(patch, u, 1e-3, 1e-6)[1]
+            bad = geo._compat_residuals(patch, u, 1e-3)[1]
         finally:
             geo._GAUSS_SIGN = orig
         assert good < 1e-3 < 1.0 < bad

@@ -8,6 +8,7 @@ import pytest
 from slag3 import integrate
 from slag3.ambient import from_complex
 from slag3.cubics import StabilizerType
+from slag3.structure_laws import z2_auxiliary
 
 
 def test_renormalize_snaps_frame_to_unitary_and_reports_drift():
@@ -73,6 +74,14 @@ def test_z2_integrate_returns_a_flat_field_of_type_z2(z2_run):
     assert report.type_census == {StabilizerType.Z2: 3}
 
 
+def test_node_state_auxiliaries_match_the_law(z2_run):
+    fld, _, _ = z2_run
+    for idx in (fld.center, (0, 3, fld.shape[2] - 1)):
+        state = fld.node_state(idx)
+        want = z2_auxiliary(fld.data[idx][24:30])
+        assert state.auxiliary() == want
+
+
 def test_z2_leaves_are_quadrics_in_fixed_three_planes(z2_run):
     fld, _, _ = z2_run
     plane, quadric = integrate.z2_foliation_check(fld)
@@ -104,6 +113,23 @@ def test_so2_march_reproduces_the_closed_form_profile():
     r, t = integrate.so2_march(1.0, -0.3, 0.3)
     want = integrate.so2_profile(1.0, 0.3)
     assert abs(r - want.r) <= 1e-12 and abs(t - want.t) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [-0.4, 0.0, 0.3])
+def test_so2_theta_rates_are_the_closed_form_derivative(theta):
+    c, h = 1.3, 1e-5
+    plus = integrate.so2_profile(c, theta + h)
+    minus = integrate.so2_profile(c, theta - h)
+    dr, dt = integrate.so2_theta_rates(c, theta)
+    assert abs(dr - (plus.r - minus.r) / (2.0 * h)) <= 1e-7
+    assert abs(dt - (plus.t - minus.t) / (2.0 * h)) <= 1e-7
+
+
+@pytest.mark.parametrize("c", [0.5, 1.3])
+@pytest.mark.parametrize("theta", [-0.4, 0.0, 0.3])
+def test_so2_profile_conserves_its_invariant(c, theta):
+    p = integrate.so2_profile(c, theta)
+    assert abs(p.conserved() - c ** -1.5) <= 1e-14
 
 
 @pytest.mark.parametrize("init,match", [
