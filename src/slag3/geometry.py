@@ -512,15 +512,18 @@ def _compat_residuals(patch, u, step):
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
     gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
 
-    # Roundoff floors: eps times the differenced values times the stencil's
-    # absolute weights, in frame units.  ∇h differences cubics (‖h‖) with
-    # weights 1/step; each curvature entry is half of four second differences
-    # of g (‖g‖) with weights 4/step², carried to the frame by v⁴.  Both
-    # residuals are curvatures; roundoff above _ROUNDOFF_SHARE of ‖h‖² is no
-    # longer negligible, so it excuses no growth.
+    # Roundoff floors: relative noise times the differenced values times the
+    # stencil's absolute weights, in frame units.  ∇h differences cubics
+    # (‖h‖, the noise of `hessian`'s branch: eps, eps^(2/3) or eps^(1/2))
+    # with weights 1/step; each curvature entry is half of four second
+    # differences of g (‖g‖, eps) with weights 4/step², carried to the frame
+    # by v⁴.  Both residuals are curvatures; roundoff above _ROUNDOFF_SHARE
+    # of ‖h‖² is no longer negligible, so it excuses no growth.
+    h_noise = _EPS if patch.hess is not None else _EPS / (
+        _FD_STEP_1 if patch.jac is not None else _FD_STEP_2 ** 2)
     hh = float(np.sum(h * h))
     cap = _ROUNDOFF_SHARE * hh
-    roundoff = (_EPS * math.sqrt(hh) / step,
+    roundoff = (h_noise * math.sqrt(hh) / step,
                 8.0 * _EPS * np.linalg.norm(t0.T @ t0)
                 * np.linalg.norm(v) ** 4 / step**2)
     return codazzi, gauss, tuple(float(min(r, cap)) for r in roundoff)

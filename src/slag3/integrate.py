@@ -21,6 +21,8 @@ resulting field is audited for flatness by :func:`path_independence`:
 the construction enforces the system only along the path hierarchy, so
 re-checking every chart direction at every interior node is a genuine
 consistency test that fails loudly when a coefficient law is corrupted.
+The immersion patch and the stabilizer census read the stored nodes
+alone, with second derivatives from the audit's 4th-order stencil.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ __all__ = [
 
 import itertools
 import math
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -289,15 +291,6 @@ class StructureStateZ2:
         return z2_auxiliary((self.r, self.s, self.t1,
                              self.t2, self.t3, self.u1))
 
-    def frame(self) -> np.ndarray:
-        """Frame rows stacked as a (3, 6) matrix."""
-        return np.stack([self.e1, self.e2, self.e3])
-
-    def orthonormality_defect(self) -> float:
-        """Frobenius deviation of the complexified frame from unitary."""
-        u = to_complex(self.frame())
-        return float(np.linalg.norm(u @ np.conj(u.T) - np.eye(3)))
-
 
 def _unpack_state(y) -> StructureStateZ2:
     y = np.asarray(y, dtype=float)
@@ -313,18 +306,13 @@ class Z2Field:
 
     ``data[i, j, k]`` is the packed 36-vector at chart point
     (axes[0][i], axes[1][j], axes[2][k]); the chart origin carries the
-    initial state.  Off-grid states are reproduced on demand by
-    re-integrating the canonical path with a fixed per-axis substep count,
-    which makes every evaluation a fixed smooth composition of RK4 maps
-    (safe to finite-difference).
+    initial state.
     """
 
     axes: tuple
     data: np.ndarray
     step: float
     init: tuple
-    _n_subs: tuple = field(repr=False, default=(1, 1, 1))
-    _cache: OrderedDict = field(repr=False, default_factory=OrderedDict)
 
     @property
     def shape(self):
@@ -337,28 +325,6 @@ class Z2Field:
     def node_state(self, index) -> StructureStateZ2:
         i, j, k = index
         return _unpack_state(self.data[i, j, k])
-
-    def _y_at(self, u):
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        y = self.data[self.center][None]  # one batch axis on every leg
-        counter = [0, 0.0]
-        for axis in range(3):
-            m = self._n_subs[axis]
-            y = _march(y, axis, u[axis] / m, m, counter)[-1]
-        y = y[0]
-        self._cache[key] = y
-        if len(self._cache) > 50000:
-            self._cache.popitem(last=False)
-        return y
-
-    def state_at(self, u) -> StructureStateZ2:
-        """State at an arbitrary chart point, by canonical-path flow."""
-        return _unpack_state(self._y_at(u))
 
 
 @dataclass(frozen=True)
@@ -430,61 +396,89 @@ def _reconstruct(init, extents, step):
                 data[tuple(slab)] = y.reshape(base.shape)
 
     axes = tuple(np.arange(-m, m + 1) * step for m in n)
-    n_subs = tuple(max(1, m) for m in n)
-    fld = Z2Field(axes=axes, data=data, step=step, init=init,
-                  _n_subs=n_subs)
-    return fld, counter[1]
+    return Z2Field(axes=axes, data=data, step=step, init=init), counter[1]
+
+
+_CENSUS_COUNTS = (3, 3, 3)  # census nodes per axis
+_LOOP_TOL = 1e-3            # path-independence residual admitted
+_NODE_TOL = 1e-9            # off-node distance admitted, in steps
 
 
 def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
-    halves = [max(ax[-1], fld.step) for ax in fld.axes]
+    """Immersion patch of the stored nodes two or more in from every face:
+    ``eval`` the stored position, ``jac`` ee.T @ [V1 V2 W3], ``hess`` the
+    symmetrized `_d4` of that jac along each chart axis.  Any other point
+    of the domain (the chart box) raises :class:`IntegrationError`."""
+    shape = np.array(fld.shape)
+    if shape.min() < 5:
+        raise IntegrationError("the patch needs at least 5 nodes along "
+                               "each axis, got %s" % (fld.shape,))
+    data = fld.data
+    ee = data[..., _EE].reshape(fld.shape + (3, 6))
+    v = np.stack([data[..., _V1], data[..., _V2],
+                  np.broadcast_to(_W3, fld.shape + (3,))], axis=-1)
+    jacs = np.swapaxes(ee, -1, -2) @ v  # ee.T @ [V1 V2 W3] at every node
 
-    def ev(u):
-        return fld._y_at(u)[_X].copy()
+    def node(u):
+        k = np.asarray(u, dtype=float) / fld.step
+        if k.shape == (3,) and np.all(np.abs(k - np.rint(k)) <= _NODE_TOL):
+            idx = np.rint(k).astype(int) + fld.center
+            if np.all(idx >= 2) and np.all(idx <= shape - 3):
+                return tuple(idx)
+        raise IntegrationError(
+            "%s is not a stored node two or more in from every face" % (u,))
 
-    def jac(u):
-        y = fld._y_at(u)
-        ee = y[_EE].reshape(3, 6)
-        v = np.column_stack([y[_V1], y[_V2], _W3])
-        return ee.T @ v
+    def hess(u):
+        idx = node(u)
+        cols = []
+        for a in range(3):
+            window = list(idx)
+            window[a] = slice(idx[a] - 2, idx[a] + 3)
+            cols.append(_d4(jacs[tuple(window)], 0, fld.step)[0])
+        h = np.stack(cols, axis=-1)  # (6, 3, 3), last index = stencil slot
+        return 0.5 * (h + h.transpose(0, 2, 1))
 
     return geometry.ImmersionPatch(
         name="z2_reconstruction",
         params={"init": fld.init, "step": fld.step},
-        domain=tuple((-h, h) for h in halves),
-        eval=ev, jac=jac)
+        domain=tuple((ax[0], ax[-1]) for ax in fld.axes),
+        eval=lambda u: data[node(u)][_X].copy(),
+        jac=lambda u: jacs[node(u)].copy(),
+        hess=hess)
 
 
-def z2_integrate(init, extents=(0.2, 0.2, 0.2), step=1e-2, *,
-                 loop_tol=1e-3, census_counts=(3, 3, 3)):
+def z2_integrate(init, extents=(0.2, 0.2, 0.2), step=1e-2):
     """Integrate the six-function system over a chart box around the origin.
 
-    Returns ``(field, patch, report)``: the node field, an immersion patch
-    that re-integrates the canonical path on demand (analytic tangent maps
-    from the carried frame and coframe columns), and the audit report.
+    Returns ``(field, patch, report)``: the node field, the immersion patch
+    of its stored nodes two or more in from every face (see
+    :func:`_field_patch`), and the audit report, whose stabilizer census
+    classifies the cubic at three nodes per axis spread evenly over those.
     Raises :class:`FlatnessError` when the path-independence residual
-    exceeds ``loop_tol`` (pass ``None`` to skip the gate) and
-    :class:`IntegrationError` on state blow-up or an r = s crossing.
+    exceeds 1e-3, and :class:`IntegrationError` on state blow-up, an r = s
+    crossing, a box with fewer than 5 nodes along an axis, or a census
+    node that fails its point report.
     """
     fld, drift = _reconstruct(init, extents, step)
     patch = _field_patch(fld)
     loop = path_independence(fld)
-    if loop_tol is not None and loop > loop_tol:
+    if loop > _LOOP_TOL:
         raise FlatnessError(
-            "path-independence residual %.3e exceeds %.3e" % (loop, loop_tol))
+            "path-independence residual %.3e exceeds %.3e" % (loop, _LOOP_TOL))
     slag = 0.0
     trace_rel = 0.0
     census: Counter = Counter()
-    if census_counts is not None:
-        axes = geometry.grid_axes(patch.domain, census_counts)
-        for node in itertools.product(*axes):
-            rep = geometry.point_report(patch, np.array(node))
-            if rep.error is not None:
-                raise IntegrationError(
-                    "census failed at %s: %s" % (node, rep.error))
-            slag = max(slag, rep.lag_res, rep.im_res)
-            trace_rel = max(trace_rel, rep.trace_res / rep.cubic.norm())
-            census[rep.nf.type] += 1
+    picks = [np.unique(np.rint(np.linspace(2, n - 3, c)).astype(int))
+             for n, c in zip(fld.shape, _CENSUS_COUNTS)]
+    for idx in itertools.product(*picks):
+        u = np.array([ax[i] for ax, i in zip(fld.axes, idx)])
+        rep = geometry.point_report(patch, u)
+        if rep.error is not None:
+            raise IntegrationError(
+                "census failed at %s: %s" % (tuple(u), rep.error))
+        slag = max(slag, rep.lag_res, rep.im_res)
+        trace_rel = max(trace_rel, rep.trace_res / rep.cubic.norm())
+        census[rep.nf.type] += 1
     report = IntegrationReport(
         loop_residual=loop, slag_res=slag, trace_rel=trace_rel,
         type_census=dict(census), frame_drift=drift)

@@ -9,12 +9,14 @@ import pytest
 from slag3 import ambient, geometry as geo
 from slag3.cubics import StabilizerType, classify, invariants
 from slag3.gallery import (
+    clifford_link,
     default_gallery,
     harvey_lawson_so3,
     hl_cone,
     l_lambda,
     plane,
     product_curve,
+    z3_family,
 )
 
 
@@ -325,6 +327,22 @@ class TestCodazziGauss:
         u = np.array([0.6497080702507638, 5.195321075497304, 3.37605033048794])
         with pytest.raises(geo.StepTooSmallError, match="gauss"):
             geo.codazzi_gauss_residual(hl_cone(), u, step=1e-6)
+
+    # z3_family's hessian is a central difference of its jacobian, so its
+    # cubics carry noise ~eps^(2/3)·‖h‖; at step 1e-4 Codazzi is roundoff
+    # and grows 4.7e-8 -> 8.0e-8 under halving, while Gauss still drops 4x
+    Z3_NEAR_END = np.array([-0.9443718925099442, 2.4436653767928673,
+                            0.8488363754081273])
+
+    def test_finite_difference_hessian_noise_is_below_the_floor(self):
+        cod, gau = geo.codazzi_gauss_residual(z3_family(clifford_link(), 1.0),
+                                              self.Z3_NEAR_END, step=1e-4)
+        assert cod <= 1e-6 and gau <= 1e-3
+
+    def test_finite_difference_hessian_deep_cancellation_still_raises(self):
+        with pytest.raises(geo.StepTooSmallError):
+            geo.codazzi_gauss_residual(z3_family(clifford_link(), 1.0),
+                                       self.Z3_NEAR_END, step=1e-8)
 
     @pytest.mark.parametrize("patch,u", [
         (hl_cone(), np.array([1.1, 1.3, 2.2])),

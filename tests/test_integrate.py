@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from slag3 import integrate
+from slag3 import geometry, integrate
 from slag3.ambient import from_complex
 from slag3.cubics import StabilizerType
 from slag3.structure_laws import z2_auxiliary
@@ -32,26 +32,30 @@ def test_renormalize_snaps_frame_to_unitary_and_reports_drift():
     assert np.array_equal(out[keep], y[keep])
 
 
-def _packed(state):
-    return np.concatenate([state.x, state.e1, state.e2, state.e3,
-                           [state.r, state.s, state.t1, state.t2, state.t3,
-                            state.u1]])
-
-
-def test_canonical_path_reproduces_stored_nodes():
+def test_field_patch_serves_the_stored_interior_nodes_exactly():
     fld, _ = integrate._reconstruct((1.0, 2.0, 0.1, 0.1, -0.2, 0.3),
                                     (0.2, 0.2, 0.2), 1e-2)
-    c = fld.center
-    last = tuple(n - 1 for n in fld.shape)
-    nodes = [c, (0, c[1], c[2]), (last[0], c[1], c[2])]
-    nodes += list(itertools.product(*((0, m) for m in last)))
-    for idx in nodes:
-        u = [fld.axes[a][i] for a, i in enumerate(idx)]
-        got = _packed(fld.state_at(u))
-        want = _packed(fld.node_state(idx))
-        assert np.abs(got - want).max() <= 1e-12, idx
     patch = integrate._field_patch(fld)
-    assert patch.jac(np.array([0.03, -0.02, 0.05])).shape == (6, 3)
+    c = fld.center
+    last = tuple(n - 3 for n in fld.shape)
+    nodes = [c, (2, c[1], c[2]), (last[0], c[1], c[2])]
+    nodes += list(itertools.product(*((2, m) for m in last)))
+    for idx in nodes:
+        y = fld.data[idx]
+        u = np.array([fld.axes[a][i] for a, i in enumerate(idx)])
+        v = np.column_stack([y[integrate._V1], y[integrate._V2],
+                             integrate._W3])
+        assert np.array_equal(patch.eval(u), y[integrate._X]), idx
+        assert np.array_equal(patch.jac(u),
+                              y[integrate._EE].reshape(3, 6).T @ v), idx
+        h = patch.hess(u)
+        assert h.shape == (6, 3, 3)
+        assert np.array_equal(h, h.transpose(0, 2, 1))
+    near_face = np.array([fld.axes[0][1], 0.0, 0.0])
+    off_grid = np.array([0.5 * fld.step, 0.0, 0.0])
+    for u in (near_face, off_grid):
+        with pytest.raises(integrate.IntegrationError, match="stored node"):
+            patch.jac(u)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +66,8 @@ Z2_INIT = (1.0, 2.0, 0.1, 0.1, -0.2, 0.3)
 
 @pytest.fixture(scope="module")
 def z2_run():
-    """(field, patch, report) at the default box, census on 3 nodes."""
-    return integrate.z2_integrate(Z2_INIT, census_counts=(1, 1, 3))
+    """(field, patch, report) at the default box and census."""
+    return integrate.z2_integrate(Z2_INIT)
 
 
 def test_z2_integrate_returns_a_flat_field_of_type_z2(z2_run):
@@ -71,7 +75,7 @@ def test_z2_integrate_returns_a_flat_field_of_type_z2(z2_run):
     assert report.loop_residual < 1e-4
     assert report.frame_drift < 1e-6
     assert report.slag_res < 1e-8
-    assert report.type_census == {StabilizerType.Z2: 3}
+    assert report.type_census == {StabilizerType.Z2: 27}
 
 
 def test_node_state_auxiliaries_match_the_law(z2_run):
@@ -80,6 +84,22 @@ def test_node_state_auxiliaries_match_the_law(z2_run):
         state = fld.node_state(idx)
         want = z2_auxiliary(fld.data[idx][24:30])
         assert state.auxiliary() == want
+
+
+def test_census_normal_forms_match_the_carried_scalars(z2_run):
+    fld, patch, _ = z2_run
+    picks = (2, fld.center[0], fld.shape[0] - 3)
+    assert picks == (2, 10, 18)
+    for idx in itertools.product(picks, repeat=3):
+        u = np.array([fld.axes[a][i] for a, i in enumerate(idx)])
+        nf = geometry.point_report(patch, u).nf
+        state = fld.node_state(idx)
+        assert abs(nf.r - state.r) <= 1e-5 and abs(nf.s - state.s) <= 1e-5
+
+
+def test_z2_integrate_rejects_a_box_too_thin_for_the_stencil():
+    with pytest.raises(integrate.IntegrationError, match="5 nodes"):
+        integrate.z2_integrate(Z2_INIT, extents=(0.02, 0.02, 0.02))
 
 
 def test_z2_leaves_are_quadrics_in_fixed_three_planes(z2_run):
@@ -103,7 +123,7 @@ def test_corrupted_scalar_law_fails_the_flatness_gate(monkeypatch):
 
     monkeypatch.setattr(integrate, "z2_scalar_rates", corrupted)
     with pytest.raises(integrate.FlatnessError):
-        integrate.z2_integrate(Z2_INIT, census_counts=None)
+        integrate.z2_integrate(Z2_INIT)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +159,7 @@ def test_so2_profile_conserves_its_invariant(c, theta):
 def test_z2_integrate_raises_on_a_bad_state(init, match):
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(integrate.IntegrationError, match=match):
-            integrate.z2_integrate(init, extents=(0.02, 0.02, 0.02),
-                                   census_counts=None, loop_tol=None)
+            integrate.z2_integrate(init, extents=(0.02, 0.02, 0.02))
 
 
 @pytest.mark.parametrize("index,value,match", [
