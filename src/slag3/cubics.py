@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,6 +60,12 @@ TAU_AXIS = 1e-6    # relative: norm of the components a symmetry forbids
 _TAU_TRACE = 1e-8  # relative: trace residual admitted by the constructor
 _TAU_GRAD = 1e-6   # relative: gradient norm of a singular direction
 _MERGE_ANGLE = 1e-4  # directions closer than this (radians) are one
+_AXIS_CHUNK = 16     # cubics whose axis searches share one lockstep refine;
+                     # bounds its arrays: 0.9 MB peak at 16, 8.3 MB at 180
+_CONE_SIGMA = 1e-12  # sigma_3 / sigma_1 of the slice matrix of an exact cone
+
+# cumulative wall seconds of classify's two stages, read by geometry.sweep
+_SECONDS = {"axis_search": 0.0, "fit": 0.0}
 
 LEX_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
                (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
@@ -73,6 +80,7 @@ for _col, (_i, _j, _k) in enumerate(LEX_TRIPLES):
                (_k, _i, _j), (_k, _j, _i)}:
         _SCATTER[(_p[0] - 1) * 9 + (_p[1] - 1) * 3 + (_p[2] - 1), _col] = 1.0
     _IDX10[_col] = (_i - 1) * 9 + (_j - 1) * 3 + (_k - 1)
+_IDX27 = np.argmax(_SCATTER, axis=1)  # the entry each flat position repeats
 
 
 def _full(c):
@@ -489,6 +497,7 @@ def _pullback_many(tloc, rmats):
 # pullback operators composed with the projection onto all seven components.
 _REFINE_STEP = 1e-6
 _REFINE_ITERS = 60
+_LINE_STEPS = 0.5 ** np.arange(8)  # line-search step lengths, full step first
 _STENCIL = _transport_matrices(
     [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
      [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
@@ -497,15 +506,47 @@ _P_STEN = np.stack([np.stack([_rot10(e, t) for e in np.eye(10)], axis=1)
 _STEN_OP = np.einsum("mj,sji->smi", _BASIS7, _P_STEN)
 
 
-def _refine_axes(h, seeds, mask):
+def _functional(c, basis_t, mask):
+    """Masked squared components of coefficient rows c (..., 10).
+
+    The projection runs as one matrix product of at least two rows: numpy
+    computes a one-row product on its vector path, whose rounding differs,
+    so a lone row is doubled and every row gets the same arithmetic.
+    """
+    rows = c.reshape(-1, 10)
+    comps = (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)) @ basis_t
+    comps = comps[:len(rows)].reshape(*c.shape[:-1], -1)
+    return ((comps * mask) ** 2).sum(-1)
+
+
+def _trials(tloc, delta, lams, mask, basis_t):
+    """Line-search trials of the steps lams * delta from each seed's chart:
+    (rotations (m, L, 3, 3), pulled-back coefficients (m, L, 10), masked
+    functionals (m, L))."""
+    m = len(tloc)
+    pts = np.ones((m, len(lams), 3))  # chart point (xi0, xi1) at z = 1
+    pts[:, :, :2] = delta[:, None, :] * lams[None, :, None]
+    rmats = _transport_matrices(pts.reshape(-1, 3)).reshape(
+        m, len(lams), 3, 3)
+    trials = _pullback_many(tloc, rmats)
+    return rmats, trials, _functional(trials, basis_t, mask[:, None])
+
+
+def _refine_axes(tensors, floors, seeds, mask):
     """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
-    Each seed carries its own chart, recentred after every accepted step so
-    the transport underlying the component phases stays smooth; basins that
-    stop descending are retired early.  Only the union of the masked rows is
-    projected; a masked-out row adds exact zeros, so every seed's sums are
-    those of its own components.  Returns (axes (n,3), functional (n,)).
+    Seed i searches the cubic with full tensor tensors[i] (n, 3, 3, 3) and
+    retires once its functional is at most floors[i], so the seeds of many
+    cubics march together, each with the arithmetic it has alone.  Each
+    seed carries its own chart, recentred after every accepted step so the
+    transport underlying the component phases stays smooth; basins that
+    stop descending are retired early.  The line search pulls back the full
+    step first and the seven halvings only for the seeds where it does not
+    improve; the first improving step is taken.  Only the union of the
+    masked rows is projected; a masked-out row adds exact zeros, so every
+    seed's sums are those of its own components.  Returns (axes (n,3),
+    functional (n,)).
     """
     cols = np.flatnonzero(np.any(mask, axis=0))
     mask = mask[:, cols]
@@ -513,15 +554,12 @@ def _refine_axes(h, seeds, mask):
     sten = _STEN_OP[:, cols]
     n = len(seeds)
     base = _transport_matrices(seeds)
-    cloc = _pullback_many(np.broadcast_to(h.tensor, (n, 3, 3, 3)),
-                          base[:, None])[:, 0, :]
-    fval = ((cloc @ basis_t * mask) ** 2).sum(1)
+    cloc = _pullback_many(tensors, base[:, None])[:, 0, :]
+    fval = _functional(cloc, basis_t, mask)
     f0 = fval.copy()
-    floor = 1e-30 * h.inner(h)  # retire floor, in the functional's units
-    lams = 0.5 ** np.arange(8)
     active = np.arange(n)
     for it in range(_REFINE_ITERS):
-        keep = fval[active] > floor
+        keep = fval[active] > floors[active]
         if it >= 2:
             keep &= fval[active] <= 0.5 ** it * f0[active]
         active = active[keep]
@@ -549,24 +587,31 @@ def _refine_axes(h, seeds, mask):
             [-(a22[good] * b1[good] - a12[good] * b2[good]) * inv,
              -(a11[good] * b2[good] - a12[good] * b1[good]) * inv], axis=1)
         delta = np.clip(delta, -1.0, 1.0)  # keep trials inside the chart
-        m = len(active)
-        tloc = (cloc[active] @ _SCATTER.T).reshape(m, 3, 3, 3)
-        pts = np.ones((m, len(lams), 3))  # chart point (xi0, xi1) at z = 1
-        pts[:, :, :2] = delta[:, None, :] * lams[None, :, None]
-        rmats = _transport_matrices(pts.reshape(-1, 3)).reshape(
-            m, len(lams), 3, 3)
-        trials = _pullback_many(tloc, rmats)
-        tvals = ((trials @ basis_t * mask[active, None]) ** 2).sum(-1)
-        improving = tvals < fval[active, None]
-        pick = np.argmax(improving, axis=1)  # first (largest) improving lam
-        stepn = np.linalg.norm(delta, axis=1) * lams[pick]
-        cont = improving.any(axis=1) & (stepn > 1e-14)
-        sel = np.flatnonzero(cont)
+        # full tensors; + 0.0 reads -0 as +0, as a product by _SCATTER does
+        tloc = (cloc[active][:, _IDX27] + 0.0).reshape(len(active), 3, 3, 3)
+        rmat, trial, tval = (a[:, 0] for a in _trials(
+            tloc, delta, _LINE_STEPS[:1], mask[active], basis_t))
+        lam = np.ones(len(active))
+        ok = tval < fval[active]
+        short = np.flatnonzero(~ok)
+        if len(short):
+            rs, ts, vs = _trials(tloc[short], delta[short], _LINE_STEPS[1:],
+                                 mask[active[short]], basis_t)
+            improving = vs < fval[active[short], None]
+            pick = np.argmax(improving, axis=1)  # first (largest) improving
+            at = np.arange(len(short))
+            rmat[short] = rs[at, pick]
+            trial[short] = ts[at, pick]
+            tval[short] = vs[at, pick]
+            lam[short] = _LINE_STEPS[1:][pick]
+            ok[short] = improving.any(axis=1)
+        stepn = np.linalg.norm(delta, axis=1) * lam
+        sel = np.flatnonzero(ok & (stepn > 1e-14))
         if len(sel):
             ai = active[sel]
-            base[ai] = base[ai] @ rmats[sel, pick[sel]]
-            cloc[ai] = trials[sel, pick[sel]]
-            fval[ai] = tvals[sel, pick[sel]]
+            base[ai] = base[ai] @ rmat[sel]
+            cloc[ai] = trial[sel]
+            fval[ai] = tval[sel]
         active = active[sel]
     return base[:, :, 2], fval
 
@@ -614,9 +659,14 @@ def _singular_seeds(t):
     binary sextic tr(Y^2)^3 - 54 det(Y)^2 in (cos theta, sin theta).  Seven
     samples give the sextic's harmonics exp(2ik theta), |k| <= 3, exactly;
     each root yields the eigenvector of the simple (largest in modulus)
-    eigenvalue of Y.  A cone cubic adds the kernel of c -> t(c, ., .).
+    eigenvalue of Y.  A cone cubic adds the kernel of c -> t(c, ., .).  An
+    exact cone (sigma_3 <= _CONE_SIGMA * sigma_1) is a harmonic binary cubic
+    in the plane orthogonal to that kernel, whose gradient vanishes only on
+    the kernel, so its vertex is returned alone.
     """
-    u, _, vh = np.linalg.svd(t.reshape(3, 9) @ _TRACELESS.T)
+    u, sv, vh = np.linalg.svd(t.reshape(3, 9) @ _TRACELESS.T)
+    if sv[2] <= _CONE_SIGMA * sv[0]:
+        return u[:, 2][None]
     y1, y2 = (vh[3:] @ _TRACELESS).reshape(2, 3, 3)
 
     def pencil(theta):
@@ -633,6 +683,50 @@ def _singular_seeds(t):
     return np.vstack([vecs[np.arange(len(roots)), :, pick], u[:, 2]])
 
 
+def _census(h, seeds, kind, axes, final, tol):
+    """SymmetryAxes of h from its refined seeds: an axis is accepted when
+    its squared functional is at most (tol * ||h||)^2; axes meeting the
+    circle condition are removed from the order-2/order-3 lists."""
+    threshold = (tol * h.norm()) ** 2
+    found = ([], [], [])
+    for i in range(len(seeds)):
+        if final[i] <= threshold:
+            found[kind[i]].append((axes[i], float(final[i])))
+        elif log.isEnabledFor(logging.DEBUG):
+            log.debug("axis seed %s rejected: functional %.3e above %.3e",
+                      np.round(seeds[i], 4), final[i], threshold)
+    circle, order2, order3 = (_dedupe(f) for f in found)
+
+    def drop_circle(lst):
+        return tuple((w, res) for w, res in lst if not any(
+            min(np.linalg.norm(w - u), np.linalg.norm(w + u)) < _MERGE_ANGLE
+            for u, _ in circle))
+
+    return SymmetryAxes(order2=drop_circle(order2),
+                        order3=drop_circle(order3),
+                        circle=tuple(circle))
+
+
+def _symmetry_axes(hs, tol):
+    """SymmetryAxes of each nonzero cubic of hs.  The seeds of up to
+    _AXIS_CHUNK cubics are refined in one lockstep call."""
+    out = []
+    for lo in range(0, len(hs), _AXIS_CHUNK):
+        chunk = hs[lo:lo + _AXIS_CHUNK]
+        seeds, kinds = zip(*(_axis_seeds(_maxwell_directions(h.coeffs))
+                             for h in chunk))
+        owner = np.repeat(np.arange(len(chunk)), [len(k) for k in kinds])
+        axes, final = _refine_axes(
+            np.stack([h.tensor for h in chunk])[owner],
+            1e-30 * np.array([h.inner(h) for h in chunk])[owner],
+            np.vstack(seeds), _CONDITION_MASKS[np.concatenate(kinds)])
+        for i, h in enumerate(chunk):
+            at = owner == i
+            out.append(_census(h, seeds[i], kinds[i], axes[at], final[at],
+                               tol))
+    return out
+
+
 def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     """Locate all axes whose rotational components vanish.
 
@@ -645,33 +739,9 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     invariant under dilation; axes meeting the circle condition are removed
     from the order-2/order-3 lists.
     """
-    norm = h.norm()
-    if norm <= TAU_ZERO:
+    if h.norm() <= TAU_ZERO:
         raise ValueError("cubic is numerically zero; axes are undefined")
-    threshold = (tol * norm) ** 2
-    seeds, kind = _axis_seeds(_maxwell_directions(h.coeffs))
-    axes, final = _refine_axes(h, seeds, _CONDITION_MASKS[kind])
-    found = ([], [], [])
-    for i in range(len(seeds)):
-        if final[i] <= threshold:
-            found[kind[i]].append((axes[i], float(final[i])))
-        else:
-            log.debug("axis seed %s rejected: functional %.3e above %.3e",
-                      np.round(seeds[i], 4), final[i], threshold)
-    circle, order2, order3 = (_dedupe(f) for f in found)
-
-    def drop_circle(lst):
-        keep = []
-        for w, res in lst:
-            if any(min(np.linalg.norm(w - u), np.linalg.norm(w + u))
-                   < _MERGE_ANGLE for u, _ in circle):
-                continue
-            keep.append((w, res))
-        return tuple(keep)
-
-    return SymmetryAxes(order2=drop_circle(order2),
-                        order3=drop_circle(order3),
-                        circle=tuple(circle))
+    return _symmetry_axes([h], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +805,8 @@ def _a4_frame(order2_axes):
     return Rotation3(np.column_stack([w1, w2, np.cross(w1, w2)]))
 
 
-def classify(h: HarmonicCubic, tol: float = TAU_AXIS) -> NormalFormResult:
-    """Stabilizer type and normal form of a cubic under rotations.
-
-    Decision tree: zero norm -> Full; a circle axis -> Circle; otherwise the
-    census of order-2/order-3 axes selects the type (3+4 -> A4, 3+1 -> S3,
-    0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  `tol` is the one symmetry
-    tolerance: an axis counts when its components that the symmetry forbids
-    have norm at most tol * ||h||, so a cubic within that distance of a
-    collapse line (Z2 with s = r, Z3 with s = r*sqrt(2)) has the larger
-    census of S3 / A4 and is classified so.  Z2 and Z3 fits report their
-    distance to the collapse line.
-    """
-    norm = h.norm()
-    if norm <= TAU_ZERO:
-        return NormalFormResult(StabilizerType.FULL, Rotation3.identity(),
-                                0.0, 0.0, float(norm))
-    axes = find_symmetry_axes(h, tol=tol)
+def _classify_axes(h, axes):
+    """NormalFormResult of a nonzero cubic from its axis census."""
     if axes.circle:
         return _fit(h, StabilizerType.CIRCLE,
                     transport_rotation(axes.circle[0][0]))
@@ -772,6 +827,49 @@ def classify(h: HarmonicCubic, tol: float = TAU_AXIS) -> NormalFormResult:
                 "circle": axes.circle})
 
 
+def classify(h, tol: float = TAU_AXIS):
+    """Stabilizer type and normal form of a cubic under rotations.
+
+    Decision tree: zero norm -> Full; a circle axis -> Circle; otherwise the
+    census of order-2/order-3 axes selects the type (3+4 -> A4, 3+1 -> S3,
+    0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  `tol` is the one symmetry
+    tolerance: an axis counts when its components that the symmetry forbids
+    have norm at most tol * ||h||, so a cubic within that distance of a
+    collapse line (Z2 with s = r, Z3 with s = r*sqrt(2)) has the larger
+    census of S3 / A4 and is classified so.  Z2 and Z3 fits report their
+    distance to the collapse line.
+
+    `h` is one HarmonicCubic or a sequence of them.  A sequence gives a
+    list, one entry per cubic, equal to classify on that cubic alone: its
+    NormalFormResult, or the ValueError it raises alone (a CensusError when
+    the census matches no stabilizer pattern), returned in its place so that
+    one failed census leaves the other cubics classified.  The axis searches
+    of up to 16 cubics (_AXIS_CHUNK) run as one lockstep refine; a single
+    cubic is a batch of one.
+    """
+    hs = [h] if isinstance(h, HarmonicCubic) else list(h)
+    norms = [g.norm() for g in hs]
+    live = [i for i, norm in enumerate(norms) if norm > TAU_ZERO]
+    out = [None if norm > TAU_ZERO else NormalFormResult(
+        StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)
+        for norm in norms]
+    t0 = time.perf_counter()
+    found = _symmetry_axes([hs[i] for i in live], tol)
+    t1 = time.perf_counter()
+    for i, axes in zip(live, found):
+        try:
+            out[i] = _classify_axes(hs[i], axes)
+        except ValueError as exc:
+            out[i] = exc
+    _SECONDS["axis_search"] += t1 - t0
+    _SECONDS["fit"] += time.perf_counter() - t1
+    if isinstance(h, HarmonicCubic):
+        if isinstance(out[0], ValueError):
+            raise out[0]
+        return out[0]
+    return out
+
+
 def singular_directions(h: HarmonicCubic):
     """Projective directions in which the cubic's gradient vanishes.
 
@@ -788,8 +886,10 @@ def singular_directions(h: HarmonicCubic):
         raise ValueError("cubic is numerically zero")
     t = h.tensor
     seeds = _singular_seeds(t)
-    axes, _ = _refine_axes(h, seeds, np.broadcast_to(_GRADIENT,
-                                                     (len(seeds), 7)))
+    n = len(seeds)
+    axes, _ = _refine_axes(np.broadcast_to(t, (n, 3, 3, 3)),
+                           np.full(n, 1e-30 * h.inner(h)), seeds,
+                           np.broadcast_to(_GRADIENT, (n, 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)
     found = _dedupe([(w, r) for w, r in zip(axes, res)

@@ -15,17 +15,20 @@ plain Frobenius norms of the offending tensors.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambient import apply_j, omega0, upsilon0
 from .cubics import (
-    CensusError,
+    _SECONDS as _CLASSIFY_SECONDS,
     HarmonicCubic,
     NormalFormResult,
     _gather,
@@ -59,6 +62,8 @@ __all__ = [
     "transform_patch",
     "scale_patch",
 ]
+
+log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 _FD_STEP_1 = _EPS ** (1.0 / 3.0)   # first-derivative central differences
@@ -354,25 +359,43 @@ def fundamental_cubic(patch: ImmersionPatch, u):
     return _cubic_at(patch, np.asarray(u, dtype=float))[1:]
 
 
-def point_report(patch: ImmersionPatch, u) -> PointReport:
-    """Full residual/cubic/classification record at one parameter point.
+def point_report(patch: ImmersionPatch, u):
+    """Full residual/cubic/classification record at a parameter point.
 
     The Lagrangian and special residuals are read off the one jacobian that
     the frame and the cubic are built from; frames admit a Lagrangian
     residual up to FRAME_TOL, and the cubic is classified at the default
     symmetry tolerance of :func:`slag3.cubics.classify`.
+
+    `u` is one point (3,), which gives one PointReport, or a stack of
+    points (n, 3), which gives a list of n, each equal to the report of its
+    row alone.  The cubics of all nodes go to one `classify` call, so their
+    axis searches are refined together; a node whose derivatives, cubic or
+    census fail carries the error message, and the other nodes classify.
     """
-    u = np.asarray(u, dtype=float)
-    try:
-        position = np.asarray(patch.eval(u), dtype=float)
-        t, cubic, _, trace_res = _cubic_at(patch, u)
-        lag = _pairing_residual(t)
-        im_res, _ = _volume_residual(t)
-        nf = classify(cubic)
-    except (GeometryError, CensusError, ValueError) as exc:
-        return PointReport(u=u, error=f"{type(exc).__name__}: {exc}")
-    return PointReport(u=u, position=position, lag_res=lag, im_res=im_res,
-                       trace_res=trace_res, cubic=cubic, nf=nf)
+    nodes = np.asarray(u, dtype=float)
+    reports = []
+    done = []  # (index, fields) of the nodes that reach the classification
+    for x in nodes.reshape(-1, 3):
+        try:
+            position = np.asarray(patch.eval(x), dtype=float)
+            t, cubic, _, trace_res = _cubic_at(patch, x)
+            done.append((len(reports), dict(
+                u=x, position=position, lag_res=_pairing_residual(t),
+                im_res=_volume_residual(t)[0], trace_res=trace_res,
+                cubic=cubic)))
+            reports.append(None)
+        except ValueError as exc:  # GeometryError and CensusError are too
+            reports.append(_failed(x, exc))
+    fits = classify([fields["cubic"] for _, fields in done])
+    for (i, fields), nf in zip(done, fits):
+        reports[i] = (_failed(fields["u"], nf) if isinstance(nf, ValueError)
+                      else PointReport(nf=nf, **fields))
+    return reports[0] if nodes.ndim == 1 else reports
+
+
+def _failed(u, exc):
+    return PointReport(u=u, error=f"{type(exc).__name__}: {exc}")
 
 
 def grid_axes(domain, counts):
@@ -394,10 +417,29 @@ def sweep(patch: ImmersionPatch, counts):
 
     Nodes where a precondition fails (rank, Lagrangian residual, trace
     residual, classification census) carry the error message instead of data.
+    The whole node stack goes to one `point_report` call, so the axis
+    searches of the node cubics run in chunks of up to 16 cubics.  Each call
+    emits one DEBUG record through the module logger, whose ``sweep``
+    attribute holds the node count, the seconds spent in derivatives and
+    cubics (the rest of the call), in the axis search and in the normal-form
+    fit, and the error counts by class.
     """
-    axes = grid_axes(patch.domain, counts)
-    return [point_report(patch, np.array(node))
-            for node in itertools.product(*axes)]
+    nodes = np.array(list(itertools.product(*grid_axes(patch.domain, counts))),
+                     dtype=float).reshape(-1, 3)
+    before = dict(_CLASSIFY_SECONDS)
+    t0 = time.perf_counter()
+    reports = point_report(patch, nodes)
+    total = time.perf_counter() - t0
+    if log.isEnabledFor(logging.DEBUG):
+        search, fit = (_CLASSIFY_SECONDS[k] - before[k]
+                       for k in ("axis_search", "fit"))
+        stats = {"nodes": len(nodes), "derivatives_s": total - search - fit,
+                 "axis_search_s": search, "fit_s": fit,
+                 "errors": dict(collections.Counter(
+                     r.error.split(":", 1)[0] for r in reports if r.error))}
+        log.debug("sweep of %s: %s", patch.name, stats,
+                  extra={"sweep": stats})
+    return reports
 
 
 def _fmt(x):

@@ -562,6 +562,61 @@ class TestClassifyProperties:
                 assert fit.s == pytest.approx(lam * ref.s, abs=1e-6 * lam)
 
 
+def same_fit(a, b):
+    """Bit-for-bit equality of two NormalFormResults."""
+    return (a.type is b.type
+            and a.rotation.entries.tobytes() == b.rotation.entries.tobytes()
+            and (a.r, a.s, a.residual, a.dist_s_minus_r,
+                 a.dist_s_minus_rsqrt2)
+            == (b.r, b.s, b.residual, b.dist_s_minus_r,
+                b.dist_s_minus_rsqrt2))
+
+
+class TestClassifyBatch:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(17, 40),
+           zero_at=st.integers(0, 39))
+    def test_sequence_equals_one_call_per_cubic(self, seed, count, zero_at):
+        # more cubics than one refine chunk holds: every type, one zero
+        # cubic, scales 10^[-8, 8]
+        rng = np.random.default_rng(seed)
+        typed = [c for c in CORPUS if c[2] is not ST.FULL]
+        hs = [rotate(typed[i % len(typed)][1].scaled(
+                  rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0)),
+                  random_rotation(rng))
+              for i in range(count)]
+        hs[zero_at % count] = HarmonicCubic.zero()
+        assert count > cubics._AXIS_CHUNK
+        fits = classify(hs)
+        assert isinstance(fits, list) and len(fits) == count
+        assert {f.type for f in fits} == set(ST)
+        for h, fit in zip(hs, fits):
+            assert same_fit(fit, classify(h))
+
+    def test_failed_census_stays_with_its_cubic(self, monkeypatch):
+        hs = [rotate(h, Rotation3.about_axis([1.0, 2.0, 0.5], 0.3))
+              for _, h, expected, _, _ in CORPUS if expected is not ST.FULL]
+        alone = [classify(h) for h in hs]
+        real = cubics._classify_axes
+
+        def census_fails_on_third(h, axes):
+            if h is hs[2]:
+                raise cubics.CensusError("census fails", census={})
+            return real(h, axes)
+
+        monkeypatch.setattr(cubics, "_classify_axes", census_fails_on_third)
+        fits = classify(hs)
+        assert isinstance(fits[2], cubics.CensusError)
+        for i, fit in enumerate(fits):
+            if i != 2:
+                assert same_fit(fit, alone[i])
+        with pytest.raises(cubics.CensusError, match="census fails"):
+            classify(hs[2])
+
+    def test_empty_sequence(self):
+        assert classify([]) == []
+
+
 # ---------------------------------------------------------------------------
 # singular_directions
 
@@ -635,6 +690,31 @@ class TestSingularDirections:
         R = Rotation3.about_axis([1.0, 2.0, -1.0], 0.8)
         assert len(singular_directions(rotate(n_family(1.0, 1.0), R)
                                        .scaled(1e-8))) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(collapse=st.booleans(), r=st.floats(0.2, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+           sign=st.sampled_from((1.0, -1.0)))
+    def test_exact_cone_returns_its_vertex_alone(self, collapse, r, seed,
+                                                 exponent, sign):
+        # S3 and its collapse n(r, r) are cones: one seed, the vertex
+        h = n_family(r, r) if collapse else CUBE3.scaled(r)
+        h = rotate(h.scaled(sign * 10.0 ** exponent),
+                   random_rotation(np.random.default_rng(seed)))
+        assert len(cubics._singular_seeds(h.tensor)) == 1
+        dirs = singular_directions(h)
+        assert len(dirs) == 1
+        _, grad = evaluate_and_gradient(h, dirs[0])
+        assert np.linalg.norm(grad) <= 1e-12 * h.norm()
+
+    def test_near_cone_takes_the_pencil(self):
+        # 1e-3 from the collapse line the slice matrix is far from rank 2,
+        # so the pencil seeds run and the counts stay 2 (s > r) and 0
+        for s, count in ((1.001, 2), (0.999, 0)):
+            h = rotate(n_family(1.0, s),
+                       Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
+            assert len(cubics._singular_seeds(h.tensor)) > 1
+            assert len(singular_directions(h)) == count
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=st.sampled_from([c for c in CORPUS if c[2] is not ST.FULL]),

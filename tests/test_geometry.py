@@ -1,12 +1,13 @@
 """Tests for the ambient forms and patch-geometry operations."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from slag3 import ambient, geometry as geo
+from slag3 import ambient, cubics, geometry as geo
 from slag3.cubics import StabilizerType, classify, invariants
 from slag3.gallery import (
     clifford_link,
@@ -275,6 +276,92 @@ class TestSweepAndCsv:
         assert np.array_equal(axes[1], [1.0])
         assert np.allclose(axes[2], [1.025, 1.475], rtol=0, atol=1e-15)
         assert "grid_axes" in geo.__all__
+
+
+def same_report(a, b):
+    """Field-by-field bit equality of two PointReports."""
+    def raw(x):
+        return None if x is None else np.asarray(x).tobytes()
+
+    if (raw(a.u), raw(a.position), a.error) != (raw(b.u), raw(b.position),
+                                                b.error):
+        return False
+    if a.error is not None:
+        return True
+    fa, fb = a.nf, b.nf
+    return ((a.lag_res, a.im_res, a.trace_res) == (b.lag_res, b.im_res,
+                                                   b.trace_res)
+            and raw(a.cubic.coeffs) == raw(b.cubic.coeffs)
+            and (fa.type, fa.r, fa.s, fa.residual) == (fb.type, fb.r, fb.s,
+                                                       fb.residual)
+            and raw(fa.rotation.entries) == raw(fb.rotation.entries))
+
+
+def rank_deficient_at(patch, bad):
+    """The patch with a rank-1 jacobian at the parameter point `bad`."""
+    def jac(u):
+        t = patch.jac(u)
+        return t[:, [0, 0, 0]] if np.array_equal(u, bad) else t
+
+    return dataclasses.replace(patch, jac=jac)
+
+
+class TestBatchSweep:
+    @pytest.mark.parametrize("name", list(default_gallery()))
+    def test_sweep_equals_one_point_report_per_node(self, name):
+        patch = default_gallery()[name].patch
+        counts = (1, 1, 1) if name == "plane" else (2, 2, 3)
+        reports = geo.sweep(patch, counts)
+        nodes = [r.u for r in reports]
+        assert len(reports) == int(np.prod(counts))
+        for node, report in zip(nodes, reports):
+            assert same_report(report, geo.point_report(patch, node)), node
+
+    def test_point_report_on_a_stack_equals_each_row(self):
+        patch = hl_cone()
+        nodes = np.array([[0.3, 1.1, 2.0], [0.5, 2.0, 1.0]])
+        stacked = geo.point_report(patch, nodes)
+        assert isinstance(stacked, list) and len(stacked) == 2
+        for node, report in zip(nodes, stacked):
+            assert isinstance(geo.point_report(patch, node), geo.PointReport)
+            assert same_report(report, geo.point_report(patch, node))
+
+    def test_a_failing_node_leaves_the_others_classified(self, monkeypatch):
+        patch = hl_cone()
+        good = geo.sweep(patch, (2, 2, 2))
+        broken = rank_deficient_at(patch, good[1].u)
+        real = cubics._classify_axes
+        census_cubic = good[5].cubic.coeffs
+
+        def census_fails_at_node_5(h, axes):
+            if np.array_equal(h.coeffs, census_cubic):
+                raise cubics.CensusError("census fails", census={})
+            return real(h, axes)
+
+        monkeypatch.setattr(cubics, "_classify_axes", census_fails_at_node_5)
+        reports = geo.sweep(broken, (2, 2, 2))
+        assert reports[1].error.startswith("RankDeficientError:")
+        assert reports[5].error == "CensusError: census fails"
+        for i, (report, ref) in enumerate(zip(reports, good)):
+            if i not in (1, 5):
+                assert report.nf.type is StabilizerType.S3
+                assert same_report(report, ref)
+
+    def test_sweep_logs_one_timing_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="slag3.geometry"):
+            geo.sweep(hl_cone(), (2, 1, 2))
+            geo.sweep(graph_patch(), (2, 2, 2))
+        records = [r for r in caplog.records if r.name == "slag3.geometry"]
+        assert len(records) == 2
+        cone, graph = (r.sweep for r in records)
+        assert cone["nodes"] == 4 and cone["errors"] == {}
+        assert graph["nodes"] == 8
+        assert graph["errors"] == {"NotLagrangianError": 8}
+        for stats in (cone, graph):
+            for key in ("derivatives_s", "axis_search_s", "fit_s"):
+                assert stats[key] >= 0.0
+        assert cone["axis_search_s"] > 0.0
+        assert "hl_cone" in records[0].getMessage()
 
 
 class TestCodazziGauss:
