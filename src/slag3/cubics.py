@@ -60,8 +60,9 @@ TAU_AXIS = 1e-6    # relative: norm of the components a symmetry forbids
 _TAU_TRACE = 1e-8  # relative: trace residual admitted by the constructor
 _TAU_GRAD = 1e-6   # relative: gradient norm of a singular direction
 _MERGE_ANGLE = 1e-4  # directions closer than this (radians) are one
-_AXIS_CHUNK = 16     # cubics whose axis searches share one lockstep refine;
-                     # bounds its arrays: 0.9 MB peak at 16, 8.3 MB at 180
+_AXIS_CHUNK = 16     # cubics whose axis searches run together; bounds their
+                     # arrays (tracemalloc peak of classify on 180 random
+                     # cubics: 0.89 MB at 16, 8.6 MB in one chunk)
 _CONE_SIGMA = 1e-12  # sigma_3 / sigma_1 of the slice matrix of an exact cone
 
 # cumulative wall seconds of classify's two stages, read by geometry.sweep
@@ -71,34 +72,49 @@ LEX_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
                (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
 MULTIPLICITY = np.array([1, 3, 3, 3, 6, 3, 1, 3, 3, 1], dtype=float)
 
-# scatter (27 x 10) filling the full symmetric tensor from the independent
-# entries, and the flat positions recovering them
-_SCATTER = np.zeros((27, 10))
+# the independent entry that each flat position of the full symmetric
+# tensor repeats, and the flat positions recovering the entries
+_IDX27 = np.empty(27, dtype=int)
 _IDX10 = np.empty(10, dtype=int)
 for _col, (_i, _j, _k) in enumerate(LEX_TRIPLES):
     for _p in {(_i, _j, _k), (_i, _k, _j), (_j, _i, _k), (_j, _k, _i),
                (_k, _i, _j), (_k, _j, _i)}:
-        _SCATTER[(_p[0] - 1) * 9 + (_p[1] - 1) * 3 + (_p[2] - 1), _col] = 1.0
+        _IDX27[(_p[0] - 1) * 9 + (_p[1] - 1) * 3 + (_p[2] - 1)] = _col
     _IDX10[_col] = (_i - 1) * 9 + (_j - 1) * 3 + (_k - 1)
-_IDX27 = np.argmax(_SCATTER, axis=1)  # the entry each flat position repeats
 
 
 def _full(c):
-    """Full symmetric (3,3,3) array from the 10 independent entries."""
-    return (_SCATTER @ np.asarray(c, dtype=float)).reshape(3, 3, 3)
+    """Full symmetric (..., 3, 3, 3) arrays from the 10 independent entries
+    (..., 10); -0 entries are stored as +0."""
+    return (c[..., _IDX27] + 0.0).reshape(c.shape[:-1] + (3, 3, 3))
 
 
 def _gather(t):
     return t.reshape(27)[_IDX10]
 
 
-def _rot10(c, m):
-    """Pullback coefficients of x -> h(m x), on raw arrays (hot path)."""
-    t = _full(c)
-    t = np.tensordot(t, m, axes=([0], [0]))    # (j, k, i)
-    t = np.tensordot(t, m, axes=([0], [0]))    # (k, i, j)
-    t = np.tensordot(t, m, axes=([0], [0]))    # (i, j, k)
-    return _gather(t)
+def _pullback(cs, ms):
+    """Pullback coefficients (n, 10) of x -> h(m x) for the coefficient rows
+    cs (n, 10) by the matrices ms (n, 3, 3) or one (3, 3), on raw arrays
+    (hot path).
+
+    Each leg is contracted as one stacked (9, 3) @ (3, 3) product of a
+    contiguous operand, the BLAS call a tensordot makes for one cubic, so a
+    row's result does not depend on the others.
+    """
+    t = _full(cs)
+    # legs (i, j, k) -> (j, k, i') -> (k, i', j') -> (i', j', k')
+    for _ in range(3):
+        t = np.matmul(np.ascontiguousarray(
+            t.reshape(-1, 3, 9).transpose(0, 2, 1)), ms)
+    return t.reshape(-1, 27)[:, _IDX10]
+
+
+def _rowdot(a, b):
+    """Dot products of matching rows of a and b (..., n), each with np.dot's
+    rounding: numpy runs a (1, n) @ (n, 1) product through the same BLAS
+    dot, while a sum of products rounds differently."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -166,13 +182,11 @@ class Rotation3:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
+        if m.shape != (3, 3):
             raise ValueError("rotation must be a finite 3x3 matrix")
-        ortho = np.linalg.norm(m.T @ m - np.eye(3))
-        if ortho > 1e-9 or abs(np.linalg.det(m) - 1.0) > 1e-9:
-            raise ValueError(
-                f"matrix is not a proper rotation (orthogonality residual "
-                f"{ortho:.3e})")
+        fail = _rotation_errors(m[None])[0]
+        if fail is not None:
+            raise fail
         object.__setattr__(self, "entries", m)
 
     @classmethod
@@ -183,10 +197,7 @@ class Rotation3:
     def about_axis(cls, axis, angle: float) -> "Rotation3":
         """Right-handed rotation through `angle` about the unit vector `axis`."""
         a = np.asarray(axis, dtype=float)
-        a = a / np.linalg.norm(a)
-        k = np.array([[0.0, -a[2], a[1]],
-                      [a[2], 0.0, -a[0]],
-                      [-a[1], a[0], 0.0]])
+        k = _cross_matrix(a / np.linalg.norm(a))
         m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
         return cls(m)
 
@@ -195,6 +206,29 @@ class Rotation3:
 
     def transpose(self) -> "Rotation3":
         return Rotation3(self.entries.T)
+
+
+def _cross_matrix(a):
+    """Matrix of w -> a x w."""
+    return np.array([[0.0, -a[2], a[1]],
+                     [a[2], 0.0, -a[0]],
+                     [-a[1], a[0], 0.0]])
+
+
+def _rotation_errors(ms):
+    """Per matrix of the stack ms (n, 3, 3): None for a finite proper
+    rotation (orthogonality residual and det - 1 within 1e-9), else the
+    ValueError that Rotation3 raises for it."""
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    ms = np.where(finite[:, None, None], ms, 0.0)
+    gram = (np.matmul(ms.transpose(0, 2, 1), ms) - np.eye(3)).reshape(-1, 9)
+    ortho = np.sqrt(_rowdot(gram, gram))
+    det = np.linalg.det(ms)
+    return [ValueError("rotation must be a finite 3x3 matrix") if not ok
+            else ValueError(f"matrix is not a proper rotation (orthogonality "
+                            f"residual {o:.3e})")
+            if o > 1e-9 or abs(d - 1.0) > 1e-9 else None
+            for ok, o, d in zip(finite, ortho, det)]
 
 
 class StabilizerType(Enum):
@@ -294,14 +328,20 @@ def normal_form(tag: StabilizerType, r: float, s: float) -> HarmonicCubic:
     Z2: Circle part + 6s * xyz; Z3: Circle part + s * (x^3-3xy^2);
     Full and Trivial have no normal form and map to the zero cubic.
     """
-    c = np.zeros(10)
+    return HarmonicCubic(_normal_coeffs(tag, np.array([r]), np.array([s]))[0])
+
+
+def _normal_coeffs(tag, r, s):
+    """Coefficient rows (n, 10) of the normal forms of type tag at the
+    parameters r, s (n,)."""
+    c = np.zeros((len(r), 10))
     if tag in (StabilizerType.CIRCLE, StabilizerType.Z2, StabilizerType.Z3):
-        c += r * _P0
+        c += r[:, None] * _P0
     if tag in (StabilizerType.A4, StabilizerType.Z2):
-        c[4] += s
+        c[:, 4] += s
     if tag in (StabilizerType.S3, StabilizerType.Z3):
-        c += s * _Q3A
-    return HarmonicCubic(c)
+        c += s[:, None] * _Q3A
+    return c
 
 
 def project_traceless(t) -> HarmonicCubic:
@@ -334,7 +374,7 @@ def rotate(h: HarmonicCubic, R: Rotation3) -> HarmonicCubic:
     """Pullback h'(x) = h(R x); an isometry of the cubic inner product."""
     if not isinstance(R, Rotation3):
         R = Rotation3(np.asarray(R, dtype=float))
-    return HarmonicCubic(_rot10(h.coeffs, R.entries))
+    return HarmonicCubic(_pullback(h.coeffs[None], R.entries)[0])
 
 
 def invariants(h: HarmonicCubic):
@@ -383,10 +423,12 @@ def transport_rotation(w) -> Rotation3:
     return Rotation3(_transport_matrices(w[None])[0])
 
 
-def _components7(c):
-    """(c0, c1, c2, c3) about the z-axis from raw coefficients."""
-    v = _BASIS7 @ c
-    return v[0], complex(v[1], -v[2]), complex(v[3], -v[4]), complex(v[5], -v[6])
+def _components(cs, ms):
+    """Rows (n, 7) of _BASIS7 components (c0, Re c1, -Im c1, ...) about the
+    z-axis of the pullbacks of cs (n, 10) by ms (n, 3, 3).  Stacked as
+    (7, 10) @ (10, 1) products, each row is the matrix-vector product of
+    one cubic."""
+    return np.matmul(_BASIS7, _pullback(cs, ms)[:, :, None])[:, :, 0]
 
 
 def axis_decompose(h: HarmonicCubic, w) -> AxisDecomposition:
@@ -402,9 +444,9 @@ def axis_decompose(h: HarmonicCubic, w) -> AxisDecomposition:
         raise ValueError("zero-length axis")
     if abs(n - 1.0) > 1e-9:
         raise ValueError("axis must be a unit vector")
-    c0, c1, c2, c3 = _components7(
-        _rot10(h.coeffs, _transport_matrices(w[None])[0]))
-    return AxisDecomposition(axis=w, c0=c0, c1=c1, c2=c2, c3=c3)
+    v = _components(h.coeffs[None], _transport_matrices(w[None]))[0]
+    return AxisDecomposition(axis=w, c0=v[0], c1=complex(v[1], -v[2]),
+                             c2=complex(v[3], -v[4]), c3=complex(v[5], -v[6]))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +462,14 @@ _SEXTIC = np.stack([
     for m, (i, j, k) in zip(MULTIPLICITY, LEX_TRIPLES)], axis=1)
 
 
-def _maxwell_directions(c):
-    """Unit Maxwell directions v1, v2, v3 (3, 3) of raw coefficients c.
+# _TOUCHES[i] flags the 36 pairs (i', j') of six points with i in {i', j'}
+_TOUCHES = np.array([(np.arange(36) // 6 == i) | (np.arange(36) % 6 == i)
+                     for i in range(6)])
+
+
+def _maxwell_directions(cs):
+    """Unit Maxwell directions v1, v2, v3 (n, 3, 3) of the coefficient rows
+    cs (n, 10).
 
     By Sylvester's theorem the six roots of the sextic, as points of
     S^2 = CP^1, are three antipodal pairs +-v_i, and every rotation fixing
@@ -430,25 +478,49 @@ def _maxwell_directions(c):
     1/zeta when |zeta| > 1; a degree lost to vanishing leading coefficients
     is a root at infinity, the pole -z.  Pairs are matched closest first and
     one vector per pair is kept.
+
+    The roots are those of np.roots: the sextics of equal trimmed degree
+    share one eigvals call on their stacked companion matrices, and vanishing
+    trailing coefficients are roots at zero.  Closest first is the order of
+    np.argsort over the 36 gaps of a cubic, whose ties (i, j) / (j, i) fix
+    each vector's sign, so each round takes the free pair of lowest rank.
     """
-    roots = np.roots((_SEXTIC @ c)[::-1])
+    n = len(cs)
+    at = np.arange(n)[:, None]
+    # descending powers; a (7, 10) @ (10, 1) product per cubic, as
+    # (n, 10) @ (10, 7) rounds differently
+    poly = np.matmul(_SEXTIC, cs[:, :, None])[:, ::-1, 0]
+    live = poly != 0
+    lead = np.argmax(live, axis=1)
+    size = 7 - lead - np.argmax(live[:, ::-1], axis=1)  # trimmed length
+    roots = np.zeros((n, 6), dtype=complex)  # then zeros, then poles
+    for k in set(size[size > 1].tolist()):
+        rows = np.flatnonzero(size == k)
+        p = poly[rows[:, None], lead[rows, None] + np.arange(k)]
+        comp = np.repeat(np.eye(k - 1, k=-1, dtype=complex)[None], len(rows),
+                         axis=0)
+        comp[:, 0] = -p[:, 1:] / p[:, :1]
+        roots[rows, :k - 1] = np.linalg.eigvals(comp)
     far = np.abs(roots) > 1.0
     z = roots.copy()
     z[far] = 1.0 / roots[far]
     sign = np.where(far, -1.0, 1.0)
     d = 1.0 + np.abs(z) ** 2
     pts = np.stack([-2.0 * z.real / d, -2.0 * sign * z.imag / d,
-                    sign * (2.0 / d - 1.0)], axis=1)
-    pts = np.vstack([pts, np.tile([0.0, 0.0, -1.0], (6 - len(pts), 1))])
-    gap = np.linalg.norm(pts[:, None] + pts[None], axis=2)
-    free = np.ones(6, dtype=bool)
-    out = []
-    for i, j in zip(*np.unravel_index(np.argsort(gap, axis=None), gap.shape)):
-        if i != j and free[i] and free[j]:
-            free[i] = free[j] = False
-            out.append(pts[i] - pts[j])
-    out = np.array(out)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+                    sign * (2.0 / d - 1.0)], axis=2)
+    pts[np.arange(6) >= 6 - lead[:, None]] = [0.0, 0.0, -1.0]
+    gap = np.linalg.norm(pts[:, :, None] + pts[:, None], axis=3)
+    rank = np.empty((n, 36), dtype=int)
+    rank[at, np.argsort(gap.reshape(n, 36), axis=1)] = np.arange(36)
+    rank[:, ::7] = 36  # the pairs (i, i)
+    pairs = np.empty((n, 3), dtype=int)
+    for v in range(3):
+        pairs[:, v] = np.argmin(rank, axis=1)
+        i, j = np.divmod(pairs[:, v], 6)
+        rank[_TOUCHES[i] | _TOUCHES[j]] = 36
+    i, j = np.divmod(pairs, 6)
+    out = pts[at, i] - pts[at, j]
+    return out / np.linalg.norm(out, axis=2, keepdims=True)
 
 
 # 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2, Re/Im c3)
@@ -472,16 +544,22 @@ _SEED_SUMS = np.vstack([np.eye(3),
                         [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]])
 _SEED_ROWS = np.r_[0:3, 0:9, 13:16, 0:3, 9:16]
 _SEED_KIND = np.repeat(np.arange(3), [3, 12, 10])  # row of _CONDITION_MASKS
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def _axis_seeds(v):
-    """(unit seed axes (n, 3), condition index (n,)) for all three symmetry
-    conditions from the Maxwell directions v."""
-    cands = np.vstack([_SEED_SUMS @ v, np.cross(v, v[[1, 2, 0]])])
-    seeds = cands[_SEED_ROWS]
-    n = np.linalg.norm(seeds, axis=1)
+    """(unit seed axes (k, 3), condition index (k,), owning cubic (k,)) for
+    all three symmetry conditions from the Maxwell directions v (n, 3, 3),
+    cubic by cubic."""
+    w = v[:, _NEXT]  # the normals v_i x v_(i+1), computed as np.cross does
+    cands = np.concatenate([np.matmul(_SEED_SUMS, v),
+                            v[..., _NEXT] * w[..., _PREV]
+                            - v[..., _PREV] * w[..., _NEXT]], axis=1)
+    seeds = cands[:, _SEED_ROWS]
+    n = np.linalg.norm(seeds, axis=2)
     keep = n > 1e-12
-    return seeds[keep] / n[keep, None], _SEED_KIND[keep]
+    owner, row = np.nonzero(keep)
+    return seeds[keep] / n[keep, None], _SEED_KIND[row], owner
 
 
 def _pullback_many(tloc, rmats):
@@ -501,8 +579,7 @@ _LINE_STEPS = 0.5 ** np.arange(8)  # line-search step lengths, full step first
 _STENCIL = _transport_matrices(
     [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
      [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
-_P_STEN = np.stack([np.stack([_rot10(e, t) for e in np.eye(10)], axis=1)
-                    for t in _STENCIL])
+_P_STEN = np.stack([_pullback(np.eye(10), t).T for t in _STENCIL])
 _STEN_OP = np.einsum("mj,sji->smi", _BASIS7, _P_STEN)
 
 
@@ -587,8 +664,7 @@ def _refine_axes(tensors, floors, seeds, mask):
             [-(a22[good] * b1[good] - a12[good] * b2[good]) * inv,
              -(a11[good] * b2[good] - a12[good] * b1[good]) * inv], axis=1)
         delta = np.clip(delta, -1.0, 1.0)  # keep trials inside the chart
-        # full tensors; + 0.0 reads -0 as +0, as a product by _SCATTER does
-        tloc = (cloc[active][:, _IDX27] + 0.0).reshape(len(active), 3, 3, 3)
+        tloc = _full(cloc[active])
         rmat, trial, tval = (a[:, 0] for a in _trials(
             tloc, delta, _LINE_STEPS[:1], mask[active], basis_t))
         lam = np.ones(len(active))
@@ -616,28 +692,51 @@ def _refine_axes(tensors, floors, seeds, mask):
     return base[:, :, 2], fval
 
 
-def _canonical_sign(w):
-    for v in w:
-        if abs(v) > 1e-8:
-            return w if v > 0 else -w
-    return w
+_LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
 
 
-def _dedupe(cands):
-    """Antipodal canonicalization + angular merge, best residual kept."""
-    out = []
-    held = np.empty((len(cands), 3))
-    for w, res in sorted(cands, key=lambda p: p[1]):
-        w = _canonical_sign(np.asarray(w))
-        if out:
-            d2 = np.minimum(((held[:len(out)] - w) ** 2).sum(1),
-                            ((held[:len(out)] + w) ** 2).sum(1))
-            if d2.min() < _MERGE_ANGLE * _MERGE_ANGLE:
-                continue
-        held[len(out)] = w
-        out.append((w, res))
-    out.sort(key=lambda p: tuple(np.round(p[0], 9)))
-    return out
+def _dedupe(axes, res, groups=None):
+    """Antipodal canonicalization and angular merge of candidate axes
+    (n, 3) with residuals (n,) within each group (n,) (default: one).
+
+    Each axis is signed so that its first coordinate above 1e-8 in modulus
+    is positive.  Taken by increasing residual (ties in input order), an
+    axis is dropped when its squared distance to a kept axis of its group,
+    the smaller over +-, is below _MERGE_ANGLE^2.  That greedy pass is
+    solved on one pairwise distance matrix per group, repeated on the last
+    kept set until it is stable (the greedy result is its only fixed
+    point).  Returns (indices of the kept axes, by group, each group's in
+    the order of the coordinates rounded to 9 digits, ties by residual;
+    canonical axes (n, 3)).
+    """
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    n = len(axes)
+    if not n:
+        return np.zeros(0, dtype=int), axes
+    # the sign of the first coordinate above 1e-8 outweighs the other two
+    lead = (np.sign(axes) * (np.abs(axes) > 1e-8)) @ _LEAD_WEIGHTS
+    axes = np.where(lead[:, None] < 0, -axes, axes)
+    groups = np.zeros(n, dtype=int) if groups is None else groups
+    order = np.lexsort((res, groups))
+    g = groups[order]
+    pos = np.arange(n) - np.searchsorted(g, g)  # place within the group
+    held = np.zeros((g[-1] + 1, pos.max() + 1, 3))
+    held[g, pos] = axes[order]
+    valid = np.zeros(held.shape[:2], dtype=bool)
+    valid[g, pos] = True
+    a, b = held[:, :, None], held[:, None]
+    d2 = np.minimum(((b - a) ** 2).sum(-1), ((b + a) ** 2).sum(-1))
+    close = ((d2 < _MERGE_ANGLE * _MERGE_ANGLE) & valid[:, None]
+             & np.tri(held.shape[1], k=-1, dtype=bool))
+    keep = valid
+    while True:
+        nxt = valid & ~(close & keep[:, None]).any(axis=2)
+        if (nxt == keep).all():
+            break
+        keep = nxt
+    kept = order[keep[g, pos]]
+    x, y, z = axes[kept].round(9).T
+    return kept[np.lexsort((z, y, x, groups[kept]))], axes
 
 
 # orthonormal basis (5, 9) of the traceless symmetric 3x3 matrices
@@ -683,47 +782,59 @@ def _singular_seeds(t):
     return np.vstack([vecs[np.arange(len(roots)), :, pick], u[:, 2]])
 
 
-def _census(h, seeds, kind, axes, final, tol):
-    """SymmetryAxes of h from its refined seeds: an axis is accepted when
-    its squared functional is at most (tol * ||h||)^2; axes meeting the
-    circle condition are removed from the order-2/order-3 lists."""
-    threshold = (tol * h.norm()) ** 2
-    found = ([], [], [])
-    for i in range(len(seeds)):
-        if final[i] <= threshold:
-            found[kind[i]].append((axes[i], float(final[i])))
-        elif log.isEnabledFor(logging.DEBUG):
+def _census(sq, tol, seeds, kind, owner, axes, final):
+    """SymmetryAxes of each cubic of a chunk, with squared norms sq, from
+    the refined seeds of all of them (seed i of condition kind[i] belongs
+    to cubic owner[i]).
+
+    An axis is accepted when its squared functional is at most
+    (tol * ||h||)^2.  One _dedupe call merges the accepted axes of every
+    cubic and condition, and one array test removes the order-2/order-3
+    axes within _MERGE_ANGLE of a circle axis of their cubic.
+    """
+    threshold = np.array([(tol * math.sqrt(q)) ** 2 for q in sq])[owner]
+    hit = final <= threshold
+    if log.isEnabledFor(logging.DEBUG):
+        for i in np.flatnonzero(~hit):
             log.debug("axis seed %s rejected: functional %.3e above %.3e",
-                      np.round(seeds[i], 4), final[i], threshold)
-    circle, order2, order3 = (_dedupe(f) for f in found)
+                      np.round(seeds[i], 4), final[i], threshold[i])
+    hit = np.flatnonzero(hit)
+    groups = owner[hit] * 3 + kind[hit]  # kinds: circle, order-2, order-3
+    kept, ws = _dedupe(axes[hit], final[hit], groups)
+    ws, res, groups = ws[kept], final[hit][kept], groups[kept]
+    circle = groups % 3 == 0
+    if circle.any():
+        u = ws[circle]
+        near = np.minimum(np.sqrt(_rowdot(ws[:, None] - u, ws[:, None] - u)),
+                          np.sqrt(_rowdot(ws[:, None] + u, ws[:, None] + u)))
+        near = (near < _MERGE_ANGLE) & (groups[:, None] // 3
+                                        == groups[circle] // 3)
+        stay = circle | ~near.any(axis=1)
+        ws, res, groups = ws[stay], res[stay], groups[stay]
+    found = [([], [], []) for _ in sq]
+    for g, w, r in zip(groups.tolist(), ws, res.tolist()):
+        found[g // 3][g % 3].append((w, r))
+    return [SymmetryAxes(order2=tuple(o2), order3=tuple(o3),
+                         circle=tuple(c)) for c, o2, o3 in found]
 
-    def drop_circle(lst):
-        return tuple((w, res) for w, res in lst if not any(
-            min(np.linalg.norm(w - u), np.linalg.norm(w + u)) < _MERGE_ANGLE
-            for u, _ in circle))
 
-    return SymmetryAxes(order2=drop_circle(order2),
-                        order3=drop_circle(order3),
-                        circle=tuple(circle))
+def _symmetry_axes(cs, sq, tol):
+    """SymmetryAxes of each nonzero cubic with coefficient rows cs (n, 10)
+    and squared norms sq (n,).
 
-
-def _symmetry_axes(hs, tol):
-    """SymmetryAxes of each nonzero cubic of hs.  The seeds of up to
-    _AXIS_CHUNK cubics are refined in one lockstep call."""
+    The cubics go in chunks of _AXIS_CHUNK, and each step runs once per
+    chunk: one stacked root-finding call gives the Maxwell directions of
+    all its cubics (_maxwell_directions), one pass builds their seeds
+    (_axis_seeds), one lockstep refine polishes the seeds together
+    (_refine_axes), and one census merges the accepted axes (_census).
+    """
     out = []
-    for lo in range(0, len(hs), _AXIS_CHUNK):
-        chunk = hs[lo:lo + _AXIS_CHUNK]
-        seeds, kinds = zip(*(_axis_seeds(_maxwell_directions(h.coeffs))
-                             for h in chunk))
-        owner = np.repeat(np.arange(len(chunk)), [len(k) for k in kinds])
-        axes, final = _refine_axes(
-            np.stack([h.tensor for h in chunk])[owner],
-            1e-30 * np.array([h.inner(h) for h in chunk])[owner],
-            np.vstack(seeds), _CONDITION_MASKS[np.concatenate(kinds)])
-        for i, h in enumerate(chunk):
-            at = owner == i
-            out.append(_census(h, seeds[i], kinds[i], axes[at], final[at],
-                               tol))
+    for lo in range(0, len(cs), _AXIS_CHUNK):
+        c, q = cs[lo:lo + _AXIS_CHUNK], sq[lo:lo + _AXIS_CHUNK]
+        seeds, kind, owner = _axis_seeds(_maxwell_directions(c))
+        axes, final = _refine_axes(_full(c)[owner], 1e-30 * q[owner], seeds,
+                                   _CONDITION_MASKS[kind])
+        out += _census(q, tol, seeds, kind, owner, axes, final)
     return out
 
 
@@ -741,13 +852,17 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     """
     if h.norm() <= TAU_ZERO:
         raise ValueError("cubic is numerically zero; axes are undefined")
-    return _symmetry_axes([h], tol)[0]
+    return _symmetry_axes(h.coeffs[None], np.array([h.inner(h)]), tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-_FLIP_Z = Rotation3(np.diag([1.0, -1.0, -1.0]))  # half-turn about x
+_FLIP_Z = np.diag([1.0, -1.0, -1.0])  # half-turn about x
+# the turn about z through alpha is I + sin(alpha) K + (1 - cos(alpha)) K^2,
+# as Rotation3.about_axis builds it
+_TURN_K = _cross_matrix([0.0, 0.0, 1.0])
+_TURN_K2 = _TURN_K @ _TURN_K
 
 # per type: (axial part r, phase order k (0: none), target phase of c_k,
 # |c_k| per unit s)
@@ -766,65 +881,96 @@ _CENSUS = {(3, 1): StabilizerType.S3, (1, 0): StabilizerType.Z2,
            (0, 1): StabilizerType.Z3}
 
 
-def _fit(h, tag, R):
-    """Normal form of type `tag` from a frame R whose z-column is the type's
-    distinguished axis: flip z so that r >= 0 (types with an axial part),
-    then turn about z, which multiplies c_k by exp(i k alpha), until c_k has
-    its target phase (types with one).  The target phase -pi/2 of c2 makes
-    the xyz component positive and the (x^2-y^2)z component zero.  The
-    residual is taken on raw coefficients, so no absolute trace floor
-    applies to the difference."""
+def _fit(tag, cs, frames):
+    """Normal forms of type `tag` of the cubics cs (n, 10) from frames
+    (n, 3, 3) whose z-columns are the type's distinguished axes: flip z so
+    that r >= 0 (types with an axial part), then turn about z, which
+    multiplies c_k by exp(i k alpha), until c_k has its target phase (types
+    with one).  The target phase -pi/2 of c2 makes the xyz component
+    positive and the (x^2-y^2)z component zero.  The residual is taken on
+    raw coefficients, so no absolute trace floor applies to the difference.
+    Returns (rotations (n, 3, 3), r, s, residual (n,)), each row with the
+    rounding of its cubic alone."""
     axial, k, target, per_s = _FITS[tag]
-    r = s = 0.0
+    r = s = np.zeros(len(cs))
     if axial:
-        r = _components7(_rot10(h.coeffs, R.entries))[0] / _NORM_P0
-        if r < 0:
-            R = R.compose(_FLIP_Z)
-            r = -r
+        r = _components(cs, frames)[:, 0] / _NORM_P0
+        flip = r < 0
+        frames = np.where(flip[:, None, None], np.matmul(frames, _FLIP_Z),
+                          frames)
+        r = np.where(flip, -r, r)
     if k:
-        ck = _components7(_rot10(h.coeffs, R.entries))[k]
-        R = R.compose(Rotation3.about_axis([0.0, 0.0, 1.0],
-                                           (target - np.angle(ck)) / k))
-        s = abs(ck) / per_s
-    d = _rot10(h.coeffs, R.entries) - normal_form(tag, r, s).coeffs
-    dist = {}
-    if tag in _COLLAPSE:
-        field, slope = _COLLAPSE[tag]
-        dist[field] = float(abs(s - r * slope))
-    return NormalFormResult(tag, R, float(r), float(s),
-                            math.sqrt(float(np.dot(MULTIPLICITY * d, d))),
-                            **dist)
+        comps = _components(cs, frames)
+        re, im = comps[:, 2 * k - 1], -comps[:, 2 * k]
+        alpha = ((target - np.arctan2(im, re)) / k).tolist()
+        sin = np.array([math.sin(a) for a in alpha])[:, None, None]
+        cos = np.array([math.cos(a) for a in alpha])[:, None, None]
+        frames = np.matmul(frames, np.eye(3) + sin * _TURN_K
+                           + (1.0 - cos) * _TURN_K2)
+        s = np.hypot(re, im) / per_s
+    d = _pullback(cs, frames) - _normal_coeffs(tag, r, s)
+    return frames, r, s, np.sqrt(_rowdot(MULTIPLICITY * d, d))
 
 
-def _a4_frame(order2_axes):
-    """Frame of two order-2 axes (orthogonalized) and their cross product."""
-    w1 = order2_axes[0][0]
-    w2 = order2_axes[1][0]
-    w2 = w2 - np.dot(w1, w2) * w1
-    w2 /= np.linalg.norm(w2)
-    return Rotation3(np.column_stack([w1, w2, np.cross(w1, w2)]))
+def _a4_frames(w1, w2):
+    """Frames (n, 3, 3) of two order-2 axes (n, 3) each, the second
+    orthogonalized, and their cross product."""
+    w2 = w2 - _rowdot(w1, w2)[:, None] * w1
+    w2 = w2 / np.sqrt(_rowdot(w2, w2))[:, None]
+    return np.stack([w1, w2, np.cross(w1, w2)], axis=2)
 
 
-def _classify_axes(h, axes):
-    """NormalFormResult of a nonzero cubic from its axis census."""
-    if axes.circle:
-        return _fit(h, StabilizerType.CIRCLE,
-                    transport_rotation(axes.circle[0][0]))
-    n2, n3 = len(axes.order2), len(axes.order3)
-    if (n2, n3) == (0, 0):
-        return NormalFormResult(StabilizerType.TRIVIAL, Rotation3.identity(),
-                                0.0, 0.0, 0.0)
-    if (n2, n3) == (3, 4):
-        return _fit(h, StabilizerType.A4, _a4_frame(axes.order2))
-    if (n2, n3) in _CENSUS:
-        # the distinguished axis is the order-3 one where there is one
-        axis = (axes.order3 or axes.order2)[0][0]
-        return _fit(h, _CENSUS[n2, n3], transport_rotation(axis))
-    raise CensusError(
-        f"axis census ({n2} order-2, {n3} order-3) matches no stabilizer "
-        f"pattern",
-        census={"order2": axes.order2, "order3": axes.order3,
-                "circle": axes.circle})
+def _classify_axes(cs, found):
+    """NormalFormResult of each nonzero cubic, with coefficient rows cs
+    (n, 10), from its axis census found[i], or in its place the ValueError
+    of its fit (a CensusError when the census matches no stabilizer
+    pattern).  The cubics of one type are fitted together, and their
+    rotations are checked in one pass."""
+    out = [None] * len(found)
+    plans = {}  # type -> (cubic indices, distinguished axis or A4 axis pair)
+    for i, axes in enumerate(found):
+        n2, n3 = len(axes.order2), len(axes.order3)
+        if axes.circle:
+            tag, axis = StabilizerType.CIRCLE, axes.circle[0][0]
+        elif (n2, n3) == (0, 0):
+            tag, axis = StabilizerType.TRIVIAL, None
+        elif (n2, n3) == (3, 4):
+            tag, axis = StabilizerType.A4, (axes.order2[0][0],
+                                            axes.order2[1][0])
+        elif (n2, n3) in _CENSUS:
+            # the distinguished axis is the order-3 one where there is one
+            tag, axis = _CENSUS[n2, n3], (axes.order3 or axes.order2)[0][0]
+        else:
+            out[i] = CensusError(
+                f"axis census ({n2} order-2, {n3} order-3) matches no "
+                f"stabilizer pattern",
+                census={"order2": axes.order2, "order3": axes.order3,
+                        "circle": axes.circle})
+            continue
+        plans.setdefault(tag, []).append((i, axis))
+    for tag, plan in plans.items():
+        idx, axis = (list(x) for x in zip(*plan))
+        if tag is StabilizerType.TRIVIAL:
+            zero = np.zeros(len(idx))
+            fit = np.tile(np.eye(3), (len(idx), 1, 1)), zero, zero, zero
+        else:
+            frames = (_a4_frames(np.array([w for w, _ in axis]),
+                                 np.array([w for _, w in axis]))
+                      if tag is StabilizerType.A4
+                      else _transport_matrices(axis))
+            fit = _fit(tag, cs[idx], frames)
+        collapse = _COLLAPSE.get(tag)
+        for i, m, fail, r, s, res in zip(idx, fit[0], _rotation_errors(fit[0]),
+                                         *(a.tolist() for a in fit[1:])):
+            if fail is not None:
+                out[i] = fail
+                continue
+            rot = object.__new__(Rotation3)  # checked above: no __post_init__
+            object.__setattr__(rot, "entries", m)
+            dist = {} if collapse is None else {
+                collapse[0]: abs(s - r * collapse[1])}
+            out[i] = NormalFormResult(tag, rot, r, s, res, **dist)
+    return out
 
 
 def classify(h, tol: float = TAU_AXIS):
@@ -843,24 +989,25 @@ def classify(h, tol: float = TAU_AXIS):
     list, one entry per cubic, equal to classify on that cubic alone: its
     NormalFormResult, or the ValueError it raises alone (a CensusError when
     the census matches no stabilizer pattern), returned in its place so that
-    one failed census leaves the other cubics classified.  The axis searches
-    of up to 16 cubics (_AXIS_CHUNK) run as one lockstep refine; a single
-    cubic is a batch of one.
+    one failed census leaves the other cubics classified.  Every step runs
+    on arrays: the axis search in chunks of up to 16 cubics (_AXIS_CHUNK,
+    see _symmetry_axes), then the normal-form fit once per stabilizer type
+    over all cubics of that type, with one check of their rotations.  A
+    single cubic is a chunk of one.
     """
     hs = [h] if isinstance(h, HarmonicCubic) else list(h)
-    norms = [g.norm() for g in hs]
-    live = [i for i, norm in enumerate(norms) if norm > TAU_ZERO]
+    sq = np.array([g.inner(g) for g in hs])
+    norms = np.sqrt(sq)
+    live = np.flatnonzero(norms > TAU_ZERO)
     out = [None if norm > TAU_ZERO else NormalFormResult(
         StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)
-        for norm in norms]
+        for norm in norms.tolist()]
+    cs = np.array([hs[i].coeffs for i in live]).reshape(-1, 10)
     t0 = time.perf_counter()
-    found = _symmetry_axes([hs[i] for i in live], tol)
+    found = _symmetry_axes(cs, sq[live], tol)
     t1 = time.perf_counter()
-    for i, axes in zip(live, found):
-        try:
-            out[i] = _classify_axes(hs[i], axes)
-        except ValueError as exc:
-            out[i] = exc
+    for i, fit in zip(live, _classify_axes(cs, found)):
+        out[i] = fit
     _SECONDS["axis_search"] += t1 - t0
     _SECONDS["fit"] += time.perf_counter() - t1
     if isinstance(h, HarmonicCubic):
@@ -892,9 +1039,9 @@ def singular_directions(h: HarmonicCubic):
                            np.broadcast_to(_GRADIENT, (n, 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)
-    found = _dedupe([(w, r) for w, r in zip(axes, res)
-                     if r <= _TAU_GRAD * norm])
-    return [w for w, _ in found[:3]]
+    hit = res <= _TAU_GRAD * norm
+    kept, ws = _dedupe(axes[hit], res[hit])
+    return list(ws[kept[:3]])
 
 
 def is_reducible(h: HarmonicCubic):

@@ -246,9 +246,15 @@ def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
 
 
 def _checked_jacobian(patch, u):
+    """Jacobian at u, rejected as rank-deficient when an entry is not
+    finite (before any SVD) or when sigma_3 <= _RANK_TOL * sigma_1, which
+    includes the zero jacobian."""
     t = jacobian(patch, u)
+    if not np.isfinite(t).all():
+        raise RankDeficientError(
+            f"jacobian of {patch.name!r} has non-finite entries at {u}")
     sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] < _RANK_TOL * sv[0]:
+    if sv[-1] <= _RANK_TOL * sv[0]:
         raise RankDeficientError(
             f"jacobian of {patch.name!r} is rank-deficient at {u} "
             f"(singular values {sv})")
@@ -285,7 +291,8 @@ def special_residual(patch: ImmersionPatch, u):
 
 
 def _checked_frame(patch, u):
-    """(jacobian, frame matrix (6,3)) at u from one jacobian call.
+    """(jacobian, frame matrix (6,3), Lagrangian residual) at u from one
+    jacobian call.
 
     The jacobian passes the rank check and the Lagrangian check against
     FRAME_TOL; the frame is its oriented Gram–Schmidt frame.
@@ -301,7 +308,7 @@ def _checked_frame(patch, u):
     q = q * signs                           # classical GS: e1 along t1, etc.
     if upsilon0(q[:, 0], q[:, 1], q[:, 2]).real < 0.0:
         q = q[:, [0, 2, 1]]
-    return t, q
+    return t, q, res
 
 
 def _frame_at(patch, u, e):
@@ -339,12 +346,12 @@ def _cubic_from_derivatives(t, h2, e):
 
 
 def _cubic_at(patch, u):
-    """(jacobian, cubic, frame, raw trace residual) from one checked
-    jacobian."""
-    t, e = _checked_frame(patch, u)
+    """(jacobian, Lagrangian residual, cubic, frame, raw trace residual)
+    from one checked jacobian."""
+    t, e, lag_res = _checked_frame(patch, u)
     frame = _frame_at(patch, u, e)
     cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
-    return t, cubic, frame, trace_res
+    return t, lag_res, cubic, frame, trace_res
 
 
 def fundamental_cubic(patch: ImmersionPatch, u):
@@ -356,7 +363,7 @@ def fundamental_cubic(patch: ImmersionPatch, u):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    return _cubic_at(patch, np.asarray(u, dtype=float))[1:]
+    return _cubic_at(patch, np.asarray(u, dtype=float))[2:]
 
 
 def point_report(patch: ImmersionPatch, u):
@@ -379,9 +386,9 @@ def point_report(patch: ImmersionPatch, u):
     for x in nodes.reshape(-1, 3):
         try:
             position = np.asarray(patch.eval(x), dtype=float)
-            t, cubic, _, trace_res = _cubic_at(patch, x)
+            t, lag_res, cubic, _, trace_res = _cubic_at(patch, x)
             done.append((len(reports), dict(
-                u=x, position=position, lag_res=_pairing_residual(t),
+                u=x, position=position, lag_res=lag_res,
                 im_res=_volume_residual(t)[0], trace_res=trace_res,
                 cubic=cubic)))
             reports.append(None)
@@ -473,7 +480,7 @@ _RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 def _aligned_cubic(patch, u, e0):
     """Cubic at u expressed in the frame best aligned with the frame e0."""
-    t, e = _checked_frame(patch, u)
+    t, e, _ = _checked_frame(patch, u)
     cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
     m = e.T @ e0
     uu, sv, vt = np.linalg.svd(m)
@@ -529,7 +536,7 @@ def _compat_residuals(patch, u, step):
     """(codazzi, gauss, floors): the Frobenius residuals at one step size
     and, for each, the roundoff floor of its stencil at that step."""
     u = np.asarray(u, dtype=float)
-    t0, e0 = _checked_frame(patch, u)
+    t0, e0, _ = _checked_frame(patch, u)
     cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), e0)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with

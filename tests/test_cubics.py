@@ -368,7 +368,44 @@ def axis_set(entries):
     return {tuple(np.round(w, 6)) for w, _ in entries}
 
 
+def maxwell_reference(c):
+    """Maxwell directions of one cubic, computed one at a time: np.roots and
+    a greedy walk over the argsorted gaps."""
+    roots = np.roots((cubics._SEXTIC @ c)[::-1])
+    far = np.abs(roots) > 1.0
+    z = roots.copy()
+    z[far] = 1.0 / roots[far]
+    sign = np.where(far, -1.0, 1.0)
+    d = 1.0 + np.abs(z) ** 2
+    pts = np.stack([-2.0 * z.real / d, -2.0 * sign * z.imag / d,
+                    sign * (2.0 / d - 1.0)], axis=1)
+    pts = np.vstack([pts, np.tile([0.0, 0.0, -1.0], (6 - len(pts), 1))])
+    gap = np.linalg.norm(pts[:, None] + pts[None], axis=2)
+    free = np.ones(6, dtype=bool)
+    out = []
+    for i, j in zip(*np.unravel_index(np.argsort(gap, axis=None), gap.shape)):
+        if i != j and free[i] and free[j]:
+            free[i] = free[j] = False
+            out.append(pts[i] - pts[j])
+    out = np.array(out)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
 class TestFindSymmetryAxes:
+    def test_stacked_maxwell_directions_equal_one_at_a_time(self):
+        # exact forms lose sextic degree (the Circle sextic is one monomial);
+        # every vector must match bit for bit, signs included
+        rng = np.random.default_rng(5)
+        hs = [h.scaled(lam) for _, h, kind, _, _ in CORPUS
+              if kind is not ST.FULL for lam in (1.0, -3.0, 1e-7)]
+        hs += [rotate(random_cubic(rng).scaled(10.0 ** rng.uniform(-8, 8)),
+                      random_rotation(rng)) for _ in range(40)]
+        hs += [rotate(h, random_rotation(rng)) for _, h, kind, _, _ in CORPUS
+               if kind is not ST.FULL]
+        stacked = cubics._maxwell_directions(np.array([h.coeffs for h in hs]))
+        for h, v in zip(hs, stacked):
+            assert v.tobytes() == maxwell_reference(h.coeffs).tobytes()
+
     def test_xyz_has_cube_axes(self):
         axes = find_symmetry_axes(XYZ6)
         assert axis_set(axes.order2) == {
@@ -597,24 +634,145 @@ class TestClassifyBatch:
         hs = [rotate(h, Rotation3.about_axis([1.0, 2.0, 0.5], 0.3))
               for _, h, expected, _, _ in CORPUS if expected is not ST.FULL]
         alone = [classify(h) for h in hs]
-        real = cubics._classify_axes
+        real = cubics._symmetry_axes
 
-        def census_fails_on_third(h, axes):
-            if h is hs[2]:
-                raise cubics.CensusError("census fails", census={})
-            return real(h, axes)
+        def census_fails_on_third(cs, sq, tol):
+            # two order-2 axes alone match no stabilizer pattern
+            return [cubics.SymmetryAxes(order2=axes.order2[:2], order3=(),
+                                        circle=())
+                    if np.array_equal(c, hs[2].coeffs) else axes
+                    for c, axes in zip(cs, real(cs, sq, tol))]
 
-        monkeypatch.setattr(cubics, "_classify_axes", census_fails_on_third)
+        monkeypatch.setattr(cubics, "_symmetry_axes", census_fails_on_third)
         fits = classify(hs)
         assert isinstance(fits[2], cubics.CensusError)
+        assert len(fits[2].census["order2"]) == 2
         for i, fit in enumerate(fits):
             if i != 2:
                 assert same_fit(fit, alone[i])
-        with pytest.raises(cubics.CensusError, match="census fails"):
+        with pytest.raises(cubics.CensusError,
+                           match=r"\(2 order-2, 0 order-3\) matches no"):
             classify(hs[2])
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(picks=st.lists(st.tuples(st.integers(0, 15),
+                                    st.integers(0, 2 ** 32 - 1),
+                                    st.floats(-8.0, 8.0),
+                                    st.sampled_from((1.0, -1.0))),
+                          min_size=cubics._AXIS_CHUNK + 1,
+                          max_size=2 * cubics._AXIS_CHUNK + 2))
+    def test_chunks_mix_exact_forms_and_random_cubics(self, picks):
+        # the exact unrotated forms (and the zero cubic) have sextics that
+        # lose leading or trailing coefficients; the rest are rotated random
+        # cubics, and the sequence crosses a chunk boundary
+        exact = [h for _, h, kind, _, _ in CORPUS if kind is not ST.TRIVIAL]
+        hs = []
+        for pick, seed, exponent, sign in picks:
+            lam = sign * 10.0 ** exponent
+            if pick < len(exact):
+                hs.append(exact[pick].scaled(lam))
+            else:
+                rng = np.random.default_rng(seed)
+                hs.append(rotate(random_cubic(rng).scaled(lam),
+                                 random_rotation(rng)))
+        for h, fit in zip(hs, classify(hs)):
+            try:
+                alone = classify(h)
+            except ValueError as exc:
+                assert type(fit) is type(exc) and str(fit) == str(exc)
+                continue
+            assert same_fit(fit, alone)
+            m = fit.rotation.entries
+            assert np.linalg.norm(m.T @ m - np.eye(3)) <= 1e-9
+            assert abs(np.linalg.det(m) - 1.0) <= 1e-9
 
     def test_empty_sequence(self):
         assert classify([]) == []
+
+
+class TestDedupe:
+    """The merge of candidate axes that find_symmetry_axes and
+    singular_directions share."""
+
+    def test_antipodes_merge_with_canonical_sign(self):
+        w = np.array([0.0, -0.6, 0.8])
+        kept, axes = cubics._dedupe(np.array([w, -w]), np.array([2.0, 1.0]))
+        assert list(kept) == [1]
+        assert np.array_equal(axes[1], [0.0, 0.6, -0.8])
+
+    @pytest.mark.parametrize("factor,count", [(0.999, 1), (1.001, 2)])
+    def test_merge_angle_boundary(self, factor, count):
+        d = factor * cubics._MERGE_ANGLE
+        kept, _ = cubics._dedupe(np.array([[1.0, 0.0, 0.0], [1.0, d, 0.0]]),
+                                 np.array([1.0, 2.0]))
+        assert len(kept) == count
+
+    def test_lowest_residual_wins(self):
+        near = np.array([[1.0, 0.0, 0.0], [1.0, 1e-6, 0.0],
+                         [-1.0, 0.0, 2e-6]])
+        kept, _ = cubics._dedupe(near, np.array([3.0, 1.0, 2.0]))
+        assert list(kept) == [1]
+
+    def test_a_dropped_axis_does_not_drop_others(self):
+        # a - b and b - c are within the merge angle, a - c is not: b goes
+        # with a, and c stays, being close only to the dropped b
+        d = 0.6 * cubics._MERGE_ANGLE
+        chain = np.array([[1.0, 0.0, 0.0], [1.0, d, 0.0], [1.0, 2 * d, 0.0]])
+        kept, _ = cubics._dedupe(chain, np.array([1.0, 2.0, 3.0]))
+        assert list(kept) == [0, 2]
+
+    def test_output_in_rounded_coordinate_order(self):
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.6, 0.8, 0.0]])
+        kept, out = cubics._dedupe(axes, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert list(kept) == [0, 2, 3, 1]
+        keys = [tuple(np.round(out[i], 9)) for i in kept]
+        assert keys == sorted(keys)
+
+    def test_groups_merge_apart(self):
+        w = np.array([[0.0, 0.0, 1.0]] * 3)
+        kept, _ = cubics._dedupe(w, np.array([1.0, 2.0, 3.0]),
+                                 np.array([1, 0, 1]))
+        assert list(kept) == [1, 0]
+
+    def test_empty(self):
+        kept, axes = cubics._dedupe(np.zeros((0, 3)), np.zeros(0))
+        assert kept.shape == (0,) and axes.shape == (0, 3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), clusters=st.integers(1, 4),
+           size=st.integers(1, 12))
+    def test_equals_the_greedy_loop(self, seed, clusters, size):
+        # clusters of candidates spread over about the merge angle, so that
+        # chains occur, with random signs and tied residuals
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(clusters, 3))
+        axes = (centers[rng.integers(0, clusters, size)]
+                / np.linalg.norm(centers, axis=1).max()
+                + rng.normal(size=(size, 3)) * cubics._MERGE_ANGLE)
+        axes *= rng.choice((-1.0, 1.0), size=(size, 1))
+        res = rng.integers(0, 4, size).astype(float)
+        groups = rng.integers(0, 2, size)
+        kept, out = cubics._dedupe(axes, res, groups)
+        expected = []
+        for g in (0, 1):
+            expected += dedupe_reference(axes[groups == g], res[groups == g])
+        assert [(out[i].tobytes(), res[i]) for i in kept] == [
+            (w.tobytes(), r) for w, r in expected]
+
+
+def dedupe_reference(axes, res):
+    """The merge of _dedupe, one candidate at a time."""
+    held = []
+    for w, r in sorted(zip(axes, res), key=lambda p: p[1]):
+        for v in w:
+            if abs(v) > 1e-8:
+                w = w if v > 0 else -w
+                break
+        if all(min(((u - w) ** 2).sum(), ((u + w) ** 2).sum())
+               >= cubics._MERGE_ANGLE * cubics._MERGE_ANGLE for u, _ in held):
+            held.append((w, r))
+    return sorted(held, key=lambda p: tuple(np.round(p[0], 9)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,21 +330,47 @@ class TestBatchSweep:
         patch = hl_cone()
         good = geo.sweep(patch, (2, 2, 2))
         broken = rank_deficient_at(patch, good[1].u)
-        real = cubics._classify_axes
+        real = cubics._symmetry_axes
         census_cubic = good[5].cubic.coeffs
 
-        def census_fails_at_node_5(h, axes):
-            if np.array_equal(h.coeffs, census_cubic):
-                raise cubics.CensusError("census fails", census={})
-            return real(h, axes)
+        def census_fails_at_node_5(cs, sq, tol):
+            # two order-2 axes alone match no stabilizer pattern
+            return [cubics.SymmetryAxes(order2=axes.order2[:2], order3=(),
+                                        circle=())
+                    if np.array_equal(c, census_cubic) else axes
+                    for c, axes in zip(cs, real(cs, sq, tol))]
 
-        monkeypatch.setattr(cubics, "_classify_axes", census_fails_at_node_5)
+        monkeypatch.setattr(cubics, "_symmetry_axes", census_fails_at_node_5)
         reports = geo.sweep(broken, (2, 2, 2))
         assert reports[1].error.startswith("RankDeficientError:")
-        assert reports[5].error == "CensusError: census fails"
+        assert reports[5].error == (
+            "CensusError: axis census (2 order-2, 0 order-3) matches no "
+            "stabilizer pattern")
         for i, (report, ref) in enumerate(zip(reports, good)):
             if i not in (1, 5):
                 assert report.nf.type is StabilizerType.S3
+                assert same_report(report, ref)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: np.zeros_like(t),
+        lambda t: np.where(np.arange(18).reshape(6, 3) == 7, math.nan, t),
+        lambda t: np.where(np.arange(18).reshape(6, 3) == 7, math.inf, t),
+        lambda t: np.where(np.arange(18).reshape(6, 3) == 7, -math.inf, t)],
+        ids=["zero", "nan", "inf", "-inf"])
+    def test_a_degenerate_jacobian_fails_its_node_alone(self, corrupt):
+        patch = hl_cone()
+        good = geo.sweep(patch, (2, 2, 2))
+        bad = good[3].u
+
+        def jac(u):
+            t = patch.jac(u)
+            return corrupt(t) if np.array_equal(u, bad) else t
+
+        reports = geo.sweep(dataclasses.replace(patch, jac=jac), (2, 2, 2))
+        assert len(reports) == len(good)
+        assert reports[3].error.startswith("RankDeficientError:")
+        for i, (report, ref) in enumerate(zip(reports, good)):
+            if i != 3:
                 assert same_report(report, ref)
 
     def test_sweep_logs_one_timing_record(self, caplog):
