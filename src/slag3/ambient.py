@@ -47,9 +47,10 @@ def omega0(a, b):
 
 
 def upsilon0(a, b, c):
-    """Holomorphic volume dz₁∧dz₂∧dz₃ on three real 6-vectors (complex)."""
-    m = np.stack([to_complex(a), to_complex(b), to_complex(c)], axis=1)
-    return complex(np.linalg.det(m))
+    """Holomorphic volume dz₁∧dz₂∧dz₃ on three real 6-vectors (complex);
+    stacks of vectors (..., 6) give volumes (...), one determinant each."""
+    m = np.stack([to_complex(a), to_complex(b), to_complex(c)], axis=-1)
+    return np.linalg.det(m)
 
 
 def su3_real_matrix(q):

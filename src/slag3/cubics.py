@@ -90,7 +90,8 @@ def _full(c):
 
 
 def _gather(t):
-    return t.reshape(27)[_IDX10]
+    """The 10 independent entries (..., 10) of full tensors (..., 3, 3, 3)."""
+    return t.reshape(t.shape[:-3] + (27,))[..., _IDX10]
 
 
 def _pullback(cs, ms):
@@ -353,12 +354,17 @@ def project_traceless(t) -> HarmonicCubic:
     c = np.asarray(t, dtype=float)
     if c.shape != (10,) or not np.all(np.isfinite(c)):
         raise ValueError("expected 10 finite tensor entries")
-    full = _full(c)
-    v = np.einsum("iik->k", full)
+    return HarmonicCubic(_traceless(c))
+
+
+def _traceless(cs):
+    """Unchecked project_traceless of raw entries (..., 10), row by row."""
+    full = _full(cs)
+    v = np.einsum("...iik->...k", full)[..., None, None, :]  # v at slot k
     eye = np.eye(3)
-    corr = (np.einsum("ij,k->ijk", eye, v) + np.einsum("jk,i->ijk", eye, v)
-            + np.einsum("ki,j->ijk", eye, v)) / 5.0
-    return HarmonicCubic(_gather(full - corr))
+    corr = (eye[:, :, None] * v + eye * np.swapaxes(v, -1, -3)
+            + eye[:, None, :] * np.swapaxes(v, -1, -2)) / 5.0
+    return _gather(full - corr)
 
 
 def evaluate_and_gradient(h: HarmonicCubic, x):

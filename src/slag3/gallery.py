@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import apply_j, from_complex, to_complex, upsilon0
+from .ambient import apply_j, from_complex, upsilon0
 from .cubics import StabilizerType
 from .geometry import ImmersionPatch, grid_axes
 
@@ -61,50 +61,92 @@ class GalleryEntry:
 
 def plane() -> ImmersionPatch:
     """The real 3-plane R³ ⊂ C³; totally geodesic, cubic identically zero."""
-    zero63 = np.zeros((6, 3))
-    zero63[:3, :3] = np.eye(3)
 
     def ev(u):
-        out = np.zeros(6)
-        out[:3] = u
-        return out
+        u = np.asarray(u, dtype=float)
+        return np.concatenate([u, np.zeros_like(u)], axis=-1)
+
+    def jc(u):
+        return np.broadcast_to(np.eye(6, 3), np.shape(u)[:-1] + (6, 3)).copy()
 
     return ImmersionPatch(
         name="plane", params={},
         domain=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        eval=ev, jac=lambda u: zero63.copy(),
-        hess=lambda u: np.zeros((6, 3, 3)))
+        eval=ev, jac=jc,
+        hess=lambda u: np.zeros(np.shape(u)[:-1] + (6, 3, 3)))
 
 
 # --- the rotationally invariant family over S² -------------------------------
 
 def _circle_profile(c3, gamma):
-    """w = ρ(γ)·e^{iγ} and its first two γ-derivatives, where ρ³·(-sin 3γ) = c3
-    on the branch -sign(c3)·sin 3γ > 0."""
+    """w = ρ(γ)·e^{iγ} and its first two γ-derivatives at each γ of an array,
+    where ρ³·(-sin 3γ) = c3 on the branch -sign(c3)·sin 3γ > 0."""
+    gamma = np.asarray(gamma, dtype=float)
     third = math.pi / 3.0
-    in_branch = (-third < gamma < 0.0) if c3 > 0.0 else (0.0 < gamma < third)
-    p = -math.copysign(1.0, c3) * math.sin(3.0 * gamma)
-    if not in_branch or p <= 0.0:
-        raise ValueError(f"gamma={gamma} is outside the profile branch")
+    in_branch = (((-third < gamma) & (gamma < 0.0)) if c3 > 0.0
+                 else ((0.0 < gamma) & (gamma < third)))
+    p = -math.copysign(1.0, c3) * np.sin(3.0 * gamma)
+    outside = ~(in_branch & (p > 0.0))
+    if outside.any():
+        raise ValueError(
+            f"gamma={gamma[outside].flat[0]} is outside the profile branch")
     amp = abs(c3) ** (1.0 / 3.0)
+    cos3 = np.cos(3.0 * gamma)
     rho = amp * p ** (-1.0 / 3.0)
-    d1 = amp * math.copysign(1.0, c3) * math.cos(3.0 * gamma) * p ** (-4.0 / 3.0)
-    d2 = amp * (3.0 * p ** (-1.0 / 3.0)
-                + 4.0 * math.cos(3.0 * gamma) ** 2 * p ** (-7.0 / 3.0))
-    e = complex(math.cos(gamma), math.sin(gamma))
+    d1 = amp * math.copysign(1.0, c3) * cos3 * p ** (-4.0 / 3.0)
+    d2 = amp * (3.0 * p ** (-1.0 / 3.0) + 4.0 * cos3 ** 2 * p ** (-7.0 / 3.0))
+    e = np.exp(1j * gamma)
     return rho * e, (d1 + 1j * rho) * e, (d2 + 2j * d1 - rho) * e
 
 
 def _sphere_chart(phi, psi):
-    sp, cp = math.sin(phi), math.cos(phi)
-    ss, cs = math.sin(psi), math.cos(psi)
-    n = np.array([cp, sp * cs, sp * ss])
-    n_phi = np.array([-sp, cp * cs, cp * ss])
-    n_psi = np.array([0.0, -sp * ss, sp * cs])
-    n_phiphi = -n
-    n_phipsi = np.array([0.0, -cp * ss, cp * cs])
-    n_psipsi = np.array([0.0, -sp * cs, -sp * ss])
-    return n, n_phi, n_psi, n_phiphi, n_phipsi, n_psipsi
+    """The unit-sphere chart n(φ, ψ) and its first and second derivatives
+    n_φ, n_ψ, n_φφ, n_φψ, n_ψψ, each (..., 3) for arrays φ, ψ."""
+    sp, cp = np.sin(phi), np.cos(phi)
+    ss, cs = np.sin(psi), np.cos(psi)
+    zero = np.zeros_like(sp)
+    n = np.stack([cp, sp * cs, sp * ss], axis=-1)
+    n_phi = np.stack([-sp, cp * cs, cp * ss], axis=-1)
+    n_psi = np.stack([zero, -sp * ss, sp * cs], axis=-1)
+    n_phipsi = np.stack([zero, -cp * ss, cp * cs], axis=-1)
+    n_psipsi = np.stack([zero, -sp * cs, -sp * ss], axis=-1)
+    return n, n_phi, n_psi, -n, n_phipsi, n_psipsi
+
+
+def _columns(cols):
+    """Real (..., 6, k) jacobian from its k complex columns (..., 3)."""
+    return np.swapaxes(from_complex(np.stack(cols, axis=-2)), -1, -2)
+
+
+def _second(rows):
+    """Real (..., 6, 3, 3) hessian from its 3 x 3 complex entries (..., 3)."""
+    return np.moveaxis(
+        from_complex(np.stack([np.stack(r, axis=-2) for r in rows], axis=-3)),
+        -1, -3)
+
+
+def _sphere(theta):
+    """The unit-sphere chart n(θ) (..., 3) and its tangent map (..., 3, 2)."""
+    theta = np.moveaxis(np.asarray(theta, dtype=float), -1, 0)
+    n, n_phi, n_psi = _sphere_chart(*theta)[:3]
+    return n, np.stack([n_phi, n_psi], axis=-1)
+
+
+def _profile_patch(name, params, c3, domain, x, dx, hess=None):
+    """F(γ, θ) = ρ(γ)·e^{iγ}·x(θ) with ρ³·(-sin 3γ) = c3, over a surface
+    x (..., 3) with tangent map dx (..., 3, 2)."""
+
+    def ev(u):
+        return from_complex(_circle_profile(c3, u[..., 0])[0][..., None]
+                            * x(u[..., 1:]))
+
+    def jc(u):
+        w, wg, _ = (p[..., None] for p in _circle_profile(c3, u[..., 0]))
+        t = dx(u[..., 1:])
+        return _columns([wg * x(u[..., 1:]), w * t[..., 0], w * t[..., 1]])
+
+    return ImmersionPatch(name=name, params=params, domain=domain,
+                          eval=ev, jac=jc, hess=hess)
 
 
 def harvey_lawson_so3(c: float) -> ImmersionPatch:
@@ -117,59 +159,58 @@ def harvey_lawson_so3(c: float) -> ImmersionPatch:
     if c <= 0.0:
         raise ValueError("the waist radius c must be positive")
 
-    def ev(u):
-        w, _, _ = _circle_profile(c ** 3, u[0])
-        n = _sphere_chart(u[1], u[2])[0]
-        return from_complex(w * n)
-
-    def jc(u):
-        w, wg, _ = _circle_profile(c ** 3, u[0])
-        n, n_phi, n_psi = _sphere_chart(u[1], u[2])[:3]
-        return from_complex(np.stack([wg * n, w * n_phi, w * n_psi])).T
-
     def hs(u):
-        w, wg, wgg = _circle_profile(c ** 3, u[0])
-        n, n_phi, n_psi, n_pp, n_pq, n_qq = _sphere_chart(u[1], u[2])
-        rows = np.array([[wgg * n, wg * n_phi, wg * n_psi],
-                         [wg * n_phi, w * n_pp, w * n_pq],
-                         [wg * n_psi, w * n_pq, w * n_qq]])
-        return np.moveaxis(from_complex(rows), 2, 0)
+        w, wg, wgg = (x[..., None] for x in _circle_profile(c ** 3, u[..., 0]))
+        n, n_phi, n_psi, n_pp, n_pq, n_qq = _sphere_chart(u[..., 1], u[..., 2])
+        return _second([[wgg * n, wg * n_phi, wg * n_psi],
+                        [wg * n_phi, w * n_pp, w * n_pq],
+                        [wg * n_psi, w * n_pq, w * n_qq]])
 
     third = math.pi / 3.0
-    return ImmersionPatch(
-        name="harvey_lawson_so3", params={"c": c},
-        domain=((-0.95 * third, -0.05 * third), (0.4, math.pi - 0.4),
-                (0.0, _TWO_PI)),
-        eval=ev, jac=jc, hess=hs)
+    return _profile_patch(
+        "harvey_lawson_so3", {"c": c}, c ** 3,
+        ((-0.95 * third, -0.05 * third), (0.4, math.pi - 0.4), (0.0, _TWO_PI)),
+        lambda th: _sphere(th)[0], lambda th: _sphere(th)[1], hs)
 
 
 # --- products of a line with a plane holomorphic curve -----------------------
 
 _PRODUCT_PRESETS = {
-    "zero": (lambda w: 0j, lambda w: 0j, lambda w: 0j),
-    "square": (lambda w: w * w, lambda w: 2.0 * w, lambda w: 2.0 + 0j),
+    "zero": (np.zeros_like, np.zeros_like, np.zeros_like),
+    "square": (lambda w: w * w, lambda w: 2.0 * w,
+               lambda w: np.full_like(w, 2.0)),
 }
 
 
-def _product_from_curve(name, params, domain, curve):
-    """Patch (x₁, Re w, -Im w, 0, Re v, Im v) for a holomorphic w ↦ (w, v)."""
+def _product(name, params, domain, curve, second):
+    """Patch (x₁, Re w, -Im w, 0, Re v, Im v) for a holomorphic ζ ↦ (w, v),
+    ζ = u₂ + i·u₃: curve(ζ) gives (w, v, w', v') and second(ζ) gives
+    (v'', w''), w'' None for the graph w = ζ."""
+
+    def real(w, v):   # (..., 6) image of the complex pair (w, v)
+        return np.stack([np.zeros_like(w.real), w.real, -w.imag,
+                         np.zeros_like(w.real), v.real, v.imag], axis=-1)
 
     def ev(u):
-        w, v = curve(complex(u[1], u[2]))[:2]
-        return np.array([u[0], w.real, -w.imag, 0.0, v.real, v.imag])
-
-    def jc(u):
-        w, v, dw, dv = curve(complex(u[1], u[2]))
-        da = np.array([0.0, dw.real, -dw.imag, 0.0, dv.real, dv.imag])
-        db = np.array([0.0, -dw.imag, -dw.real, 0.0, -dv.imag, dv.real])
-        out = np.zeros((6, 3))
-        out[0, 0] = 1.0
-        out[:, 1] = da
-        out[:, 2] = db
+        out = real(*curve(u[..., 1] + 1j * u[..., 2])[:2])
+        out[..., 0] = u[..., 0]
         return out
 
+    def jc(u):
+        _, _, dw, dv = curve(u[..., 1] + 1j * u[..., 2])
+        return np.stack([np.broadcast_to(np.eye(6)[0], dw.shape + (6,)),
+                         real(dw, dv), real(1j * dw, 1j * dv)], axis=-1)
+
+    def hs(u):
+        v, w = second(u[..., 1] + 1j * u[..., 2])
+        w = np.zeros_like(v) if w is None else w
+        paa, pab = real(w, v), real(1j * w, 1j * v)
+        z = np.zeros_like(paa)
+        return np.stack([np.stack(row, axis=-1) for row in (
+            [z, z, z], [z, paa, pab], [z, pab, -paa])], axis=-2)
+
     return ImmersionPatch(name=name, params=params, domain=domain,
-                          eval=ev, jac=jc)
+                          eval=ev, jac=jc, hess=hs)
 
 
 def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
@@ -179,7 +220,8 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
     kind "zero" or "square" (or callables f, df, d2f) take v = f(w) on the
     graph w = u₂ + i·u₃; kind "hyperbolic" takes the curve w = c·cosh ζ,
     v = c·sinh ζ parametrized by ζ = u₂ + i·u₃.  Holomorphic v(w) makes the
-    product special Lagrangian; f ≡ 0 gives the flat real plane.
+    product special Lagrangian; f ≡ 0 gives the flat real plane.  Custom
+    callables map complex arrays elementwise, like the patch maps.
     """
     if kind == "hyperbolic":
         c = float(c)
@@ -187,27 +229,12 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
             raise ValueError("hyperbolic branch parameter c must be positive")
 
         def curve(z):
-            w = c * np.cosh(z)
-            v = c * np.sinh(z)
+            w, v = c * np.cosh(z), c * np.sinh(z)
             return w, v, v, w          # dw/dζ = v, dv/dζ = w
 
-        def hs(u):
-            w, v = curve(complex(u[1], u[2]))[:2]
-            out = np.zeros((6, 3, 3))
-            paa = np.array([0.0, w.real, -w.imag, 0.0, v.real, v.imag])
-            pab = np.array([0.0, -w.imag, -w.real, 0.0, -v.imag, v.real])
-            out[:, 1, 1] = paa
-            out[:, 1, 2] = out[:, 2, 1] = pab
-            out[:, 2, 2] = -paa
-            return out
-
-        dom = domain or ((-1.0, 1.0), (-0.6, 0.6), (-0.6, 0.6))
-        patch = _product_from_curve(
-            "product_hyperbolic", {"kind": kind, "c": c}, dom, curve)
-        return ImmersionPatch(name=patch.name, params=patch.params,
-                              domain=dom, eval=patch.eval, jac=patch.jac,
-                              hess=hs)
-
+        return _product("product_hyperbolic", {"kind": kind, "c": c},
+                        domain or ((-1.0, 1.0), (-0.6, 0.6), (-0.6, 0.6)),
+                        curve, lambda z: curve(z)[1::-1])  # (v'', w'')
     if f is None:
         try:
             f, df, d2f = _PRODUCT_PRESETS[kind]
@@ -215,58 +242,44 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
             raise ValueError(f"unknown product preset {kind!r}") from None
     elif df is None or d2f is None:
         raise ValueError("a custom curve needs f, df and d2f")
-
-    def curve(z):
-        return z, f(z), 1.0 + 0j, df(z)
-
-    def hs(u):
-        v2 = d2f(complex(u[1], u[2]))
-        out = np.zeros((6, 3, 3))
-        paa = np.array([0.0, 0.0, 0.0, 0.0, v2.real, v2.imag])
-        pab = np.array([0.0, 0.0, 0.0, 0.0, -v2.imag, v2.real])
-        out[:, 1, 1] = paa
-        out[:, 1, 2] = out[:, 2, 1] = pab
-        out[:, 2, 2] = -paa
-        return out
-
-    dom = domain or ((-1.0, 1.0), (0.2, 1.2), (0.15, 1.15))
-    patch = _product_from_curve(
-        f"product_{kind}", {"kind": kind}, dom, curve)
-    return ImmersionPatch(name=patch.name, params=patch.params, domain=dom,
-                          eval=patch.eval, jac=patch.jac, hess=hs)
+    return _product(f"product_{kind}", {"kind": kind},
+                    domain or ((-1.0, 1.0), (0.2, 1.2), (0.15, 1.15)),
+                    lambda z: (z, f(z), np.ones_like(z), df(z)),
+                    lambda z: (d2f(z), None))
 
 
 # --- torus cones and closed-orbit tori ---------------------------------------
+
+_TORUS_LEGS = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # ∂θ₁, ∂θ₂ phases
+
 
 def hl_cone() -> ImmersionPatch:
     """Cone over the minimal Legendrian torus, F = (ρ/√3)(e^{iθ₁}, e^{iθ₂}, e^{-i(θ₁+θ₂)})."""
 
     def _z(u):
-        rho, t1, t2 = u
-        if rho <= 0.0:
+        rho = u[..., 0]
+        if np.any(rho <= 0.0):
             raise ValueError("the cone radius must be positive")
-        return (rho / math.sqrt(3.0)) * np.exp(
-            1j * np.array([t1, t2, -(t1 + t2)]))
+        t1, t2 = u[..., 1], u[..., 2]
+        return (rho / math.sqrt(3.0))[..., None] * np.exp(
+            1j * np.stack([t1, t2, -(t1 + t2)], axis=-1))
 
     def ev(u):
         return from_complex(_z(u))
 
     def jc(u):
         z = _z(u)
-        cols = np.stack([z / u[0],
-                         1j * z * np.array([1.0, 0.0, -1.0]),
-                         1j * z * np.array([0.0, 1.0, -1.0])])
-        return from_complex(cols).T
+        d1, d2 = _TORUS_LEGS
+        return _columns([z / u[..., :1], 1j * z * d1, 1j * z * d2])
 
     def hs(u):
         z = _z(u)
-        d1 = np.array([1.0, 0.0, -1.0])
-        d2 = np.array([0.0, 1.0, -1.0])
-        rows = np.array([
-            [np.zeros(3, complex), 1j * z * d1 / u[0], 1j * z * d2 / u[0]],
-            [1j * z * d1 / u[0], -z * d1 * d1, -z * d1 * d2],
-            [1j * z * d2 / u[0], -z * d1 * d2, -z * d2 * d2]])
-        return np.moveaxis(from_complex(rows), 2, 0)
+        rho = u[..., :1]
+        d1, d2 = _TORUS_LEGS
+        return _second([
+            [np.zeros_like(z), 1j * z * d1 / rho, 1j * z * d2 / rho],
+            [1j * z * d1 / rho, -z * d1 * d1, -z * d1 * d2],
+            [1j * z * d2 / rho, -z * d1 * d2, -z * d2 * d2]])
 
     return ImmersionPatch(
         name="hl_cone", params={},
@@ -286,45 +299,36 @@ def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
     if not (lam[0] >= lam[1] > 0.0 > lam[2]):
         raise ValueError("the weights must satisfy λ1 ≥ λ2 > 0 > λ3")
 
-    def _r3(r1, r2):
-        a = (lam[0] * r1 ** 2 + lam[1] * r2 ** 2) / (-lam[2])
-        r3 = math.sqrt(a)
-        g = np.array([lam[0] * r1, lam[1] * r2]) / (-lam[2] * r3)
-        hess_r3 = (np.diag([lam[0], lam[1]]) / (-lam[2]) - np.outer(g, g)) / r3
-        return r3, g, hess_r3
-
-    def _z(u):
-        t, r1, r2 = u
-        r3 = _r3(r1, r2)[0]
-        return np.array([r1, r2, r3]) * np.exp(
-            1j * (math.pi / 6.0 + lam * t))
+    def _parts(u):
+        """z (..., 3), ∂z/∂r_a (..., 2, 3) and ∂²z/∂r_a∂r_b (..., 2, 2, 3),
+        where r₃ is a function of (r₁, r₂)."""
+        t, r1, r2 = u[..., 0], u[..., 1], u[..., 2]
+        r3 = np.sqrt((lam[0] * r1 ** 2 + lam[1] * r2 ** 2) / (-lam[2]))
+        g = lam[:2] * np.stack([r1, r2], -1) / (-lam[2] * r3)[..., None]
+        h3 = (np.diag([lam[0], lam[1]]) / (-lam[2])
+              - g[..., :, None] * g[..., None, :]) / r3[..., None, None]
+        radii = np.stack([r1, r2, r3], axis=-1)
+        z = radii * np.exp(1j * (math.pi / 6.0 + lam * t[..., None]))
+        phase = z / radii
+        dr = np.concatenate([np.eye(2) * phase[..., None, :2],
+                             (g * phase[..., 2:])[..., None]], axis=-1)
+        drr = np.concatenate([np.zeros(h3.shape + (2,)), (
+            h3 * phase[..., None, 2:])[..., None]], axis=-1)
+        return z, dr, drr
 
     def ev(u):
-        return from_complex(_z(u))
+        return from_complex(_parts(u)[0])
 
     def jc(u):
-        z = _z(u)
-        r3, g, _ = _r3(u[1], u[2])
-        phase = z / np.array([u[1], u[2], r3])
-        cols = np.stack([1j * lam * z,
-                         np.array([phase[0], 0.0, g[0] * phase[2]]),
-                         np.array([0.0, phase[1], g[1] * phase[2]])])
-        return from_complex(cols).T
+        z, dr, _ = _parts(u)
+        return _columns([1j * lam * z, dr[..., 0, :], dr[..., 1, :]])
 
     def hs(u):
-        z = _z(u)
-        r3, g, h3 = _r3(u[1], u[2])
-        phase = z / np.array([u[1], u[2], r3])
-        dr = [np.array([phase[0], 0.0, g[0] * phase[2]]),
-              np.array([0.0, phase[1], g[1] * phase[2]])]
-        rows = np.empty((3, 3, 3), dtype=complex)
-        rows[0, 0] = -lam * lam * z
-        for a in range(2):
-            rows[0, a + 1] = rows[a + 1, 0] = 1j * lam * dr[a]
-            for b in range(2):
-                rows[a + 1, b + 1] = np.array(
-                    [0.0, 0.0, h3[a, b] * phase[2]])
-        return np.moveaxis(from_complex(rows), 2, 0)
+        z, dr, drr = _parts(u)
+        d1, d2 = 1j * lam * dr[..., 0, :], 1j * lam * dr[..., 1, :]
+        return _second([[-lam * lam * z, d1, d2],
+                        [d1, drr[..., 0, 0, :], drr[..., 0, 1, :]],
+                        [d2, drr[..., 1, 0, :], drr[..., 1, 1, :]]])
 
     return ImmersionPatch(
         name="l_lambda", params={"l1": lam[0], "l2": lam[1], "l3": lam[2]},
@@ -338,7 +342,8 @@ def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
 class LegendrianSurface:
     """Surface x: (θ₁,θ₂) → S⁵ ⊂ C³ given by eval/jac in complex form.
 
-    eval returns a unit complex 3-vector, jac its (3,2) complex tangent map.
+    Both broadcast: eval maps points (..., 2) to unit complex 3-vectors
+    (..., 3), jac to tangent maps (..., 3, 2), each row from its own point.
     """
 
     name: str
@@ -347,77 +352,51 @@ class LegendrianSurface:
     domain: tuple = ((0.0, _TWO_PI), (0.0, _TWO_PI))
 
     def metric(self, theta):
-        """Induced 2x2 metric from the real inner product of tangents."""
-        t = from_complex(np.asarray(self.jac(theta)).T).T
-        return t.T @ t
+        """Induced 2x2 metric(s) from the real inner product of tangents."""
+        t = from_complex(np.swapaxes(np.asarray(self.jac(theta)), -1, -2))
+        return t @ np.swapaxes(t, -1, -2)
+
+
+def _torus(name, weights):
+    """The surface weights · (e^{iθ₁}, e^{iθ₂}, e^{-i(θ₁+θ₂)})."""
+
+    def parts(theta):  # the points (..., 3) and tangent maps (..., 3, 2)
+        theta = np.asarray(theta, dtype=float)
+        t1, t2 = theta[..., 0], theta[..., 1]
+        z = weights * np.exp(1j * np.stack([t1, t2, -(t1 + t2)], axis=-1))
+        return z, 1j * np.stack([z * _TORUS_LEGS[0], z * _TORUS_LEGS[1]], -1)
+
+    return LegendrianSurface(name=name, eval=lambda th: parts(th)[0],
+                             jac=lambda th: parts(th)[1])
 
 
 def clifford_link() -> LegendrianSurface:
     """Minimal Legendrian torus (e^{iθ₁}, e^{iθ₂}, e^{-i(θ₁+θ₂)})/√3."""
-
-    def ev(theta):
-        return np.exp(1j * np.array([theta[0], theta[1],
-                                     -(theta[0] + theta[1])])) / math.sqrt(3.0)
-
-    def jc(theta):
-        z = ev(theta)
-        return 1j * np.stack([z * np.array([1.0, 0.0, -1.0]),
-                              z * np.array([0.0, 1.0, -1.0])]).T
-
-    return LegendrianSurface(name="clifford_link", eval=ev, jac=jc)
+    return _torus("clifford_link", np.full(3, 1.0 / math.sqrt(3.0)))
 
 
 def great_sphere() -> LegendrianSurface:
     """Totally real equatorial S² = S⁵ ∩ R³ (totally geodesic, Legendrian)."""
-
-    def ev(theta):
-        return _sphere_chart(theta[0], theta[1])[0].astype(complex)
-
-    def jc(theta):
-        _, n_phi, n_psi = _sphere_chart(theta[0], theta[1])[:3]
-        return np.stack([n_phi, n_psi]).T.astype(complex)
-
-    return LegendrianSurface(name="great_sphere", eval=ev, jac=jc,
-                             domain=((0.35, math.pi - 0.35), (0.0, _TWO_PI)))
+    return LegendrianSurface(
+        name="great_sphere", eval=lambda th: _sphere(th)[0].astype(complex),
+        jac=lambda th: _sphere(th)[1].astype(complex),
+        domain=((0.35, math.pi - 0.35), (0.0, _TWO_PI)))
 
 
 def flat_torus() -> LegendrianSurface:
     """Non-Legendrian control torus (e^{iθ₁}, e^{iθ₂}, 0)/√2."""
-
-    def ev(theta):
-        return np.array([np.exp(1j * theta[0]), np.exp(1j * theta[1]),
-                         0.0]) / math.sqrt(2.0)
-
-    def jc(theta):
-        z = ev(theta)
-        return 1j * np.stack([z * np.array([1.0, 0.0, 0.0]),
-                              z * np.array([0.0, 1.0, 0.0])]).T
-
-    return LegendrianSurface(name="flat_torus", eval=ev, jac=jc)
-
-
-def _check_unit(s, deviation):
-    """Reject a surface whose points' norms deviate from 1 by `deviation`."""
-    if deviation > 1e-12:
-        raise ValueError(f"{s.name!r} does not map into the unit sphere")
-
-
-def _surface_frame(s: LegendrianSurface, theta):
-    """(x, tangents, metric) of a surface point, all in real 6-vector form."""
-    x = from_complex(np.asarray(s.eval(theta)))
-    t = from_complex(np.asarray(s.jac(theta)).T).T      # (6, 2)
-    _check_unit(s, abs(np.linalg.norm(x) - 1.0))
-    return x, t, t.T @ t
+    return _torus("flat_torus", np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
 
 
 def _surface_frames(s: LegendrianSurface, thetas):
-    """_surface_frame at each row of thetas (n, 2), stacked: x (n, 6),
-    tangents (n, 6, 2) and metrics (n, 2, 2).  The surface maps take one
-    point per call."""
-    x = from_complex(np.array([s.eval(th) for th in thetas]))
-    tt = from_complex(np.array([np.asarray(s.jac(th)).T for th in thetas]))
-    _check_unit(s, np.abs(np.linalg.norm(x, axis=1) - 1.0).max())
-    return x, tt.transpose(0, 2, 1), tt @ tt.transpose(0, 2, 1)
+    """Points x (n, 6), tangents (n, 6, 2) and metrics (n, 2, 2), in real
+    form, at the rows of thetas (n, 2), from one call of each surface map;
+    points off the unit sphere by more than 1e-12 are rejected."""
+    x = from_complex(np.asarray(s.eval(thetas)))
+    tt = from_complex(np.swapaxes(np.asarray(s.jac(thetas)), -1, -2))
+    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-12):
+        raise ValueError(f"{s.name!r} does not map into the unit sphere")
+    return x, np.swapaxes(tt, -1, -2), tt @ np.swapaxes(tt, -1, -2)
 
 
 def legendrian_residual(s: LegendrianSurface):
@@ -425,40 +404,26 @@ def legendrian_residual(s: LegendrianSurface):
 
     theta_res is max |<Jx, t>| / |t| over the tangents of a 12 x 12
     `grid_axes` grid; psi_res is max |Im Υ₀(x, t₁, t₂)| normalized by the
-    spanned 3-volume.
+    spanned 3-volume.  The grid is one stacked call of each surface map.
     """
-    axes = grid_axes(s.domain, _LEGENDRIAN_GRID)
-    theta_res = psi_res = 0.0
-    for a in axes[0]:
-        for b in axes[1]:
-            x, t, g = _surface_frame(s, (a, b))
-            jx = apply_j(x)
-            for col in range(2):
-                theta_res = max(theta_res, abs(jx @ t[:, col])
-                                / np.linalg.norm(t[:, col]))
-            m = np.column_stack([x, t])
-            vol = math.sqrt(max(np.linalg.det(m.T @ m), 0.0))
-            psi_res = max(psi_res,
-                          abs(upsilon0(x, t[:, 0], t[:, 1]).imag) / vol)
-    return theta_res, psi_res
+    thetas = np.stack(np.meshgrid(*grid_axes(s.domain, _LEGENDRIAN_GRID),
+                                  indexing="ij"), axis=-1).reshape(-1, 2)
+    x, t, _ = _surface_frames(s, thetas)
+    contact = (apply_j(x)[:, None, :] @ t)[:, 0, :]             # (n, 2)
+    theta_res = np.max(np.abs(contact) / np.linalg.norm(t, axis=1))
+    m = np.concatenate([x[:, :, None], t], axis=2)              # (n, 6, 3)
+    vol = np.sqrt(np.maximum(np.linalg.det(np.swapaxes(m, 1, 2) @ m), 0.0))
+    ups = upsilon0(x, t[..., 0], t[..., 1])
+    return float(theta_res), float(np.max(np.abs(ups.imag) / vol))
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _beta(avec, frame):
-    """The R⁶-valued 1-form β = x·★db − b·★dx for the height b = <avec, x>,
-    rows indexed by dθ_a, at the point whose ``_surface_frame`` is frame."""
-    x, t, g = frame
-    sq = math.sqrt(max(np.linalg.det(g), 0.0))
-    ginv = np.linalg.inv(g)
-    star_db = sq * (_EPS2 @ (ginv @ (t.T @ avec)))      # (2,)
-    star_dx = sq * (_EPS2 @ (ginv @ t.T))               # (2, 6)
-    return np.outer(star_db, x) - float(avec @ x) * star_dx
-
-
 def _betas(avec, frames):
-    """_beta at every frame of a _surface_frames stack, (n, 2, 6)."""
+    """The R⁶-valued 1-form β = x·★db − b·★dx for the height b = <avec, x>,
+    rows indexed by dθ_a, at every frame of a _surface_frames stack,
+    (n, 2, 6)."""
     x, t, g = frames
     sq = np.sqrt(np.maximum(np.linalg.det(g), 0.0))[:, None, None]
     ginv = np.linalg.inv(g)
@@ -473,19 +438,21 @@ def _path_integral(s, avec, legs, rule):
     """Gauss–Legendre integrals of β along axis-parallel legs, with one
     stacked frame evaluation for the nodes of all legs.
 
-    A leg (axis, fixed, start, stop) runs θ_axis from start to stop with the
-    other coordinate at fixed, and integrates the dθ_axis row of β.  rule is
-    a (nodes, weights) pair on [-1, 1].  Returns one 6-vector per leg.
+    legs is four arrays (axis, fixed, start, stop) of length m: leg k runs
+    θ_axis[k] from start[k] to stop[k] at the other coordinate fixed[k] and
+    integrates the dθ_axis row of β.  rule is a (nodes, weights) pair on
+    [-1, 1].  Returns one 6-vector per leg, (m, 6).
     """
     nodes, weights = rule
-    thetas = np.empty((len(legs), len(nodes), 2))
-    for k, (axis, fixed, start, stop) in enumerate(legs):
-        thetas[k, :, axis] = 0.5 * (start + stop) + 0.5 * (stop - start) * nodes
-        thetas[k, :, 1 - axis] = fixed
+    axis, fixed, start, stop = (np.asarray(a) for a in legs)
+    half = 0.5 * (stop - start)
+    along = (0.5 * (start + stop))[:, None] + half[:, None] * nodes
+    on_axis = (axis[:, None] == np.arange(2))[:, None, :]      # (m, 1, 2)
+    thetas = np.where(on_axis, along[:, :, None], fixed[:, None, None])
     betas = _betas(avec, _surface_frames(s, thetas.reshape(-1, 2)))
-    betas = betas.reshape(len(legs), len(nodes), 2, 6)
-    return [0.5 * (stop - start) * (weights @ betas[k, :, axis])
-            for k, (axis, _, start, stop) in enumerate(legs)]
+    betas = betas.reshape(len(axis), len(nodes), 2, 6)
+    rows = betas[np.arange(len(axis)), :, axis]                # (m, k, 6)
+    return half[:, None] * (weights @ rows)
 
 
 def legendrian_loop_residual(s: LegendrianSurface, avec):
@@ -510,7 +477,7 @@ def legendrian_loop_residual(s: LegendrianSurface, avec):
         legs += [(0, q0, p0, p1), (1, p1, q0, q1), (0, q1, p0, p1),
                  (1, p0, q0, q1)]
     rule = np.polynomial.legendre.leggauss(_GL_NODES)
-    sides = np.reshape(_path_integral(s, avec, legs, rule), (-1, 4, 6))
+    sides = _path_integral(s, avec, zip(*legs), rule).reshape(-1, 4, 6)
     loops = sides[:, 0] + sides[:, 1] - sides[:, 2] - sides[:, 3]
     return float(np.linalg.norm(loops, axis=1).max())
 
@@ -521,16 +488,16 @@ def twisted_cone(s: LegendrianSurface, avec,
 
     F(t, θ₁, θ₂) = 𝐛(θ) + t·x(θ) with d𝐛 = β = x·★db − b·★dx and b = <a, x>.
     𝐛(θ) integrates β from the domain corner along θ₁, then along θ₂, with
-    a 16-point Gauss–Legendre rule on each leg, built once here.
+    a 16-point Gauss–Legendre rule on each leg, built once here; the legs of
+    all points of a stack are integrated in one stacked evaluation.
     Closedness of β is audited at construction time by the boundary loop
-    integral on the same rule, which must stay below 1e-6; a = 0 reduces to
-    the plain cone t·x.
+    integral on the same rule, which must stay below 1e-6; a = 0 gives the
+    plain cone t·x.
     """
     avec = np.asarray(avec, dtype=float)
     if avec.shape != (6,):
         raise ValueError("the direction a must be a real 6-vector")
-    twisted = bool(np.any(avec))
-    if twisted:
+    if np.any(avec):
         loop = legendrian_loop_residual(s, avec)
         if loop > _LOOP_TOL:
             raise ValueError(
@@ -540,26 +507,25 @@ def twisted_cone(s: LegendrianSurface, avec,
     (a0, _), (b0, _) = s.domain
 
     def _bvec(theta):
-        if not twisted:
-            return np.zeros(6)
-        leg1, leg2 = _path_integral(
-            s, avec, [(0, b0, a0, theta[0]), (1, theta[0], b0, theta[1])],
-            rule)
-        return leg1 + leg2
+        """𝐛 (n, 6) at the rows of theta (n, 2), all legs in one integral."""
+        n = len(theta)
+        ints = _path_integral(s, avec, (
+            np.repeat([0, 1], n), np.r_[np.full(n, b0), theta[:, 0]],
+            np.repeat([a0, b0], n), theta.T.ravel()), rule)
+        return ints[:n] + ints[n:]
 
     def ev(u):
-        x = from_complex(np.asarray(s.eval(u[1:])))
-        return _bvec(u[1:]) + u[0] * x
+        x = np.asarray(u, dtype=float).reshape(-1, 3)
+        out = _bvec(x[:, 1:]) + x[:, :1] * from_complex(s.eval(x[:, 1:]))
+        return out.reshape(np.shape(u)[:-1] + (6,))
 
     def jc(u):
-        frame = _surface_frame(s, u[1:])
-        x, t, _ = frame
-        beta = _beta(avec, frame)
-        out = np.empty((6, 3))
-        out[:, 0] = x
-        out[:, 1] = beta[0] + u[0] * t[:, 0]
-        out[:, 2] = beta[1] + u[0] * t[:, 1]
-        return out
+        x = np.asarray(u, dtype=float).reshape(-1, 3)
+        frames = _surface_frames(s, x[:, 1:])
+        legs = (np.swapaxes(_betas(avec, frames), 1, 2)
+                + x[:, :1, None] * frames[1])
+        return np.concatenate([frames[0][:, :, None], legs], axis=2).reshape(
+            np.shape(u)[:-1] + (6, 3))
 
     dom = (tuple(float(v) for v in t_range), s.domain[0], s.domain[1])
     return ImmersionPatch(
@@ -577,32 +543,19 @@ def z3_family(s: LegendrianSurface, c: float) -> ImmersionPatch:
     c = float(c)
     if c == 0.0:
         raise ValueError("the profile constant c must be nonzero")
-
-    def ev(u):
-        w, _, _ = _circle_profile(c, u[0])
-        return from_complex(w * np.asarray(s.eval(u[1:])))
-
-    def jc(u):
-        w, wg, _ = _circle_profile(c, u[0])
-        x = np.asarray(s.eval(u[1:]))
-        t = np.asarray(s.jac(u[1:]))
-        return from_complex(np.stack([wg * x, w * t[:, 0], w * t[:, 1]])).T
-
     third = math.pi / 3.0
     if c > 0.0:
         dom_gamma = (-0.95 * third, -0.05 * third)
     else:
         dom_gamma = (0.05 * third, 0.95 * third)
-    return ImmersionPatch(
-        name="z3_family", params={"surface": s.name, "c": c},
-        domain=(dom_gamma, s.domain[0], s.domain[1]),
-        eval=ev, jac=jc)
+    return _profile_patch("z3_family", {"surface": s.name, "c": c}, c,
+                          (dom_gamma, s.domain[0], s.domain[1]),
+                          s.eval, s.jac)
 
 
 def default_gallery() -> dict:
     """The standard entries keyed by name, with expected types and grids."""
-    e1 = np.zeros(6)
-    e1[0] = 1.0
+    e1 = np.eye(6)[0]
     return {
         "plane": GalleryEntry(
             plane(), StabilizerType.FULL, (3, 3, 3),

@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import apply_j, omega0, upsilon0
+from .ambient import apply_j, upsilon0
 from .cubics import (
     _SECONDS as _CLASSIFY_SECONDS,
     HarmonicCubic,
     NormalFormResult,
     _gather,
+    _rowdot,
+    _traceless,
     classify,
-    project_traceless,
 )
 
 __all__ = [
@@ -109,12 +110,16 @@ class StepTooSmallError(GeometryError):
 class ImmersionPatch:
     """Parametrized 3-fold patch F: U ⊂ R³ → R⁶.
 
-    ``eval`` maps a parameter point (3,) to a position (6,). ``jac`` and
-    ``hess``, when given, are the analytic derivative maps u -> (6,3) and
-    u -> (6,3,3); missing derivatives fall back to central finite
-    differences with steps eps^(1/3)·(1+|u|) and eps^(1/4)·(1+|u|).
-    ``eval`` serves positions and that fallback only: frames, cubics and
-    the Codazzi–Gauss audit read ``jac`` and ``hess`` alone.
+    The maps broadcast over leading axes: ``eval`` maps parameter points
+    (..., 3) to positions (..., 6); ``jac`` and ``hess``, when given, are
+    the analytic derivative maps to (..., 6, 3) and (..., 6, 3, 3).  Each
+    output row depends on its own point alone, byte for byte.  Missing
+    derivatives fall back to central finite differences with steps
+    eps^(1/3)·(1+|u|) and eps^(1/4)·(1+|u|).  ``eval`` serves positions and
+    that fallback only: frames, cubics and the Codazzi–Gauss audit read
+    ``jac`` and ``hess`` alone.  This module calls each map with one (n, 3)
+    stack (a point is a stack of one), so a map that raises fails every
+    node of that call.
     """
 
     name: str
@@ -159,67 +164,114 @@ class PointReport:
     error: str = None
 
 
-def _step1(u):
-    return _FD_STEP_1 * (1.0 + float(np.linalg.norm(u)))
+class _Nodes:
+    """A stack of parameter points (n, 3) and its open rows.  A failed row
+    is closed, its exception kept in ``errors``; per-row results are arrays
+    over all n rows, filled at the open ones."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float).reshape(-1, 3)
+        self.open = np.arange(len(self.u))
+        self.errors = [None] * len(self.u)
+
+    def fail(self, bad, error):
+        """Close the open rows set in the mask `bad`, row i with error(i)."""
+        for i in self.open[bad]:
+            self.errors[i] = error(i)
+        self.open = self.open[~bad]
+
+    def spread(self, values):
+        """Values of the open rows (m, ...) as an array over all rows."""
+        out = np.full((len(self.u),) + values.shape[1:], np.nan, values.dtype)
+        out[self.open] = values
+        return out
+
+    def call(self, fn, shape, what, kind=GeometryError):
+        """fn on the stack of open rows (not called when none is open) over
+        all rows; a row with a non-finite entry is closed with `kind`."""
+        if not len(self.open):
+            return np.full((len(self.u),) + shape, np.nan)
+        x = self.spread(np.asarray(fn(self.u[self.open]), dtype=float))
+        self.fail(~np.isfinite(x[self.open]).reshape(len(self.open), -1)
+                  .all(axis=1), lambda i: kind(
+                      f"{what} has non-finite entries at {self.u[i]}"))
+        return x
+
+
+def _strict(stage, patch, u):
+    """stage(patch, nodes) on u; the first failed row raises its error."""
+    nodes = _Nodes(u)
+    out = stage(patch, nodes)
+    for exc in filter(None, nodes.errors):
+        raise exc
+    return out
+
+
+def _step(base, u):
+    """FD steps base·(1 + |u|) per row of u, |u| rounded as for one point."""
+    return base * (1.0 + np.sqrt(_rowdot(u, u)))
+
+
+def _central(fn, u, h):
+    """Central differences (n, ..., 3) of fn along the three axes at the rows
+    of u (n, 3), steps h (n,), from one call on the 6n stencil points."""
+    du = h[:, None, None] * np.eye(3)                  # row a: h·e_a
+    f = np.asarray(fn(np.concatenate([u[:, None] + du, u[:, None] - du], 1)
+                      .reshape(-1, 3)), dtype=float)
+    f = f.reshape((len(u), 2, 3) + f.shape[1:])
+    two_h = (2.0 * h).reshape((-1, 1) + (1,) * (f.ndim - 3))
+    return np.moveaxis((f[:, 0] - f[:, 1]) / two_h, 1, -1)
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _differences(fn, u, s):
+    """(centre, first, second) differences of fn at the rows of u (n, 3),
+    steps s (n,), from one call on the 19n points u, u ± s·e_a and
+    u ± s·e_a ± s·e_b (a < b): first (n, 3, ...), second (n, 3, 3, ...)."""
+    d = s[:, None, None] * np.eye(3)
+    plus, minus = u[:, None] + d, u[:, None] - d
+    mixed = [x[:, a] + sign * d[:, b] for a, b in _PAIRS
+             for x in (plus, minus) for sign in (1.0, -1.0)]
+    f = np.asarray(fn(np.concatenate([u[:, None], plus, minus, np.stack(
+        mixed, axis=1)], axis=1).reshape(-1, 3)), dtype=float)
+    f = f.reshape((len(u), 19) + f.shape[1:])
+    s = s.reshape((-1,) + (1,) * (f.ndim - 2))
+    f0, fp, fm = f[:, 0], f[:, 1:4], f[:, 4:7]
+    second = np.empty((f.shape[0], 3, 3) + f.shape[2:])
+    for a in range(3):
+        second[:, a, a] = (fp[:, a] - 2.0 * f0 + fm[:, a]) / s**2
+    for k, (a, b) in enumerate(_PAIRS):
+        pp, pm, mp, mm = (f[:, 7 + 4 * k + j] for j in range(4))
+        second[:, a, b] = second[:, b, a] = (pp - pm - mp + mm) / (4.0 * s**2)
+    return f0, (fp - fm) / (2.0 * s[:, None]), second
 
 
 def jacobian(patch: ImmersionPatch, u):
-    """dF at u, (6,3); analytic when the patch provides it, else central FD."""
-    u = np.asarray(u, dtype=float)
-    if patch.jac is not None:
-        return np.asarray(patch.jac(u), dtype=float)
-    h = _step1(u)
-    cols = []
-    for a in range(3):
-        du = np.zeros(3)
-        du[a] = h
-        cols.append((patch.eval(u + du) - patch.eval(u - du)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    """dF at u: (6, 3) at a point (3,), (n, 6, 3) on a stack (n, 3);
+    analytic when the patch provides it, else central FD, with the stencil
+    of the whole stack in one ``eval`` call."""
+    x = np.asarray(u, dtype=float).reshape(-1, 3)
+    t = (patch.jac(x) if patch.jac is not None
+         else _central(patch.eval, x, _step(_FD_STEP_1, x)))
+    return np.asarray(t, dtype=float).reshape(np.shape(u)[:-1] + (6, 3))
 
 
 def hessian(patch: ImmersionPatch, u):
-    """D²F at u, (6,3,3), symmetrized in the two parameter slots.
-
-    Preference order: analytic hessian; central differences of an analytic
-    jacobian; direct second differences of eval.
-    """
-    u = np.asarray(u, dtype=float)
-    if patch.hess is not None:
-        h = np.asarray(patch.hess(u), dtype=float)
-        return 0.5 * (h + h.transpose(0, 2, 1))
-    if patch.jac is not None:
-        s = _step1(u)
-        cols = []
-        for a in range(3):
-            du = np.zeros(3)
-            du[a] = s
-            cols.append((np.asarray(patch.jac(u + du), dtype=float)
-                         - np.asarray(patch.jac(u - du), dtype=float))
-                        / (2.0 * s))
-        h = np.stack(cols, axis=2)          # (6, 3, 3), last index = FD slot
-        return 0.5 * (h + h.transpose(0, 2, 1))
-    s = _FD_STEP_2 * (1.0 + float(np.linalg.norm(u)))
-    f0 = patch.eval(u)
-    h = np.empty((6, 3, 3))
-    for a in range(3):
-        da = np.zeros(3)
-        da[a] = s
-        h[:, a, a] = (patch.eval(u + da) - 2.0 * f0 + patch.eval(u - da)) / s**2
-        for b in range(a + 1, 3):
-            db = np.zeros(3)
-            db[b] = s
-            mixed = (patch.eval(u + da + db) - patch.eval(u + da - db)
-                     - patch.eval(u - da + db) + patch.eval(u - da - db))
-            h[:, a, b] = h[:, b, a] = mixed / (4.0 * s**2)
-    return h
-
-
-def _interior_points(domain, n, rng):
-    lo = np.array([d[0] for d in domain])
-    hi = np.array([d[1] for d in domain])
-    span = hi - lo
-    return lo + span * (_GRID_INSET
-                        + (1 - 2 * _GRID_INSET) * rng.random((n, 3)))
+    """D²F at u, (6,3,3) at a point or (n, 6, 3, 3) on a stack, symmetrized
+    in the two parameter slots.  Preference order: analytic hessian; central
+    differences of an analytic jacobian; direct second differences of eval,
+    each stencil covering the whole stack in one map call."""
+    x = np.asarray(u, dtype=float).reshape(-1, 3)
+    if patch.hess is None and patch.jac is None:
+        h = np.moveaxis(_differences(patch.eval, x, _step(_FD_STEP_2, x))[2],
+                        -1, 1)
+    else:
+        h = np.asarray(patch.hess(x) if patch.hess is not None else _central(
+            patch.jac, x, _step(_FD_STEP_1, x)), dtype=float)  # FD slot last
+        h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    return h.reshape(np.shape(u)[:-1] + (6, 3, 3))
 
 
 def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
@@ -229,15 +281,12 @@ def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
     """
     if patch.jac is None:
         return 0.0
-    rng = np.random.default_rng(seed)
-    fd_patch = ImmersionPatch(name=patch.name, params=patch.params,
-                              domain=patch.domain, eval=patch.eval)
-    worst = 0.0
-    for u in _interior_points(patch.domain, n, rng):
-        ja = jacobian(patch, u)
-        jf = jacobian(fd_patch, u)
-        dev = np.linalg.norm(ja - jf) / max(1.0, np.linalg.norm(jf))
-        worst = max(worst, dev)
+    lo, hi = np.array(patch.domain).T
+    u = lo + (hi - lo) * (_GRID_INSET + (1 - 2 * _GRID_INSET)
+                          * np.random.default_rng(seed).random((n, 3)))
+    jf = _central(patch.eval, u, _step(_FD_STEP_1, u))
+    worst = float(np.max(np.linalg.norm(jacobian(patch, u) - jf, axis=(1, 2))
+                         / np.maximum(1.0, np.linalg.norm(jf, axis=(1, 2)))))
     if worst > _JAC_RTOL:
         raise GeometryError(
             f"analytic jacobian of {patch.name!r} deviates from finite "
@@ -245,76 +294,75 @@ def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
     return worst
 
 
-def _checked_jacobian(patch, u):
-    """Jacobian at u, rejected as rank-deficient when an entry is not
-    finite (before any SVD) or when sigma_3 <= _RANK_TOL * sigma_1, which
-    includes the zero jacobian."""
-    t = jacobian(patch, u)
-    if not np.isfinite(t).all():
-        raise RankDeficientError(
-            f"jacobian of {patch.name!r} has non-finite entries at {u}")
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficientError(
-            f"jacobian of {patch.name!r} is rank-deficient at {u} "
-            f"(singular values {sv})")
+def _checked_jacobian(patch, nodes):
+    """Jacobians (n, 6, 3) from one call on the open rows; a row is closed
+    as rank-deficient when an entry is not finite (before any SVD) or when
+    sigma_3 <= _RANK_TOL * sigma_1, the zero jacobian included."""
+    t = nodes.call(lambda x: jacobian(patch, x), (6, 3),
+                   f"jacobian of {patch.name!r}", RankDeficientError)
+    sv = nodes.spread(np.linalg.svd(t[nodes.open], compute_uv=False))
+    nodes.fail(sv[nodes.open, -1] <= _RANK_TOL * sv[nodes.open, 0],
+               lambda i: RankDeficientError(
+                   f"jacobian of {patch.name!r} is rank-deficient at "
+                   f"{nodes.u[i]} (singular values {sv[i]})"))
     return t
 
 
 def _pairing_residual(t):
-    jt = apply_j(t.T).T                     # J applied to each column
-    pair = jt.T @ t                         # pair[a,b] = ω₀(t_a, t_b)
-    norms = np.linalg.norm(t, axis=0)
-    res = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            res = max(res, abs(pair[a, b]) / (norms[a] * norms[b]))
-    return float(res)
+    """Worst normalized pairing |ω₀(t_a, t_b)| / (|t_a||t_b|) of two columns
+    of each matrix of t (m, 6, 3).  The residual is homogeneous of degree 0,
+    so each matrix is first scaled by the power of two that brings its
+    largest entry into [0.5, 1): exact, and safe from over- and underflow."""
+    t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(1, 2)))[1][:, None, None])
+    pair = apply_j(np.swapaxes(t, 1, 2)) @ t   # pair[a, b] = ω₀(t_a, t_b)
+    norms = np.linalg.norm(t, axis=1)
+    a, b = np.triu_indices(3, 1)
+    return np.max(np.abs(pair[:, a, b]) / (norms[:, a] * norms[:, b]), axis=1)
+
+
+def _frames(t):
+    """(frames e, preimages v with t v = e, Υ₀ of the Gram–Schmidt frames)
+    of full-rank jacobians t (m, 6, 3).  Gram–Schmidt is t = q·r with the
+    signs of diag(r) moved into q; the last two legs are swapped (P) when
+    Re Υ₀(q) < 0.  So v = r⁻¹·diag(signs)·P, and Υ₀(t)/√det(tᵀt) = ±Υ₀(q).
+    """
+    q, r = np.linalg.qr(t)
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    signs = np.where(signs == 0.0, 1.0, signs)[:, None, :]
+    q = q * signs                           # classical GS: e1 along t1, etc.
+    ups = upsilon0(q[..., 0], q[..., 1], q[..., 2])
+    legs = np.where((ups.real < 0.0)[:, None, None], [0, 2, 1], [0, 1, 2])
+    v = np.take_along_axis(np.linalg.inv(r) * signs, legs, axis=2)
+    return np.take_along_axis(q, legs, axis=2), v, ups
 
 
 def lagrangian_residual(patch: ImmersionPatch, u):
     """Worst normalized symplectic pairing of two tangent vectors at u."""
-    t = _checked_jacobian(patch, np.asarray(u, dtype=float))
-    return _pairing_residual(t)
-
-
-def _volume_residual(t):
-    ups = upsilon0(t[:, 0], t[:, 1], t[:, 2])
-    vol = math.sqrt(max(np.linalg.det(t.T @ t), 0.0))
-    return abs(ups.imag) / vol, float(np.sign(ups.real))
+    return float(_pairing_residual(_strict(_checked_jacobian, patch, u))[0])
 
 
 def special_residual(patch: ImmersionPatch, u):
-    """(|Im Υ₀| of the tangent frame / tangent 3-volume, sign of Re Υ₀)."""
-    return _volume_residual(
-        _checked_jacobian(patch, np.asarray(u, dtype=float)))
+    """(|Im Υ₀|, sign of Re Υ₀) of the Gram–Schmidt frame of the tangent
+    vectors at u: Υ₀ of the tangent vectors over their 3-volume."""
+    ups = _frames(_strict(_checked_jacobian, patch, u))[2][0]
+    return float(abs(ups.imag)), float(np.sign(ups.real))
 
 
-def _checked_frame(patch, u):
-    """(jacobian, frame matrix (6,3), Lagrangian residual) at u from one
-    jacobian call.
-
-    The jacobian passes the rank check and the Lagrangian check against
-    FRAME_TOL; the frame is its oriented Gram–Schmidt frame.
-    """
-    t = _checked_jacobian(patch, u)
-    res = _pairing_residual(t)
-    if res > FRAME_TOL:
-        raise NotLagrangianError(
-            f"Lagrangian residual {res:.3e} at {u} exceeds {FRAME_TOL:.1e}")
-    q, r = np.linalg.qr(t)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs                           # classical GS: e1 along t1, etc.
-    if upsilon0(q[:, 0], q[:, 1], q[:, 2]).real < 0.0:
-        q = q[:, [0, 2, 1]]
-    return t, q, res
+def _checked_frame(patch, nodes):
+    """(jacobians, frames e, preimages v, Lagrangian residuals, Υ₀ of the
+    frames) over all rows, from one jacobian call on the open rows.  A row
+    is closed when its jacobian fails the rank check or its Lagrangian
+    residual exceeds FRAME_TOL."""
+    t = _checked_jacobian(patch, nodes)
+    lag = nodes.spread(_pairing_residual(t[nodes.open]))
+    nodes.fail(lag[nodes.open] > FRAME_TOL, lambda i: NotLagrangianError(
+        f"Lagrangian residual {lag[i]:.3e} at {nodes.u[i]} exceeds "
+        f"{FRAME_TOL:.1e}"))
+    return (t, *map(nodes.spread, _frames(t[nodes.open])), lag)
 
 
-def _frame_at(patch, u, e):
-    """AdaptedFrame with the legs of the frame matrix e, placed at F(u)."""
-    return AdaptedFrame(e1=e[:, 0], e2=e[:, 1], e3=e[:, 2],
-                        position=np.asarray(patch.eval(u), dtype=float))
+def _positions(patch, nodes):
+    return nodes.call(patch.eval, (6,), f"position of {patch.name!r}")
 
 
 def adapted_frame(patch: ImmersionPatch, u):
@@ -324,34 +372,37 @@ def adapted_frame(patch: ImmersionPatch, u):
     the holomorphic volume of the frame has negative real part.  Points whose
     Lagrangian residual exceeds FRAME_TOL are rejected.
     """
-    u = np.asarray(u, dtype=float)
-    return _frame_at(patch, u, _checked_frame(patch, u)[1])
+    e = _strict(_checked_frame, patch, u)[1]
+    return AdaptedFrame(*e[0].T, position=_strict(_positions, patch, u)[0])
 
 
-def _cubic_from_derivatives(t, h2, e):
-    """Cubic, raw trace residual and the jacobian preimages of the frame
-    legs (3, 3) from jacobian/hessian/frame matrix."""
-    v = np.linalg.lstsq(t, e, rcond=None)[0]     # preimages: t @ v[:,a] = e_a
-    je = apply_j(e.T).T
-    a = np.tensordot(je, v.T @ h2 @ v, axes=(0, 0))
-    s = (a + a.transpose(0, 2, 1) + a.transpose(1, 0, 2) + a.transpose(1, 2, 0)
-         + a.transpose(2, 0, 1) + a.transpose(2, 1, 0)) / 6.0
-    trace_res = float(np.linalg.norm(np.einsum("iik->k", s)))
-    scale = float(np.linalg.norm(s))
-    if trace_res > _TRACE_FAIL * scale + 1e-12:
-        raise TraceResidualError(
-            f"raw cubic trace residual {trace_res:.3e} exceeds "
-            f"{_TRACE_FAIL:.0e} of the cubic norm {scale:.3e}")
-    return project_traceless(_gather(s)), trace_res, v
-
-
-def _cubic_at(patch, u):
-    """(jacobian, Lagrangian residual, cubic, frame, raw trace residual)
-    from one checked jacobian."""
-    t, e, lag_res = _checked_frame(patch, u)
-    frame = _frame_at(patch, u, e)
-    cubic, trace_res, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
-    return t, lag_res, cubic, frame, trace_res
+def _cubic_at(patch, nodes):
+    """(jacobians, frames e, preimages v, Υ₀ of the frames, Lagrangian and
+    raw trace residuals) over all rows and the cubics {row: HarmonicCubic},
+    from one jacobian and one hessian call; h_ijk = g₀(D²F(v_j, v_k), J e_i)
+    is two stacked matrix products.  A row is closed when its frame fails, its hessian is not
+    finite, its cubic norm overflows or its trace residual exceeds 1e-3 of
+    the cubic norm."""
+    t, e, v, ups, lag = _checked_frame(patch, nodes)
+    h2 = nodes.call(lambda x: hessian(patch, x), (6, 3, 3),
+                    f"hessian of {patch.name!r}")
+    rows = nodes.open
+    je = apply_j(np.swapaxes(e[rows], 1, 2))           # row i: J e_i
+    w = np.swapaxes(v[rows], 1, 2)[:, None] @ h2[rows] @ v[rows][:, None]
+    a = (je @ w.reshape(-1, 6, 9)).reshape(-1, 3, 3, 3)  # J e_i · vᵀ D²F v
+    legs = [a.transpose((0,) + p) for p in itertools.permutations((1, 2, 3))]
+    s = sum(legs[1:], legs[0]) / 6.0
+    trace = nodes.spread(np.linalg.norm(np.einsum("niik->nk", s), axis=1))
+    scale = nodes.spread(np.linalg.norm(s.reshape(-1, 27), axis=1))
+    coeffs = nodes.spread(_traceless(_gather(s)))
+    nodes.fail(~np.isfinite(scale[rows]), lambda i: GeometryError(
+        f"cubic of {patch.name!r} overflows at {nodes.u[i]}"))
+    nodes.fail(trace[nodes.open] > _TRACE_FAIL * scale[nodes.open] + 1e-12,
+               lambda i: TraceResidualError(
+                   f"raw cubic trace residual {trace[i]:.3e} exceeds "
+                   f"{_TRACE_FAIL:.0e} of the cubic norm {scale[i]:.3e}"))
+    cubics = {i: HarmonicCubic(coeffs[i]) for i in nodes.open}
+    return (t, e, v, ups, lag, trace), cubics
 
 
 def fundamental_cubic(patch: ImmersionPatch, u):
@@ -363,7 +414,9 @@ def fundamental_cubic(patch: ImmersionPatch, u):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    return _cubic_at(patch, np.asarray(u, dtype=float))[2:]
+    (_, e, _, _, _, trace), cubics = _strict(_cubic_at, patch, u)
+    return cubics[0], AdaptedFrame(
+        *e[0].T, position=_strict(_positions, patch, u)[0]), float(trace[0])
 
 
 def point_report(patch: ImmersionPatch, u):
@@ -374,31 +427,33 @@ def point_report(patch: ImmersionPatch, u):
     residual up to FRAME_TOL, and the cubic is classified at the default
     symmetry tolerance of :func:`slag3.cubics.classify`.
 
-    `u` is one point (3,), which gives one PointReport, or a stack of
-    points (n, 3), which gives a list of n, each equal to the report of its
-    row alone.  The cubics of all nodes go to one `classify` call, so their
-    axis searches are refined together; a node whose derivatives, cubic or
-    census fail carries the error message, and the other nodes classify.
+    `u` is one point (3,), which gives one PointReport, or a stack (n, 3),
+    which gives a list of n, each equal to the report of its row alone.
+    Each patch map is called once on the stack of nodes still open (eval
+    twice: positions, then frame origins), and all cubics go to one
+    `classify` call.  A node whose position, derivatives, cubic or census
+    fail carries the error message; a map that raises fails every node of
+    that call.
     """
-    nodes = np.asarray(u, dtype=float)
+    nodes = _Nodes(u)
+    cubics = {}
+    try:
+        position = _positions(patch, nodes)
+        (_, _, _, ups, lag, trace), cubics = _cubic_at(patch, nodes)
+        _positions(patch, nodes)  # the frame origins, as fundamental_cubic
+    except ValueError as exc:  # GeometryError and CensusError are too
+        nodes.fail(np.ones(len(nodes.open), bool), lambda i: exc)
+    done = list(nodes.open)
+    fits = dict(zip(done, classify([cubics[i] for i in done])))
     reports = []
-    done = []  # (index, fields) of the nodes that reach the classification
-    for x in nodes.reshape(-1, 3):
-        try:
-            position = np.asarray(patch.eval(x), dtype=float)
-            t, lag_res, cubic, _, trace_res = _cubic_at(patch, x)
-            done.append((len(reports), dict(
-                u=x, position=position, lag_res=lag_res,
-                im_res=_volume_residual(t)[0], trace_res=trace_res,
-                cubic=cubic)))
-            reports.append(None)
-        except ValueError as exc:  # GeometryError and CensusError are too
-            reports.append(_failed(x, exc))
-    fits = classify([fields["cubic"] for _, fields in done])
-    for (i, fields), nf in zip(done, fits):
-        reports[i] = (_failed(fields["u"], nf) if isinstance(nf, ValueError)
-                      else PointReport(nf=nf, **fields))
-    return reports[0] if nodes.ndim == 1 else reports
+    for i, x in enumerate(nodes.u):
+        nf = fits.get(i, nodes.errors[i])
+        reports.append(
+            _failed(x, nf) if isinstance(nf, ValueError) else PointReport(
+                u=x, position=position[i], lag_res=float(lag[i]),
+                im_res=float(abs(ups[i].imag)), trace_res=float(trace[i]),
+                cubic=cubics[i], nf=nf))
+    return reports[0] if np.ndim(u) == 1 else reports
 
 
 def _failed(u, exc):
@@ -478,48 +533,32 @@ _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
 _RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
-def _aligned_cubic(patch, u, e0):
-    """Cubic at u expressed in the frame best aligned with the frame e0."""
-    t, e, _ = _checked_frame(patch, u)
-    cubic, _, _ = _cubic_from_derivatives(t, hessian(patch, u), e)
-    m = e.T @ e0
-    uu, sv, vt = np.linalg.svd(m)
-    rot = uu @ vt
-    if sv[-1] < 0.5 or np.linalg.det(rot) < 0.0:
-        raise FrameAlignmentError(
-            f"adapted frames at {u} rotate too far for differencing "
-            f"(singular values {sv})")
-    return np.einsum("abc,ai,bj,ck->ijk", cubic.tensor, rot, rot, rot)
+def _aligned(patch, nodes, e0):
+    """Cubic tensors (n, 3, 3, 3) at the rows of nodes, each expressed in the
+    frame best aligned with the frame e0."""
+    (_, e, _, _, _, _), cubics = _cubic_at(patch, nodes)
+    uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e0)
+    rot, sv = nodes.spread(uu @ vt), nodes.spread(sv)
+    nodes.fail((sv[nodes.open, -1] < 0.5)
+               | (np.linalg.det(rot[nodes.open]) < 0.0),
+               lambda i: FrameAlignmentError(
+                   f"adapted frames at {nodes.u[i]} rotate too far for "
+                   f"differencing (singular values {sv[i]})"))
+    tensors = np.stack([cubics[i].tensor if i in cubics else np.zeros(
+        (3, 3, 3)) for i in range(len(nodes.u))])
+    return np.einsum("nabc,nai,nbj,nck->nijk", tensors, rot, rot, rot)
 
 
 def _metric(patch, u):
     t = jacobian(patch, u)
-    return t.T @ t
+    return np.swapaxes(t, -1, -2) @ t
 
 
 def _curvature_param(patch, u, step):
-    """Coordinate curvature tensor R_abcd of the induced metric at u by FD."""
-    s = float(step)
-    g0 = _metric(patch, u)
-    gp = np.empty((3, 3, 3))
-    gm = np.empty((3, 3, 3))
-    for a in range(3):
-        da = np.zeros(3)
-        da[a] = s
-        gp[a] = _metric(patch, u + da)
-        gm[a] = _metric(patch, u - da)
-    dg = (gp - gm) / (2.0 * s)                       # dg[a] = ∂_a g
-    ddg = np.empty((3, 3, 3, 3))                     # ddg[a,b] = ∂_a ∂_b g
-    for a in range(3):
-        ddg[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / s**2
-        for b in range(a + 1, 3):
-            da = np.zeros(3)
-            da[a] = s
-            db = np.zeros(3)
-            db[b] = s
-            mixed = (_metric(patch, u + da + db) - _metric(patch, u + da - db)
-                     - _metric(patch, u - da + db) + _metric(patch, u - da - db))
-            ddg[a, b] = ddg[b, a] = mixed / (4.0 * s**2)
+    """Coordinate curvature tensor R_abcd of the induced metric at u by FD,
+    from one jacobian call on the 19 stencil points."""
+    g0, dg, ddg = (x[0] for x in _differences(   # dg[a] = ∂_a g, ddg[a, b]
+        lambda x: _metric(patch, x), u[None], np.array([float(step)])))
     ginv = np.linalg.inv(g0)
     # Γ^e_ab from first derivatives of the metric
     gam = 0.5 * np.einsum("ed,abd->eab", ginv,
@@ -535,18 +574,17 @@ def _curvature_param(patch, u, step):
 def _compat_residuals(patch, u, step):
     """(codazzi, gauss, floors): the Frobenius residuals at one step size
     and, for each, the roundoff floor of its stencil at that step."""
-    u = np.asarray(u, dtype=float)
-    t0, e0, _ = _checked_frame(patch, u)
-    cubic0, _, v = _cubic_from_derivatives(t0, hessian(patch, u), e0)
+    (t0, e0, v, _, _, _), cubics = _strict(_cubic_at, patch, u)
+    t0, e0, v, h = t0[0], e0[0], v[0], cubics[0].tensor
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
     # neighbor cubics pulled back through the closest frame rotation, must be
-    # symmetric in all four slots.
-    grad = np.empty((3, 3, 3, 3))
-    for l in range(3):
-        hp = _aligned_cubic(patch, u + step * v[:, l], e0)
-        hm = _aligned_cubic(patch, u - step * v[:, l], e0)
-        grad[l] = (hp - hm) / (2.0 * step)
+    # symmetric in all four slots.  The six neighbours u ± step·v_l are one
+    # stack, in the order +v_1, -v_1, +v_2, ...
+    x = np.asarray(u, dtype=float)
+    sides = _strict(lambda p, nodes: _aligned(p, nodes, e0), patch, np.stack(
+        [x + sign * step * v[:, l] for l in range(3) for sign in (1.0, -1.0)]))
+    grad = (sides[0::2] - sides[1::2]) / (2.0 * step)
     sym = np.zeros_like(grad)
     for perm in itertools.permutations(range(4)):
         sym += grad.transpose(perm)
@@ -554,10 +592,9 @@ def _compat_residuals(patch, u, step):
     codazzi = float(np.linalg.norm(grad - sym))
 
     # Gauss: intrinsic curvature against the quadratic expression in h.
-    riem = _curvature_param(patch, u, step)
+    riem = _curvature_param(patch, x, step)
     riem_frame = np.einsum("abcd,ai,bj,ck,dl->ijkl", riem, v, v, v, v,
                            optimize=_RIEM_PATH)
-    h = cubic0.tensor
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
     gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
 
@@ -607,17 +644,21 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
 # --- patch transformations for invariance checks ----------------------------
 
 def transform_patch(patch: ImmersionPatch, rot6, translation=None):
-    """Compose a patch with a rigid motion x -> rot6 @ x + translation."""
+    """Compose a patch with a rigid motion x -> rot6 @ x + translation; each
+    row is moved by matrix products of its own rows alone."""
     r = np.asarray(rot6, dtype=float)
     tau = np.zeros(6) if translation is None else np.asarray(translation,
                                                              dtype=float)
-    jac = None if patch.jac is None else (lambda u: r @ patch.jac(u))
-    hess = None if patch.hess is None else (
-        lambda u: np.einsum("xy,yab->xab", r, patch.hess(u)))
-    return ImmersionPatch(name=f"{patch.name}|moved", params=patch.params,
-                          domain=patch.domain,
-                          eval=lambda u: r @ patch.eval(u) + tau,
-                          jac=jac, hess=hess)
+
+    def hs(u):
+        h = np.asarray(patch.hess(u))
+        return (r @ h.reshape(h.shape[:-2] + (9,))).reshape(h.shape)
+
+    return ImmersionPatch(
+        name=f"{patch.name}|moved", params=patch.params, domain=patch.domain,
+        eval=lambda u: (r @ np.expand_dims(patch.eval(u), -1))[..., 0] + tau,
+        jac=None if patch.jac is None else (lambda u: r @ patch.jac(u)),
+        hess=None if patch.hess is None else hs)
 
 
 def scale_patch(patch: ImmersionPatch, factor: float):

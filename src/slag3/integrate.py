@@ -407,8 +407,9 @@ _NODE_TOL = 1e-9            # off-node distance admitted, in steps
 def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
     """Immersion patch of the stored nodes two or more in from every face:
     ``eval`` the stored position, ``jac`` ee.T @ [V1 V2 W3], ``hess`` the
-    symmetrized `_d4` of that jac along each chart axis.  Any other point
-    of the domain (the chart box) raises :class:`IntegrationError`."""
+    symmetrized `_d4` of that jac along each chart axis.  The maps look a
+    stack of points (..., 3) up as one index array; any other point of the
+    domain (the chart box) raises :class:`IntegrationError`."""
     shape = np.array(fld.shape)
     if shape.min() < 5:
         raise IntegrationError("the patch needs at least 5 nodes along "
@@ -419,31 +420,31 @@ def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
                   np.broadcast_to(_W3, fld.shape + (3,))], axis=-1)
     jacs = np.swapaxes(ee, -1, -2) @ v  # ee.T @ [V1 V2 W3] at every node
 
-    def node(u):
+    def node(u, axis=0, off=0):
+        """Index arrays of the stored nodes at the points u (..., 3), moved
+        by `off` nodes along `axis`."""
         k = np.asarray(u, dtype=float) / fld.step
-        if k.shape == (3,) and np.all(np.abs(k - np.rint(k)) <= _NODE_TOL):
-            idx = np.rint(k).astype(int) + fld.center
-            if np.all(idx >= 2) and np.all(idx <= shape - 3):
-                return tuple(idx)
-        raise IntegrationError(
-            "%s is not a stored node two or more in from every face" % (u,))
+        idx = np.rint(k).astype(int) + fld.center
+        stored = ((np.abs(k - np.rint(k)) <= _NODE_TOL) & (idx >= 2)
+                  & (idx <= shape - 3)).all(axis=-1)
+        if not stored.all():
+            raise IntegrationError(
+                "%s is not a stored node two or more in from every face"
+                % (np.asarray(u)[~stored][0],))
+        idx[..., axis] += off
+        return tuple(np.moveaxis(idx, -1, 0))
 
     def hess(u):
-        idx = node(u)
-        cols = []
-        for a in range(3):
-            window = list(idx)
-            window[a] = slice(idx[a] - 2, idx[a] + 3)
-            cols.append(_d4(jacs[tuple(window)], 0, fld.step)[0])
-        h = np.stack(cols, axis=-1)  # (6, 3, 3), last index = stencil slot
-        return 0.5 * (h + h.transpose(0, 2, 1))
+        h = np.stack([_d4(np.stack([jacs[node(u, a, off)]
+                                    for off in range(-2, 3)]), 0, fld.step)[0]
+                      for a in range(3)], axis=-1)  # last index: stencil slot
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     return geometry.ImmersionPatch(
         name="z2_reconstruction",
         params={"init": fld.init, "step": fld.step},
         domain=tuple((ax[0], ax[-1]) for ax in fld.axes),
-        eval=lambda u: data[node(u)][_X].copy(),
-        jac=lambda u: jacs[node(u)].copy(),
+        eval=lambda u: data[node(u)][..., _X], jac=lambda u: jacs[node(u)],
         hess=hess)
 
 
@@ -465,23 +466,21 @@ def z2_integrate(init, extents=(0.2, 0.2, 0.2), step=1e-2):
     if loop > _LOOP_TOL:
         raise FlatnessError(
             "path-independence residual %.3e exceeds %.3e" % (loop, _LOOP_TOL))
-    slag = 0.0
-    trace_rel = 0.0
-    census: Counter = Counter()
     picks = [np.unique(np.rint(np.linspace(2, n - 3, c)).astype(int))
              for n, c in zip(fld.shape, _CENSUS_COUNTS)]
-    for idx in itertools.product(*picks):
-        u = np.array([ax[i] for ax, i in zip(fld.axes, idx)])
-        rep = geometry.point_report(patch, u)
+    reports = geometry.point_report(patch, np.array(
+        [[ax[i] for ax, i in zip(fld.axes, idx)]
+         for idx in itertools.product(*picks)]))
+    for rep in reports:
         if rep.error is not None:
             raise IntegrationError(
-                "census failed at %s: %s" % (tuple(u), rep.error))
-        slag = max(slag, rep.lag_res, rep.im_res)
-        trace_rel = max(trace_rel, rep.trace_res / rep.cubic.norm())
-        census[rep.nf.type] += 1
+                "census failed at %s: %s" % (tuple(rep.u), rep.error))
     report = IntegrationReport(
-        loop_residual=loop, slag_res=slag, trace_rel=trace_rel,
-        type_census=dict(census), frame_drift=drift)
+        loop_residual=loop,
+        slag_res=max(max(r.lag_res, r.im_res) for r in reports),
+        trace_rel=max(r.trace_res / r.cubic.norm() for r in reports),
+        type_census=dict(Counter(r.nf.type for r in reports)),
+        frame_drift=drift)
     return fld, patch, report
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slag3 import gallery as gal, geometry as geo
-from slag3.ambient import from_complex
+from slag3.ambient import from_complex, su3_real_matrix
 from slag3.cubics import StabilizerType, classify
 
 
@@ -30,21 +30,26 @@ def warped_torus():
     w = w / np.linalg.norm(w)
 
     def ev(th):
-        return w * np.exp(1j * np.array([th[0], th[1], -(th[0] + th[1])]))
+        th = np.asarray(th, dtype=float)
+        return w * np.exp(1j * np.stack(
+            [th[..., 0], th[..., 1], -(th[..., 0] + th[..., 1])], axis=-1))
 
     def jc(th):
         z = ev(th)
         return 1j * np.stack([z * np.array([1.0, 0.0, -1.0]),
-                              z * np.array([0.0, 1.0, -1.0])]).T
+                              z * np.array([0.0, 1.0, -1.0])], axis=-1)
 
     return gal.LegendrianSurface(name="warped_torus", eval=ev, jac=jc)
 
 
 def off_sphere():
     """Surface whose point lies off the unit sphere."""
+    point = np.array([1.1, 0.0, 0.0], complex)
+    tangents = np.array([[1j, 0], [0, 1j], [0, 0]], complex)
     return gal.LegendrianSurface(
-        name="bad", eval=lambda th: np.array([1.1, 0.0, 0.0], complex),
-        jac=lambda th: np.array([[1j, 0], [0, 1j], [0, 0]], complex))
+        name="bad",
+        eval=lambda th: np.broadcast_to(point, np.shape(th)[:-1] + (3,)),
+        jac=lambda th: np.broadcast_to(tangents, np.shape(th)[:-1] + (3, 2)))
 
 
 class TestDerivativeContracts:
@@ -52,6 +57,69 @@ class TestDerivativeContracts:
     def test_analytic_jacobians_match_finite_differences(self, name):
         entry = gal.default_gallery()[name]
         assert geo.validate_derivatives(entry.patch, n=20, seed=2) <= 1e-6
+
+
+def moved(patch, seed):
+    """The patch under a seeded SU(3) motion and translation."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    q = q / np.linalg.det(q) ** (1.0 / 3.0)
+    return geo.transform_patch(patch, su3_real_matrix(q), rng.normal(size=6))
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBroadcastContract:
+    """A stack of points gives, byte for byte, the rows of calls on stacks of
+    one, which `sweep`'s equality with one `point_report` per node rests on.
+    (A bare point (3,) may round differently: numpy's scalar complex
+    arithmetic is not its array arithmetic.)"""
+
+    @pytest.mark.parametrize("motion", [None, 5], ids=["unmoved", "moved"])
+    @pytest.mark.parametrize("name", sorted(gal.default_gallery()))
+    def test_a_stack_equals_its_rows(self, name, motion):
+        patch = gal.default_gallery()[name].patch
+        if motion is not None:
+            patch = moved(patch, motion)
+        rng = np.random.default_rng(13)
+        lo, hi = np.array(patch.domain).T
+        stack = lo + (hi - lo) * (0.05 + 0.9 * rng.random((11, 3)))
+        maps = [patch.eval, patch.jac, patch.hess,
+                lambda u: geo.jacobian(patch, u),
+                lambda u: geo.hessian(patch, u)]
+        for fn in maps:
+            if fn is None:
+                continue
+            out = fn(stack)
+            assert out.shape[0] == len(stack)
+            for k in range(len(stack)):
+                assert same_bytes(out[k], fn(stack[k:k + 1])[0]), (k, fn)
+
+    def test_surfaces_broadcast(self):
+        rng = np.random.default_rng(14)
+        for s in (gal.clifford_link(), gal.great_sphere(), gal.flat_torus()):
+            lo, hi = np.array(s.domain).T
+            thetas = lo + (hi - lo) * rng.random((2, 5, 2))
+            for fn in (s.eval, s.jac, s.metric):
+                out = fn(thetas)
+                for i, k in np.ndindex(2, 5):
+                    one = fn(thetas[i, k:k + 1])[0]
+                    assert same_bytes(out[i, k], one), (s.name, fn)
+
+    def test_a_raising_map_fails_every_node_of_its_call(self):
+        patch = gal.harvey_lawson_so3(1.0)
+        nodes = np.array([[-0.5, 1.0, 1.0], [0.1, 1.0, 1.0],
+                          [-0.7, 1.2, 0.8]])
+        with pytest.raises(ValueError, match="outside the profile branch"):
+            patch.eval(nodes)
+        reports = geo.point_report(patch, nodes)
+        assert all(r.error == reports[1].error for r in reports)
+        assert "outside the profile branch" in reports[1].error
 
 
 class TestHarveyLawsonSo3:
@@ -215,9 +283,9 @@ class TestTwistedCone:
         w[2:-1:2] = 2.0
 
         def leg(row, start, stop, point):
-            frames = [gal._surface_frame(s, point(v))
-                      for v in np.linspace(start, stop, n + 1)]
-            vals = np.stack([gal._beta(E1, f)[row] for f in frames])
+            thetas = np.array([point(v)
+                               for v in np.linspace(start, stop, n + 1)])
+            vals = gal._betas(E1, gal._surface_frames(s, thetas))[:, row]
             return (stop - start) / (3.0 * n) * np.einsum("s,s...->...", w,
                                                           vals)
 

@@ -33,15 +33,17 @@ def graph_patch():
     """Non-Lagrangian graph (u1 + i u2, u2, u3)."""
     return geo.ImmersionPatch(
         name="graph",
-        eval=lambda u: np.array([u[0], u[1], u[2], u[1], 0.0, 0.0]))
+        eval=lambda u: np.concatenate(
+            [u, u[..., 1:2], np.zeros_like(u[..., :2])], axis=-1))
 
 
 def potential_graph():
     """Lagrangian but non-minimal graph (u, grad phi), phi = 0.3 u1^2 u2."""
     return geo.ImmersionPatch(
         name="potential_graph",
-        eval=lambda u: np.concatenate(
-            [u, [0.6 * u[0] * u[1], 0.3 * u[0] ** 2, 0.0]]))
+        eval=lambda u: np.concatenate([u, np.stack(
+            [0.6 * u[..., 0] * u[..., 1], 0.3 * u[..., 0] ** 2,
+             np.zeros_like(u[..., 0])], axis=-1)], axis=-1))
 
 
 class TestAmbientForms:
@@ -91,17 +93,20 @@ class TestAmbientForms:
 class TestDerivativeFallbacks:
     def poly_patch(self, with_jac=False):
         def ev(u):
-            return np.array([u[0] ** 2, u[1] * u[2], u[0] + u[2],
-                             u[0] * u[1] * u[2], 0.0, u[2] ** 3])
+            x, y, z = u[..., 0], u[..., 1], u[..., 2]
+            return np.stack([x ** 2, y * z, x + z, x * y * z,
+                             np.zeros_like(x), z ** 3], axis=-1)
 
         def jc(u):
-            return np.array([
-                [2 * u[0], 0.0, 0.0],
-                [0.0, u[2], u[1]],
-                [1.0, 0.0, 1.0],
-                [u[1] * u[2], u[0] * u[2], u[0] * u[1]],
-                [0.0, 0.0, 0.0],
-                [0.0, 0.0, 3 * u[2] ** 2]])
+            x, y, z = u[..., 0], u[..., 1], u[..., 2]
+            o, i = np.zeros_like(x), np.ones_like(x)
+            return np.stack([np.stack(row, axis=-1) for row in (
+                [2 * x, o, o],
+                [o, z, y],
+                [i, o, i],
+                [y * z, x * z, x * y],
+                [o, o, o],
+                [o, o, 3 * z ** 2])], axis=-2)
 
         return geo.ImmersionPatch(name="poly", eval=ev,
                                   jac=jc if with_jac else None)
@@ -162,7 +167,8 @@ class TestLagrangianResidual:
 
     def test_rank_deficiency_raises(self):
         flat = geo.ImmersionPatch(
-            name="flat", eval=lambda u: np.array([u[0], u[1], 0, 0, 0, 0]))
+            name="flat", eval=lambda u: np.concatenate(
+                [u[..., :2], np.zeros(np.shape(u)[:-1] + (4,))], axis=-1))
         with pytest.raises(geo.RankDeficientError):
             geo.lagrangian_residual(flat, np.array([0.1, 0.2, 0.3]))
 
@@ -297,13 +303,23 @@ def same_report(a, b):
             and raw(fa.rotation.entries) == raw(fb.rotation.entries))
 
 
+def corrupted_at(patch, bad, corrupt, name="jac"):
+    """The patch whose map `name` returns corrupt(value) at the parameter
+    point `bad`, in any row of a stack."""
+    real = getattr(patch, name)
+
+    def corrupted(u):
+        value = real(u)
+        at = np.all(u == bad, axis=-1).reshape(
+            np.shape(u)[:-1] + (1,) * (value.ndim - np.ndim(u) + 1))
+        return np.where(at, corrupt(value), value)
+
+    return dataclasses.replace(patch, **{name: corrupted})
+
+
 def rank_deficient_at(patch, bad):
     """The patch with a rank-1 jacobian at the parameter point `bad`."""
-    def jac(u):
-        t = patch.jac(u)
-        return t[:, [0, 0, 0]] if np.array_equal(u, bad) else t
-
-    return dataclasses.replace(patch, jac=jac)
+    return corrupted_at(patch, bad, lambda t: t[..., [0, 0, 0]])
 
 
 class TestBatchSweep:
@@ -360,17 +376,41 @@ class TestBatchSweep:
     def test_a_degenerate_jacobian_fails_its_node_alone(self, corrupt):
         patch = hl_cone()
         good = geo.sweep(patch, (2, 2, 2))
-        bad = good[3].u
-
-        def jac(u):
-            t = patch.jac(u)
-            return corrupt(t) if np.array_equal(u, bad) else t
-
-        reports = geo.sweep(dataclasses.replace(patch, jac=jac), (2, 2, 2))
+        reports = geo.sweep(corrupted_at(patch, good[3].u, corrupt),
+                            (2, 2, 2))
         assert len(reports) == len(good)
         assert reports[3].error.startswith("RankDeficientError:")
         for i, (report, ref) in enumerate(zip(reports, good)):
             if i != 3:
+                assert same_report(report, ref)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", [
+        name for name, entry in default_gallery().items()
+        if entry.patch.hess is not None])
+    def test_a_non_finite_hessian_fails_its_node_alone(self, name, value):
+        patch = default_gallery()[name].patch
+        good = geo.sweep(patch, (2, 2, 2))
+        broken = corrupted_at(patch, good[3].u,
+                              lambda h: np.full_like(h, value), "hess")
+        reports = geo.sweep(broken, (2, 2, 2))
+        assert reports[3].error.startswith(
+            f"GeometryError: hessian of {patch.name!r} has non-finite entries")
+        for i, (report, ref) in enumerate(zip(reports, good)):
+            if i != 3:
+                assert same_report(report, ref)
+
+    def test_a_non_finite_position_fails_its_node_alone(self):
+        patch = default_gallery()["twisted_cone"].patch
+        good = geo.sweep(patch, (2, 2, 2))
+        broken = corrupted_at(patch, good[5].u,
+                              lambda x: np.full_like(x, math.nan), "eval")
+        reports = geo.sweep(broken, (2, 2, 2))
+        assert reports[5].error.startswith(
+            "GeometryError: position of 'twisted_cone' has non-finite entries")
+        for i, (report, ref) in enumerate(zip(reports, good)):
+            if i != 5:
                 assert same_report(report, ref)
 
     def test_sweep_logs_one_timing_record(self, caplog):
@@ -500,6 +540,23 @@ class TestInvariance:
                                                    u)
         assert np.allclose(scaled_cubic.coeffs, cubic.coeffs / lam, atol=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-300, -150, 150, 300])
+    def test_residuals_are_scale_free(self, exponent):
+        patch = geo.scale_patch(hl_cone(), 10.0 ** exponent)
+        u = np.array([1.1, 1.3, 2.2])
+        assert geo.lagrangian_residual(patch, u) <= 1e-14
+        assert geo.special_residual(patch, u)[0] <= 1e-14
+        # the cubic scales by 10^-exponent, and classify's own arithmetic
+        # overflows on norms of about 1e150 and more (recorded in CHANGES.md)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = geo.sweep(patch, (2, 2, 2))
+        for r in reports:
+            if exponent == -300:  # the cubic's norm itself overflows
+                assert r.error.startswith("GeometryError: cubic of")
+            else:
+                assert r.error is None
+                assert r.lag_res <= 1e-14 and r.im_res <= 1e-14
+
     def test_dilated_family_matches_other_waist(self):
         # scaling the c=1 family by 2 lands on the c=2 family
         patch = geo.scale_patch(harvey_lawson_so3(1.0), 2.0)
@@ -517,8 +574,8 @@ class TestInvariance:
                        [math.sin(ang), math.cos(ang)]]
         repar = geo.ImmersionPatch(
             name="cone_repar", domain=patch.domain,
-            eval=lambda w: patch.eval(u + rot @ (w - u)),
-            jac=lambda w: patch.jac(u + rot @ (w - u)) @ rot)
+            eval=lambda w: patch.eval(u + (w - u) @ rot.T),
+            jac=lambda w: patch.jac(u + (w - u) @ rot.T) @ rot)
         base = classify(geo.fundamental_cubic(patch, u)[0])
         other = classify(geo.fundamental_cubic(repar, u)[0])
         assert base.type == other.type
