@@ -15,6 +15,10 @@ Conventions (load-bearing, used across the package):
   ``c0`` (axial), ``c1, c2, c3`` (complex); the complex structure is chosen
   so that pulling back by a rotation through ``alpha`` about ``w``
   multiplies ``c_k`` by ``exp(i k alpha)``.
+* The axis search runs on coefficient rows scaled to unit norm, so its
+  arithmetic does not depend on the cubic's scale; the residuals it reports
+  in ``SymmetryAxes`` are scaled back, in the units of (tol * ||h||)^2.
+* Every pullback of a cubic by a rotation goes through ``_pullback``.
 """
 
 from __future__ import annotations
@@ -258,8 +262,8 @@ class SymmetryAxes:
     Each entry is (unit axis, residual), the residual being the value of the
     defining squared functional (order-2: |c1|^2 + |c3|^2; order-3:
     |c1|^2 + |c2|^2; circle: the sum of all three), at most (tol * ||h||)^2
-    for the search's `tol`.  Axes satisfying the circle condition are listed
-    only under `circle`.
+    for the search's `tol`, so in the units of ||h||^2.  Axes satisfying the
+    circle condition are listed only under `circle`.
     """
 
     order2: tuple
@@ -568,81 +572,72 @@ def _axis_seeds(v):
     return seeds[keep] / n[keep, None], _SEED_KIND[row], owner
 
 
-def _pullback_many(tloc, rmats):
-    """Coefficient pullbacks: tloc (n,3,3,3) by rmats (n,L,3,3) -> (n,L,10)."""
-    u = np.einsum("nabc,nlai->nlbci", tloc, rmats)
-    u = np.einsum("nlbci,nlbj->nlcij", u, rmats)
-    u = np.einsum("nlcij,nlck->nlijk", u, rmats)
-    return u.reshape(u.shape[0], u.shape[1], 27)[:, :, _IDX10]
-
-
 # The finite-difference stencil lives in a chart recentred after every step,
 # so its five transports are fixed; precompute their exact coefficient
 # pullback operators composed with the projection onto all seven components.
 _REFINE_STEP = 1e-6
 _REFINE_ITERS = 60
+_REFINE_FLOOR = 1e-30  # a seed retires at this functional of a unit cubic
 _LINE_STEPS = 0.5 ** np.arange(8)  # line-search step lengths, full step first
 _STENCIL = _transport_matrices(
     [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
      [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
-_P_STEN = np.stack([_pullback(np.eye(10), t).T for t in _STENCIL])
-_STEN_OP = np.einsum("mj,sji->smi", _BASIS7, _P_STEN)
+_STEN_OP = np.stack([_BASIS7 @ _pullback(np.eye(10), t).T for t in _STENCIL])
 
 
-def _functional(c, basis_t, mask):
-    """Masked squared components of coefficient rows c (..., 10).
-
-    The projection runs as one matrix product of at least two rows: numpy
-    computes a one-row product on its vector path, whose rounding differs,
-    so a lone row is doubled and every row gets the same arithmetic.
-    """
-    rows = c.reshape(-1, 10)
-    comps = (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)) @ basis_t
-    comps = comps[:len(rows)].reshape(*c.shape[:-1], -1)
+def _functional(c, basis, mask):
+    """Masked squared components of the coefficient rows c (..., 10), each
+    row projected onto the rows of basis (k, 10) as its own (k, 10) @ (10, 1)
+    product, as in _components."""
+    comps = np.matmul(basis, c[..., :, None])[..., 0]
     return ((comps * mask) ** 2).sum(-1)
 
 
-def _trials(tloc, delta, lams, mask, basis_t):
-    """Line-search trials of the steps lams * delta from each seed's chart:
-    (rotations (m, L, 3, 3), pulled-back coefficients (m, L, 10), masked
-    functionals (m, L))."""
-    m = len(tloc)
-    pts = np.ones((m, len(lams), 3))  # chart point (xi0, xi1) at z = 1
+def _trials(cloc, delta, lams, mask, basis):
+    """Line-search trials of the steps lams * delta from each seed's chart,
+    whose coefficient rows are cloc (m, 10): (rotations (m, L, 3, 3),
+    pulled-back coefficients (m, L, 10), masked functionals (m, L)).  Each
+    row is repeated once per step length and pulled back by its trial
+    rotation in one _pullback call."""
+    m, L = len(cloc), len(lams)
+    pts = np.ones((m, L, 3))  # chart point (xi0, xi1) at z = 1
     pts[:, :, :2] = delta[:, None, :] * lams[None, :, None]
-    rmats = _transport_matrices(pts.reshape(-1, 3)).reshape(
-        m, len(lams), 3, 3)
-    trials = _pullback_many(tloc, rmats)
-    return rmats, trials, _functional(trials, basis_t, mask[:, None])
+    rmats = _transport_matrices(pts.reshape(-1, 3))
+    trials = _pullback(np.repeat(cloc, L, axis=0), rmats).reshape(m, L, 10)
+    return (rmats.reshape(m, L, 3, 3), trials,
+            _functional(trials, basis, mask[:, None]))
 
 
-def _refine_axes(tensors, floors, seeds, mask):
+def _refine_axes(cs, seeds, mask):
     """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
-    Seed i searches the cubic with full tensor tensors[i] (n, 3, 3, 3) and
-    retires once its functional is at most floors[i], so the seeds of many
-    cubics march together, each with the arithmetic it has alone.  Each
-    seed carries its own chart, recentred after every accepted step so the
-    transport underlying the component phases stays smooth; basins that
-    stop descending are retired early.  The line search pulls back the full
-    step first and the seven halvings only for the seeds where it does not
-    improve; the first improving step is taken.  Only the union of the
-    masked rows is projected; a masked-out row adds exact zeros, so every
-    seed's sums are those of its own components.  Returns (axes (n,3),
-    functional (n,)).
+    Seed i searches the cubic with coefficient rows cs[i] (n, 10), scaled to
+    unit norm, and retires once its functional is at most _REFINE_FLOOR, so
+    the search is scale-free and the seeds of many cubics march together,
+    each with the arithmetic it has alone.  Each seed carries its own chart,
+    recentred after every accepted step so the transport underlying the
+    component phases stays smooth; basins that stop descending are retired
+    early.  The line search pulls back the full step first and the seven
+    halvings only for the seeds where it does not improve; the first
+    improving step is taken.  Only the union of the masked rows is
+    projected; a masked-out row adds exact zeros, so every seed's sums are
+    those of its own components.  Returns (axes (n, 3), functional (n,) of
+    the unit-norm rows).
     """
     cols = np.flatnonzero(np.any(mask, axis=0))
     mask = mask[:, cols]
-    basis_t = _BASIS7[cols].T
+    basis = _BASIS7[cols]
     sten = _STEN_OP[:, cols]
     n = len(seeds)
     base = _transport_matrices(seeds)
-    cloc = _pullback_many(tensors, base[:, None])[:, 0, :]
-    fval = _functional(cloc, basis_t, mask)
+    cs = cs / np.sqrt(_rowdot(MULTIPLICITY * cs, cs))[:, None]
+    cloc = _pullback(cs, base)
+    fval = _functional(cloc, basis, mask)
     f0 = fval.copy()
     active = np.arange(n)
     for it in range(_REFINE_ITERS):
-        keep = fval[active] > floors[active]
+        keep = fval[active] > _REFINE_FLOOR
         if it >= 2:
             keep &= fval[active] <= 0.5 ** it * f0[active]
         active = active[keep]
@@ -670,15 +665,14 @@ def _refine_axes(tensors, floors, seeds, mask):
             [-(a22[good] * b1[good] - a12[good] * b2[good]) * inv,
              -(a11[good] * b2[good] - a12[good] * b1[good]) * inv], axis=1)
         delta = np.clip(delta, -1.0, 1.0)  # keep trials inside the chart
-        tloc = _full(cloc[active])
         rmat, trial, tval = (a[:, 0] for a in _trials(
-            tloc, delta, _LINE_STEPS[:1], mask[active], basis_t))
+            cloc[active], delta, _LINE_STEPS[:1], mask[active], basis))
         lam = np.ones(len(active))
         ok = tval < fval[active]
         short = np.flatnonzero(~ok)
         if len(short):
-            rs, ts, vs = _trials(tloc[short], delta[short], _LINE_STEPS[1:],
-                                 mask[active[short]], basis_t)
+            rs, ts, vs = _trials(cloc[active[short]], delta[short],
+                                 _LINE_STEPS[1:], mask[active[short]], basis)
             improving = vs < fval[active[short], None]
             pick = np.argmax(improving, axis=1)  # first (largest) improving
             at = np.arange(len(short))
@@ -701,14 +695,21 @@ def _refine_axes(tensors, floors, seeds, mask):
 _LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
 
 
+def _antipodal_gap(a, b):
+    """Distances min(|a - b|, |a + b|) (...) between the axes a and b
+    (..., 3), each standing for the line it spans."""
+    return np.sqrt(np.minimum(((a - b) ** 2).sum(-1),
+                              ((a + b) ** 2).sum(-1)))
+
+
 def _dedupe(axes, res, groups=None):
     """Antipodal canonicalization and angular merge of candidate axes
     (n, 3) with residuals (n,) within each group (n,) (default: one).
 
     Each axis is signed so that its first coordinate above 1e-8 in modulus
     is positive.  Taken by increasing residual (ties in input order), an
-    axis is dropped when its squared distance to a kept axis of its group,
-    the smaller over +-, is below _MERGE_ANGLE^2.  That greedy pass is
+    axis is dropped when its distance to a kept axis of its group, the
+    smaller over +-, is below _MERGE_ANGLE.  That greedy pass is
     solved on one pairwise distance matrix per group, repeated on the last
     kept set until it is stable (the greedy result is its only fixed
     point).  Returns (indices of the kept axes, by group, each group's in
@@ -730,9 +731,8 @@ def _dedupe(axes, res, groups=None):
     held[g, pos] = axes[order]
     valid = np.zeros(held.shape[:2], dtype=bool)
     valid[g, pos] = True
-    a, b = held[:, :, None], held[:, None]
-    d2 = np.minimum(((b - a) ** 2).sum(-1), ((b + a) ** 2).sum(-1))
-    close = ((d2 < _MERGE_ANGLE * _MERGE_ANGLE) & valid[:, None]
+    close = ((_antipodal_gap(held[:, :, None], held[:, None]) < _MERGE_ANGLE)
+             & valid[:, None]
              & np.tri(held.shape[1], k=-1, dtype=bool))
     keep = valid
     while True:
@@ -810,11 +810,8 @@ def _census(sq, tol, seeds, kind, owner, axes, final):
     ws, res, groups = ws[kept], final[hit][kept], groups[kept]
     circle = groups % 3 == 0
     if circle.any():
-        u = ws[circle]
-        near = np.minimum(np.sqrt(_rowdot(ws[:, None] - u, ws[:, None] - u)),
-                          np.sqrt(_rowdot(ws[:, None] + u, ws[:, None] + u)))
-        near = (near < _MERGE_ANGLE) & (groups[:, None] // 3
-                                        == groups[circle] // 3)
+        near = ((_antipodal_gap(ws[:, None], ws[circle]) < _MERGE_ANGLE)
+                & (groups[:, None] // 3 == groups[circle] // 3))
         stay = circle | ~near.any(axis=1)
         ws, res, groups = ws[stay], res[stay], groups[stay]
     found = [([], [], []) for _ in sq]
@@ -832,15 +829,17 @@ def _symmetry_axes(cs, sq, tol):
     chunk: one stacked root-finding call gives the Maxwell directions of
     all its cubics (_maxwell_directions), one pass builds their seeds
     (_axis_seeds), one lockstep refine polishes the seeds together
-    (_refine_axes), and one census merges the accepted axes (_census).
+    (_refine_axes), and one census merges the accepted axes (_census).  The
+    refine works on unit-norm rows; its functional is multiplied by ||h||^2
+    before the census, so the census and the residuals it reports keep the
+    cubic's own units.
     """
     out = []
     for lo in range(0, len(cs), _AXIS_CHUNK):
         c, q = cs[lo:lo + _AXIS_CHUNK], sq[lo:lo + _AXIS_CHUNK]
         seeds, kind, owner = _axis_seeds(_maxwell_directions(c))
-        axes, final = _refine_axes(_full(c)[owner], 1e-30 * q[owner], seeds,
-                                   _CONDITION_MASKS[kind])
-        out += _census(q, tol, seeds, kind, owner, axes, final)
+        axes, final = _refine_axes(c[owner], seeds, _CONDITION_MASKS[kind])
+        out += _census(q, tol, seeds, kind, owner, axes, final * q[owner])
     return out
 
 
@@ -1040,8 +1039,7 @@ def singular_directions(h: HarmonicCubic):
     t = h.tensor
     seeds = _singular_seeds(t)
     n = len(seeds)
-    axes, _ = _refine_axes(np.broadcast_to(t, (n, 3, 3, 3)),
-                           np.full(n, 1e-30 * h.inner(h)), seeds,
+    axes, _ = _refine_axes(np.broadcast_to(h.coeffs, (n, 10)), seeds,
                            np.broadcast_to(_GRADIENT, (n, 7)))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)

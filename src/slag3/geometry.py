@@ -31,7 +31,9 @@ from .cubics import (
     _SECONDS as _CLASSIFY_SECONDS,
     HarmonicCubic,
     NormalFormResult,
+    _full,
     _gather,
+    _pullback,
     _rowdot,
     _traceless,
     classify,
@@ -535,7 +537,8 @@ _RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 def _aligned(patch, nodes, e0):
     """Cubic tensors (n, 3, 3, 3) at the rows of nodes, each expressed in the
-    frame best aligned with the frame e0."""
+    frame best aligned with the frame e0: the cubic's coefficients pulled
+    back by that frame rotation through cubics._pullback."""
     (_, e, _, _, _, _), cubics = _cubic_at(patch, nodes)
     uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e0)
     rot, sv = nodes.spread(uu @ vt), nodes.spread(sv)
@@ -544,9 +547,9 @@ def _aligned(patch, nodes, e0):
                lambda i: FrameAlignmentError(
                    f"adapted frames at {nodes.u[i]} rotate too far for "
                    f"differencing (singular values {sv[i]})"))
-    tensors = np.stack([cubics[i].tensor if i in cubics else np.zeros(
-        (3, 3, 3)) for i in range(len(nodes.u))])
-    return np.einsum("nabc,nai,nbj,nck->nijk", tensors, rot, rot, rot)
+    coeffs = np.stack([cubics[i].coeffs if i in cubics else np.zeros(10)
+                       for i in range(len(nodes.u))])
+    return _full(_pullback(coeffs, rot))
 
 
 def _metric(patch, u):

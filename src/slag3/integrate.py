@@ -119,6 +119,15 @@ def so2_theta_rates(c: float, theta: float):
     return dr * w, dt * w
 
 
+def _rk4(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) from (t, y) with step h."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def so2_march(c: float, theta0: float, theta1: float):
     """RK4 re-integration of the (r, t) pair from theta0 to theta1.
 
@@ -138,11 +147,7 @@ def so2_march(c: float, theta0: float, theta1: float):
 
     theta = theta0
     for _ in range(_SO2_STEPS):
-        k1 = rhs(theta, y)
-        k2 = rhs(theta + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(theta + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(theta + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4(rhs, theta, y, h)
         theta += h
     return float(y[0]), float(y[1])
 
@@ -207,14 +212,6 @@ def _z2_rhs(y, axis):
     return out
 
 
-def _rk4_step(y, axis, h):
-    k1 = _z2_rhs(y, axis)
-    k2 = _z2_rhs(y + 0.5 * h * k1, axis)
-    k3 = _z2_rhs(y + 0.5 * h * k2, axis)
-    k4 = _z2_rhs(y + h * k3, axis)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _check_state(y):
     y = np.asarray(y)
     if not np.all(np.isfinite(y)):
@@ -257,7 +254,7 @@ def _march(y, axis, h, n, counter):
     """
     out = []
     for _ in range(n):
-        y = _rk4_step(y, axis, h)
+        y = _rk4(lambda _, z: _z2_rhs(z, axis), 0.0, y, h)
         counter[0] += 1
         if counter[0] % _RENORM_EVERY == 0:
             y, drift = _renormalize(y)

@@ -573,7 +573,7 @@ class TestClassifyProperties:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=st.sampled_from([c for c in CORPUS if c[2] is not ST.FULL]),
-           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 150.0),
            sign=st.sampled_from((1.0, -1.0)))
     def test_dilation_rotation_sign_invariance(self, case, seed, exponent,
                                                sign):
@@ -597,6 +597,21 @@ class TestClassifyProperties:
                 assert fit.type is expected, name
                 assert fit.r == pytest.approx(lam * ref.r, abs=1e-6 * lam)
                 assert fit.s == pytest.approx(lam * ref.s, abs=1e-6 * lam)
+
+    def test_a_norm_of_1e150_gives_the_unit_scale_answer(self):
+        # the axis search runs on unit-norm rows, so neither classify nor
+        # singular_directions overflows (warnings are errors in this suite)
+        h = rotate(normal_form(ST.Z2, 1.0, 2.0),
+                   Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
+        big = h.scaled(1e150)
+        fit = classify(big)
+        assert fit.type is ST.Z2
+        assert fit.r == pytest.approx(1e150, rel=1e-12)
+        assert fit.s == pytest.approx(2e150, rel=1e-12)
+        dirs, ref = singular_directions(big), singular_directions(h)
+        assert len(dirs) == len(ref) == 2
+        for d, w in zip(dirs, ref):
+            assert np.linalg.norm(d - w) < 1e-12
 
 
 def same_fit(a, b):
@@ -876,7 +891,7 @@ class TestSingularDirections:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=st.sampled_from([c for c in CORPUS if c[2] is not ST.FULL]),
-           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 8.0),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-8.0, 150.0),
            sign=st.sampled_from((1.0, -1.0)))
     def test_rotation_sign_dilation_equivariance(self, case, seed, exponent,
                                                  sign):
