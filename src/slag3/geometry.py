@@ -121,7 +121,10 @@ class ImmersionPatch:
     that fallback only: frames, cubics and the Codazzi–Gauss audit read
     ``jac`` and ``hess`` alone.  This module calls each map with one (n, 3)
     stack (a point is a stack of one), so a map that raises fails every
-    node of that call.
+    node of that call.  A gallery map given a bare point (3,) may round
+    differently in the last bits from the same point as a one-row stack
+    (1, 3), since numpy's complex arithmetic on 0-d operands is not its
+    array loop; compare ``patch.jac(u)`` with :func:`jacobian` on stacks.
     """
 
     name: str
@@ -279,7 +282,8 @@ def hessian(patch: ImmersionPatch, u):
 def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
     """Check an analytic jacobian against central FD at random interior points.
 
-    Returns the worst relative deviation; raises GeometryError above 1e-6.
+    Returns the worst relative deviation; raises GeometryError unless it is
+    finite and at most 1e-6, so a NaN map value fails the check.
     """
     if patch.jac is None:
         return 0.0
@@ -289,7 +293,7 @@ def validate_derivatives(patch: ImmersionPatch, n=20, seed=0):
     jf = _central(patch.eval, u, _step(_FD_STEP_1, u))
     worst = float(np.max(np.linalg.norm(jacobian(patch, u) - jf, axis=(1, 2))
                          / np.maximum(1.0, np.linalg.norm(jf, axis=(1, 2)))))
-    if worst > _JAC_RTOL:
+    if not worst <= _JAC_RTOL:  # a NaN deviation fails too
         raise GeometryError(
             f"analytic jacobian of {patch.name!r} deviates from finite "
             f"differences by {worst:.3e}")
@@ -553,15 +557,15 @@ def _aligned(patch, nodes, e0):
 
 
 def _metric(patch, u):
-    t = jacobian(patch, u)
+    """Induced metrics tᵀt at the rows of u from one checked jacobian call;
+    the first degenerate row raises its RankDeficientError."""
+    t = _strict(_checked_jacobian, patch, u)
     return np.swapaxes(t, -1, -2) @ t
 
 
-def _curvature_param(patch, u, step):
-    """Coordinate curvature tensor R_abcd of the induced metric at u by FD,
-    from one jacobian call on the 19 stencil points."""
-    g0, dg, ddg = (x[0] for x in _differences(   # dg[a] = ∂_a g, ddg[a, b]
-        lambda x: _metric(patch, x), u[None], np.array([float(step)])))
+def _curvature(g0, dg, ddg):
+    """Coordinate curvature tensor R_abcd of a metric g0 from its first
+    (dg[a] = ∂_a g) and second (ddg[a, b]) derivatives at one point."""
     ginv = np.linalg.inv(g0)
     # Γ^e_ab from first derivatives of the metric
     gam = 0.5 * np.einsum("ed,abd->eab", ginv,
@@ -574,32 +578,32 @@ def _curvature_param(patch, u, step):
     return riem
 
 
-def _compat_residuals(patch, u, step):
-    """(codazzi, gauss, floors): the Frobenius residuals at one step size
-    and, for each, the roundoff floor of its stencil at that step."""
+def _compat_residuals(patch, u, steps):
+    """((codazzi, gauss, floors), ...) per step size in `steps`: the
+    Frobenius residuals and, for each, the roundoff floor of its stencil at
+    that step.  All steps share one centre cubic, one stack of aligned
+    neighbour cubics and one metric stencil, so each patch map is called
+    once per stage whatever the number of steps.  A degenerate neighbour or
+    stencil point raises its typed error (RankDeficientError for a
+    non-finite or rank-deficient jacobian): the neighbours are checked
+    before the metric stencil, each stack in step order."""
     (t0, e0, v, _, _, _), cubics = _strict(_cubic_at, patch, u)
     t0, e0, v, h = t0[0], e0[0], v[0], cubics[0].tensor
+    x = np.asarray(u, dtype=float)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
     # neighbor cubics pulled back through the closest frame rotation, must be
-    # symmetric in all four slots.  The six neighbours u ± step·v_l are one
-    # stack, in the order +v_1, -v_1, +v_2, ...
-    x = np.asarray(u, dtype=float)
+    # symmetric in all four slots.  The six neighbours u ± step·v_l of each
+    # step are one stack, step-major, in the order +v_1, -v_1, +v_2, ...
     sides = _strict(lambda p, nodes: _aligned(p, nodes, e0), patch, np.stack(
-        [x + sign * step * v[:, l] for l in range(3) for sign in (1.0, -1.0)]))
-    grad = (sides[0::2] - sides[1::2]) / (2.0 * step)
-    sym = np.zeros_like(grad)
-    for perm in itertools.permutations(range(4)):
-        sym += grad.transpose(perm)
-    sym /= 24.0
-    codazzi = float(np.linalg.norm(grad - sym))
-
-    # Gauss: intrinsic curvature against the quadratic expression in h.
-    riem = _curvature_param(patch, x, step)
-    riem_frame = np.einsum("abcd,ai,bj,ck,dl->ijkl", riem, v, v, v, v,
-                           optimize=_RIEM_PATH)
+        [x + sign * step * v[:, l] for step in steps for l in range(3)
+         for sign in (1.0, -1.0)])).reshape(len(steps), 6, 3, 3, 3)
+    # Gauss: intrinsic curvature against the quadratic expression in h, the
+    # metric's 19-point stencils of all steps in one jacobian call.
+    metric = _differences(lambda y: _metric(patch, y),
+                          np.repeat(x[None], len(steps), axis=0),
+                          np.array(steps, dtype=float))
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
-    gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
 
     # Roundoff floors: relative noise times the differenced values times the
     # stencil's absolute weights, in frame units.  ∇h differences cubics
@@ -612,10 +616,24 @@ def _compat_residuals(patch, u, step):
         _FD_STEP_1 if patch.jac is not None else _FD_STEP_2 ** 2)
     hh = float(np.sum(h * h))
     cap = _ROUNDOFF_SHARE * hh
-    roundoff = (h_noise * math.sqrt(hh) / step,
-                8.0 * _EPS * np.linalg.norm(t0.T @ t0)
-                * np.linalg.norm(v) ** 4 / step**2)
-    return codazzi, gauss, tuple(float(min(r, cap)) for r in roundoff)
+    g_noise = 8.0 * _EPS * np.linalg.norm(t0.T @ t0) * np.linalg.norm(v) ** 4
+
+    out = []
+    for k, step in enumerate(steps):
+        grad = (sides[k, 0::2] - sides[k, 1::2]) / (2.0 * step)
+        sym = np.zeros_like(grad)
+        for perm in itertools.permutations(range(4)):
+            sym += grad.transpose(perm)
+        sym /= 24.0
+        codazzi = float(np.linalg.norm(grad - sym))
+        riem_frame = np.einsum("abcd,ai,bj,ck,dl->ijkl",
+                               _curvature(*(d[k] for d in metric)),
+                               v, v, v, v, optimize=_RIEM_PATH)
+        gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
+        roundoff = (h_noise * math.sqrt(hh) / step, g_noise / step**2)
+        out.append((codazzi, gauss,
+                    tuple(float(min(r, cap)) for r in roundoff)))
+    return tuple(out)
 
 
 def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
@@ -629,11 +647,20 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     stencil's roundoff floor (at most 1e-6·‖h‖²) means the step is in the
     cancellation regime and raises StepTooSmallError.
 
+    Both steps are audited in one pass: one centre cubic, one stack of the
+    twelve aligned neighbour cubics and one metric stencil of 38 points,
+    each a single call per patch map (3 ``jac`` and 2 ``hess`` calls on a
+    patch with both analytic).  A degenerate neighbour or metric stencil
+    point (a non-finite or rank-deficient jacobian, a non-finite hessian)
+    raises its typed GeometryError instead of yielding a NaN or meaningless
+    residual.
+
     The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
     the finite-difference fallback of a patch without an analytic ``jac``.
     """
-    *full, _ = _compat_residuals(patch, u, float(step))
-    *half, floors = _compat_residuals(patch, u, 0.5 * float(step))
+    step = float(step)
+    (*full, _), (*half, floors) = _compat_residuals(patch, u,
+                                                    (step, 0.5 * step))
     for name, f, h, floor in zip(("codazzi", "gauss"), full, half, floors):
         # truncation-dominated residuals shrink ~4x under halving; growth
         # beyond the roundoff floor means the step is cancellation-limited

@@ -1,5 +1,6 @@
 """Tests for the ambient forms and patch-geometry operations."""
 
+import collections
 import dataclasses
 import logging
 import math
@@ -147,6 +148,22 @@ class TestDerivativeFallbacks:
             jac=lambda u: good.jac(u) + 1e-3)
         with pytest.raises(geo.GeometryError):
             geo.validate_derivatives(bad)
+
+    @pytest.mark.parametrize("name", ["eval", "jac"])
+    def test_validate_derivatives_rejects_a_nan(self, name):
+        # one NaN row: the first FD stencil point (eval) or the first
+        # sample point (jac); a NaN deviation must not pass as small
+        patch = hl_cone()
+        real = getattr(patch, name)
+
+        def first_row_nan(u):
+            value = np.array(real(u), dtype=float)
+            value[0] = math.nan
+            return value
+
+        with pytest.raises(geo.GeometryError, match="deviates"):
+            geo.validate_derivatives(
+                dataclasses.replace(patch, **{name: first_row_nan}))
 
 
 class TestLagrangianResidual:
@@ -454,14 +471,65 @@ class TestCodazziGauss:
         # flipping the sign of the quadratic cubic term must wreck the match
         patch = harvey_lawson_so3(1.0)
         u = np.array([-0.7, 1.2, 0.8])
-        good = geo._compat_residuals(patch, u, 1e-3)[1]
+        good = geo._compat_residuals(patch, u, (1e-3,))[0][1]
         orig = geo._GAUSS_SIGN
         try:
             geo._GAUSS_SIGN = -orig
-            bad = geo._compat_residuals(patch, u, 1e-3)[1]
+            bad = geo._compat_residuals(patch, u, (1e-3,))[0][1]
         finally:
             geo._GAUSS_SIGN = orig
         assert good < 1e-3 < 1.0 < bad
+
+    def test_both_steps_call_each_map_once_per_stage(self):
+        # the centre cubic, the aligned neighbours and the metric stencil
+        # each serve both step sizes: 3 jac and 2 hess calls (6 and 4 when
+        # every step size ran its own pass)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(u):
+                calls[name] += 1
+                return fn(u)
+            return wrapped
+
+        patch = hl_cone()
+        geo.codazzi_gauss_residual(dataclasses.replace(
+            patch, jac=counted("jac", patch.jac),
+            hess=counted("hess", patch.hess)), np.array([1.1, 1.3, 2.2]))
+        assert calls == {"jac": 3, "hess": 2}
+
+    @pytest.mark.parametrize("name", list(default_gallery()))
+    def test_one_pass_equals_one_call_per_step(self, name):
+        def raw(residuals):
+            return np.array([[c, g, *f] for c, g, f in residuals]).tobytes()
+
+        rng = np.random.default_rng(29)
+        patch = geo.transform_patch(
+            default_gallery()[name].patch,
+            ambient.su3_real_matrix(random_su3(rng)), rng.normal(size=6))
+        u = np.mean(patch.domain, axis=1)
+        both = geo._compat_residuals(patch, u, (1e-3, 0.5 * 1e-3))
+        assert raw(both) == raw(geo._compat_residuals(patch, u, (1e-3,))
+                                + geo._compat_residuals(patch, u,
+                                                        (0.5 * 1e-3,)))
+
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda t: np.full_like(t, math.nan), "non-finite entries"),
+        (np.zeros_like, "rank-deficient")], ids=["nan", "zero"])
+    @pytest.mark.parametrize("step", [1e-3, 0.5 * 1e-3], ids=["full", "half"])
+    @pytest.mark.parametrize("name", ["hl_cone", "harvey_lawson_so3",
+                                      "twisted_cone"])
+    def test_a_degenerate_metric_stencil_point_raises(self, name, step,
+                                                      corrupt, match):
+        # the mixed metric stencil point u + s·(e_0 + e_1) of either step;
+        # unchecked, a NaN there gave gauss = NaN (full step) or passed
+        # the halving test (half step), and a zero gave gauss ~4e5
+        patch = default_gallery()[name].patch
+        u = np.mean(patch.domain, axis=1)
+        broken = corrupted_at(patch, u + step * np.array([1.0, 1.0, 0.0]),
+                              corrupt)
+        with pytest.raises(geo.RankDeficientError, match=match):
+            geo.codazzi_gauss_residual(broken, u)
 
     def test_cancellation_regime_raises(self):
         with pytest.raises(geo.StepTooSmallError):
