@@ -18,6 +18,8 @@ Conventions (load-bearing, used across the package):
 * The axis search runs on coefficient rows scaled to unit norm, so its
   arithmetic does not depend on the cubic's scale; the residuals it reports
   in ``SymmetryAxes`` are scaled back, in the units of (tol * ||h||)^2.
+  Only seeds within reach of an acceptable axis, a starting functional of
+  at most 100 * tol^(2/3) on the unit-norm rows (``_reach``), are polished.
 * Every pullback of a cubic by a rotation goes through ``_pullback``.
 """
 
@@ -68,6 +70,7 @@ _AXIS_CHUNK = 16     # cubics whose axis searches run together; bounds their
                      # arrays (tracemalloc peak of classify on 180 random
                      # cubics: 0.89 MB at 16, 8.6 MB in one chunk)
 _CONE_SIGMA = 1e-12  # sigma_3 / sigma_1 of the slice matrix of an exact cone
+_OVERFLOW = "cubic norm overflows: its squared norm is not finite"
 
 # cumulative wall seconds of classify's two stages, read by geometry.sweep
 _SECONDS = {"axis_search": 0.0, "fit": 0.0}
@@ -156,7 +159,8 @@ class HarmonicCubic:
         return math.sqrt(self.inner(self))
 
     def inner(self, other: "HarmonicCubic") -> float:
-        return float(np.dot(MULTIPLICITY * self.coeffs, other.coeffs))
+        with np.errstate(over="ignore"):  # inf, which classify rejects
+            return float(np.dot(MULTIPLICITY * self.coeffs, other.coeffs))
 
     def to_json_dict(self):
         return {"coeffs": [float(c) for c in self.coeffs]}
@@ -585,6 +589,18 @@ _STENCIL = _transport_matrices(
 _STEN_OP = np.stack([_BASIS7 @ _pullback(np.eye(10), t).T for t in _STENCIL])
 
 
+def _reach(tol):
+    """Largest starting functional (unit-norm rows) of a seed that can reach
+    an axis accepted at `tol`: 100 * tol^(2/3), 1 (no pruning) at 1e-3.
+
+    Within tol * ||h|| of Circle the triple Maxwell root splits by about
+    tol^(1/3) rad, so the best seed of the axis starts at a functional near
+    tol^(2/3).  The best seed of every accepted axis started at most
+    7 * tol^(2/3) (tol = 1e-6, 1e-4, 1e-2; near-Circle, near-collapse, exact
+    and Gaussian cubics, the worst Circle plus a c3 term)."""
+    return 100.0 * (tol * tol) ** (1.0 / 3.0)
+
+
 def _functional(c, basis, mask):
     """Masked squared components of the coefficient rows c (..., 10), each
     row projected onto the rows of basis (k, 10) as its own (k, 10) @ (10, 1)
@@ -608,22 +624,24 @@ def _trials(cloc, delta, lams, mask, basis):
             _functional(trials, basis, mask[:, None]))
 
 
-def _refine_axes(cs, seeds, mask):
+def _refine_axes(cs, seeds, mask, reach):
     """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
     Seed i searches the cubic with coefficient rows cs[i] (n, 10), scaled to
     unit norm, and retires once its functional is at most _REFINE_FLOOR, so
     the search is scale-free and the seeds of many cubics march together,
-    each with the arithmetic it has alone.  Each seed carries its own chart,
-    recentred after every accepted step so the transport underlying the
-    component phases stays smooth; basins that stop descending are retired
-    early.  The line search pulls back the full step first and the seven
-    halvings only for the seeds where it does not improve; the first
-    improving step is taken.  Only the union of the masked rows is
-    projected; a masked-out row adds exact zeros, so every seed's sums are
-    those of its own components.  Returns (axes (n, 3), functional (n,) of
-    the unit-norm rows).
+    each with the arithmetic it has alone.  A seed starting above `reach`
+    (_reach: an acceptable axis has a seed within about tol^(2/3)) retires
+    before the first step with its starting functional, which the census
+    rejects.  Each seed carries its own chart, recentred after every
+    accepted step so the transport underlying the component phases stays
+    smooth; basins that stop descending are retired early.  The line search
+    pulls back the full step first and the seven halvings only for the
+    seeds where it does not improve; the first improving step is taken.
+    Only the union of the masked rows is projected; a masked-out row adds
+    exact zeros, so every seed's sums are those of its own components.
+    Returns (axes (n, 3), functional (n,) of the unit-norm rows).
     """
     cols = np.flatnonzero(np.any(mask, axis=0))
     mask = mask[:, cols]
@@ -635,7 +653,7 @@ def _refine_axes(cs, seeds, mask):
     cloc = _pullback(cs, base)
     fval = _functional(cloc, basis, mask)
     f0 = fval.copy()
-    active = np.arange(n)
+    active = np.flatnonzero(fval <= reach)
     for it in range(_REFINE_ITERS):
         keep = fval[active] > _REFINE_FLOOR
         if it >= 2:
@@ -828,19 +846,30 @@ def _symmetry_axes(cs, sq, tol):
     The cubics go in chunks of _AXIS_CHUNK, and each step runs once per
     chunk: one stacked root-finding call gives the Maxwell directions of
     all its cubics (_maxwell_directions), one pass builds their seeds
-    (_axis_seeds), one lockstep refine polishes the seeds together
-    (_refine_axes), and one census merges the accepted axes (_census).  The
-    refine works on unit-norm rows; its functional is multiplied by ||h||^2
-    before the census, so the census and the residuals it reports keep the
-    cubic's own units.
+    (_axis_seeds), one lockstep refine polishes the seeds within _reach(tol)
+    together (_refine_axes), and one census merges the accepted axes
+    (_census).  The refine works on unit-norm rows; its functional is
+    multiplied by ||h||^2 before the census, so the census and the residuals
+    it reports keep the cubic's own units.
     """
     out = []
     for lo in range(0, len(cs), _AXIS_CHUNK):
         c, q = cs[lo:lo + _AXIS_CHUNK], sq[lo:lo + _AXIS_CHUNK]
         seeds, kind, owner = _axis_seeds(_maxwell_directions(c))
-        axes, final = _refine_axes(c[owner], seeds, _CONDITION_MASKS[kind])
+        axes, final = _refine_axes(c[owner], seeds, _CONDITION_MASKS[kind],
+                                   _reach(tol))
         out += _census(q, tol, seeds, kind, owner, axes, final * q[owner])
     return out
+
+
+def _checked_norm(h):
+    """||h||, or the ValueError of a zero or overflowing cubic."""
+    norm = h.norm()
+    if norm <= TAU_ZERO:
+        raise ValueError("cubic is numerically zero")
+    if norm == math.inf:
+        raise ValueError(_OVERFLOW)
+    return norm
 
 
 def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
@@ -853,10 +882,12 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     functional is at most (tol * ||h||)^2, i.e. when the components the
     symmetry forbids have norm at most tol * ||h||, so the census is
     invariant under dilation; axes meeting the circle condition are removed
-    from the order-2/order-3 lists.
+    from the order-2/order-3 lists.  Only seeds starting within
+    100 * tol^(2/3) * ||h||^2 are polished: near Circle the Maxwell roots
+    split by about tol^(1/3) rad, so an acceptable axis has a seed within
+    about tol^(2/3) (_reach).  A zero or overflowing norm raises ValueError.
     """
-    if h.norm() <= TAU_ZERO:
-        raise ValueError("cubic is numerically zero; axes are undefined")
+    _checked_norm(h)
     return _symmetry_axes(h.coeffs[None], np.array([h.inner(h)]), tol)[0]
 
 
@@ -994,20 +1025,24 @@ def classify(h, tol: float = TAU_AXIS):
     list, one entry per cubic, equal to classify on that cubic alone: its
     NormalFormResult, or the ValueError it raises alone (a CensusError when
     the census matches no stabilizer pattern), returned in its place so that
-    one failed census leaves the other cubics classified.  Every step runs
-    on arrays: the axis search in chunks of up to 16 cubics (_AXIS_CHUNK,
-    see _symmetry_axes), then the normal-form fit once per stabilizer type
-    over all cubics of that type, with one check of their rotations.  A
-    single cubic is a chunk of one.
+    one failed census leaves the other cubics classified; a cubic whose
+    squared norm overflows gets a ValueError.  Every step runs on arrays:
+    the axis search in chunks of up to 16 cubics (_AXIS_CHUNK, see
+    _symmetry_axes), then the normal-form fit once per stabilizer type over
+    all cubics of that type, with one check of their rotations.  A single
+    cubic is a chunk of one.
     """
     hs = [h] if isinstance(h, HarmonicCubic) else list(h)
-    sq = np.array([g.inner(g) for g in hs])
+    cs = np.array([g.coeffs for g in hs]).reshape(-1, 10)
+    with np.errstate(over="ignore"):  # an overflowing cubic is reported
+        sq = _rowdot(MULTIPLICITY * cs, cs)  # each as HarmonicCubic.inner
     norms = np.sqrt(sq)
-    live = np.flatnonzero(norms > TAU_ZERO)
-    out = [None if norm > TAU_ZERO else NormalFormResult(
-        StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)
-        for norm in norms.tolist()]
-    cs = np.array([hs[i].coeffs for i in live]).reshape(-1, 10)
+    live = np.flatnonzero((norms > TAU_ZERO) & (sq < math.inf))
+    out = [ValueError(_OVERFLOW) if norm == math.inf
+           else None if norm > TAU_ZERO else NormalFormResult(
+               StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)
+           for norm in norms.tolist()]
+    cs = cs[live]
     t0 = time.perf_counter()
     found = _symmetry_axes(cs, sq[live], tol)
     t1 = time.perf_counter()
@@ -1031,16 +1066,18 @@ def singular_directions(h: HarmonicCubic):
     orthogonal to the cubic's traceless slices, at the roots of a binary
     sextic, plus the kernel direction of a cone.  The gradient vanishes at
     w exactly when the components c0 and c1 about w do, and the lockstep
-    axis refiner polishes those zeros from the seeds.
+    axis refiner polishes those zeros from the seeds within _reach(1e-6)
+    = 1e-2.  The pencil seeds are nearly exact (every direction of 3455
+    cubics had one starting at most 2.3e-13), so this retires only seeds far
+    from any zero.  A zero or overflowing norm raises ValueError.
     """
-    norm = h.norm()
-    if norm <= TAU_ZERO:
-        raise ValueError("cubic is numerically zero")
+    norm = _checked_norm(h)
     t = h.tensor
     seeds = _singular_seeds(t)
     n = len(seeds)
     axes, _ = _refine_axes(np.broadcast_to(h.coeffs, (n, 10)), seeds,
-                           np.broadcast_to(_GRADIENT, (n, 7)))
+                           np.broadcast_to(_GRADIENT, (n, 7)),
+                           _reach(_TAU_GRAD))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
     res = np.linalg.norm(grads, axis=1)
     hit = res <= _TAU_GRAD * norm
@@ -1057,9 +1094,7 @@ def is_reducible(h: HarmonicCubic):
     normal-form alignment, pulled back to the input frame: the z-coordinate
     for Circle/Z2/A4 forms, the x-coordinate for S3.
     """
-    norm = h.norm()
-    if norm <= TAU_ZERO:
-        raise ValueError("cubic is numerically zero")
+    _checked_norm(h)
     fit = classify(h)
     m = fit.rotation.entries
     if fit.type in (StabilizerType.CIRCLE, StabilizerType.Z2,

@@ -384,11 +384,12 @@ def adapted_frame(patch: ImmersionPatch, u):
 
 def _cubic_at(patch, nodes):
     """(jacobians, frames e, preimages v, Υ₀ of the frames, Lagrangian and
-    raw trace residuals) over all rows and the cubics {row: HarmonicCubic},
-    from one jacobian and one hessian call; h_ijk = g₀(D²F(v_j, v_k), J e_i)
-    is two stacked matrix products.  A row is closed when its frame fails, its hessian is not
-    finite, its cubic norm overflows or its trace residual exceeds 1e-3 of
-    the cubic norm."""
+    raw trace residuals, cubic coefficient rows) over all rows, from one
+    jacobian and one hessian call; h_ijk = g₀(D²F(v_j, v_k), J e_i) is two
+    stacked matrix products.  A row is closed when its frame fails, its
+    hessian is not finite, its cubic norm overflows or its trace residual
+    exceeds 1e-3 of the cubic norm; a closed row's coefficients are zero.
+    Callers wrap a row in a HarmonicCubic only where they return one."""
     t, e, v, ups, lag = _checked_frame(patch, nodes)
     h2 = nodes.call(lambda x: hessian(patch, x), (6, 3, 3),
                     f"hessian of {patch.name!r}")
@@ -407,8 +408,9 @@ def _cubic_at(patch, nodes):
                lambda i: TraceResidualError(
                    f"raw cubic trace residual {trace[i]:.3e} exceeds "
                    f"{_TRACE_FAIL:.0e} of the cubic norm {scale[i]:.3e}"))
-    cubics = {i: HarmonicCubic(coeffs[i]) for i in nodes.open}
-    return (t, e, v, ups, lag, trace), cubics
+    out = np.zeros_like(coeffs)
+    out[nodes.open] = coeffs[nodes.open]
+    return t, e, v, ups, lag, trace, out
 
 
 def fundamental_cubic(patch: ImmersionPatch, u):
@@ -420,8 +422,8 @@ def fundamental_cubic(patch: ImmersionPatch, u):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    (_, e, _, _, _, trace), cubics = _strict(_cubic_at, patch, u)
-    return cubics[0], AdaptedFrame(
+    _, e, _, _, _, trace, coeffs = _strict(_cubic_at, patch, u)
+    return HarmonicCubic(coeffs[0]), AdaptedFrame(
         *e[0].T, position=_strict(_positions, patch, u)[0]), float(trace[0])
 
 
@@ -445,7 +447,8 @@ def point_report(patch: ImmersionPatch, u):
     cubics = {}
     try:
         position = _positions(patch, nodes)
-        (_, _, _, ups, lag, trace), cubics = _cubic_at(patch, nodes)
+        _, _, _, ups, lag, trace, coeffs = _cubic_at(patch, nodes)
+        cubics = {i: HarmonicCubic(coeffs[i]) for i in nodes.open}
         _positions(patch, nodes)  # the frame origins, as fundamental_cubic
     except ValueError as exc:  # GeometryError and CensusError are too
         nodes.fail(np.ones(len(nodes.open), bool), lambda i: exc)
@@ -535,15 +538,13 @@ def reports_to_csv(reports) -> str:
 # --- first-order compatibility (Codazzi and Gauss) residuals ---------------
 
 _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
-# contraction order of riem_frame, fixed so it is not planned on every call
-_RIEM_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
 
 
 def _aligned(patch, nodes, e0):
     """Cubic tensors (n, 3, 3, 3) at the rows of nodes, each expressed in the
     frame best aligned with the frame e0: the cubic's coefficients pulled
     back by that frame rotation through cubics._pullback."""
-    (_, e, _, _, _, _), cubics = _cubic_at(patch, nodes)
+    _, e, _, _, _, _, coeffs = _cubic_at(patch, nodes)
     uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e0)
     rot, sv = nodes.spread(uu @ vt), nodes.spread(sv)
     nodes.fail((sv[nodes.open, -1] < 0.5)
@@ -551,8 +552,6 @@ def _aligned(patch, nodes, e0):
                lambda i: FrameAlignmentError(
                    f"adapted frames at {nodes.u[i]} rotate too far for "
                    f"differencing (singular values {sv[i]})"))
-    coeffs = np.stack([cubics[i].coeffs if i in cubics else np.zeros(10)
-                       for i in range(len(nodes.u))])
     return _full(_pullback(coeffs, rot))
 
 
@@ -587,8 +586,8 @@ def _compat_residuals(patch, u, steps):
     stencil point raises its typed error (RankDeficientError for a
     non-finite or rank-deficient jacobian): the neighbours are checked
     before the metric stencil, each stack in step order."""
-    (t0, e0, v, _, _, _), cubics = _strict(_cubic_at, patch, u)
-    t0, e0, v, h = t0[0], e0[0], v[0], cubics[0].tensor
+    t0, e0, v, _, _, _, coeffs = _strict(_cubic_at, patch, u)
+    t0, e0, v, h = t0[0], e0[0], v[0], HarmonicCubic(coeffs[0]).tensor
     x = np.asarray(u, dtype=float)
 
     # Codazzi: the frame derivative ∇h, differenced along the frame legs with
@@ -626,9 +625,12 @@ def _compat_residuals(patch, u, steps):
             sym += grad.transpose(perm)
         sym /= 24.0
         codazzi = float(np.linalg.norm(grad - sym))
-        riem_frame = np.einsum("abcd,ai,bj,ck,dl->ijkl",
-                               _curvature(*(d[k] for d in metric)),
-                               v, v, v, v, optimize=_RIEM_PATH)
+        # R_abcd v_ai v_bj v_ck v_dl: each product contracts the leading
+        # slot and appends the new one, so four give ijkl
+        riem_frame = _curvature(*(d[k] for d in metric))
+        for _ in range(4):
+            riem_frame = riem_frame.reshape(3, -1).T @ v
+        riem_frame = riem_frame.reshape(3, 3, 3, 3)
         gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
         roundoff = (h_noise * math.sqrt(hh) / step, g_noise / step**2)
         out.append((codazzi, gauss,

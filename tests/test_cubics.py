@@ -478,6 +478,28 @@ class TestFindSymmetryAxes:
         assert classify(near).type is ST.S3
         assert len(calls) == 4
 
+    def test_the_reach_changes_no_census(self, monkeypatch):
+        # retiring the seeds beyond the reach before the first step keeps
+        # every type, census count and singular-direction count of a refine
+        # that polishes every seed
+        rng = np.random.default_rng(23)
+        hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
+        hs += [rotate(h, random_rotation(rng)) for h in hs]
+        hs += [random_cubic(rng) for _ in range(200)]
+        cs = np.array([h.coeffs for h in hs])
+        sq = np.array([h.inner(h) for h in hs])
+
+        def answers():
+            return ([fit.type for fit in classify(hs)],
+                    [(len(a.order2), len(a.order3), len(a.circle))
+                     for a in cubics._symmetry_axes(cs, sq, cubics.TAU_AXIS)],
+                    [len(singular_directions(h)) for h in hs])
+
+        pruned = answers()
+        monkeypatch.setattr(cubics, "_reach", lambda tol: math.inf)
+        assert answers() == pruned
+        assert len(set(pruned[0])) == 6
+
 
 # ---------------------------------------------------------------------------
 # classify
@@ -612,6 +634,37 @@ class TestClassifyProperties:
         assert len(dirs) == len(ref) == 2
         for d, w in zip(dirs, ref):
             assert np.linalg.norm(d - w) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1e154, 1e200])
+    def test_an_overflowing_norm_raises(self, lam):
+        # the squared norm is inf: a typed error, not Trivial or a third
+        # singular direction
+        h = rotate(normal_form(ST.Z2, 1.0, 2.0),
+                   Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
+        big = h.scaled(lam)
+        for entry in (classify, singular_directions, find_symmetry_axes):
+            with pytest.raises(ValueError, match="norm overflows"):
+                entry(big)
+        fits = classify([big, h])
+        assert type(fits[0]) is ValueError
+        assert "norm overflows" in str(fits[0])
+        assert same_fit(fits[1], classify(h))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("modes", [(1, 2), (3, 4), (5, 6),
+                                       (1, 2, 3, 4, 5, 6)],
+                             ids=["c1", "c2", "c3", "random"])
+    def test_circle_within_tol_stays_circle(self, tol, modes):
+        # Circle plus a non-axial term of norm 0.99 tol ||h||: the best seed
+        # of the axis starts at a functional near tol^(2/3), well within the
+        # reach 100 tol^(2/3)
+        rng = np.random.default_rng(int(1e6 * tol) + len(modes))
+        unit = cubics._BASIS7 / cubics.MULTIPLICITY  # orthonormal components
+        for _ in range(10):
+            p = HarmonicCubic(rng.normal(size=len(modes)) @ unit[list(modes)])
+            h = P0 + p.scaled(0.99 * tol * P0.norm() / p.norm())
+            fit = classify(rotate(h, random_rotation(rng)), tol=tol)
+            assert fit.type is ST.CIRCLE
 
 
 def same_fit(a, b):
