@@ -53,8 +53,6 @@ __all__ = [
     "find_symmetry_axes",
     "classify",
     "singular_directions",
-    "is_reducible",
-    "divide_by_linear",
     "normal_form",
     "transport_rotation",
 ]
@@ -99,6 +97,21 @@ def _full(c):
 def _gather(t):
     """The 10 independent entries (..., 10) of full tensors (..., 3, 3, 3)."""
     return t.reshape(t.shape[:-3] + (27,))[..., _IDX10]
+
+
+# v_k = sum_i h_iik as a (3, 10) map of the coefficients, and the (10, 3)
+# map from v to the trace part (d_ij v_k + d_jk v_i + d_ki v_j) / 5
+_TRACE = np.einsum("niik->kn", _full(np.eye(10)))
+_TRACE_PART = _gather(np.einsum("ij,nk->nijk", np.eye(3), np.eye(3))
+                      + np.einsum("jk,ni->nijk", np.eye(3), np.eye(3))
+                      + np.einsum("ki,nj->nijk", np.eye(3), np.eye(3))).T / 5.0
+
+
+def _trace_vectors(cs):
+    """Trace vectors (..., 3) of the coefficient rows cs (..., 10), each as
+    its own (3, 10) @ (10, 1) product, so a row's rounding does not depend
+    on its stack."""
+    return np.matmul(_TRACE, cs[..., :, None])[..., 0]
 
 
 def _pullback(cs, ms):
@@ -153,7 +166,7 @@ class HarmonicCubic:
 
     def trace_vector(self):
         """v_k = sum_i h_iik, zero for an admissible cubic."""
-        return np.einsum("iik->k", self.tensor)
+        return _trace_vectors(self.coeffs)
 
     def norm(self) -> float:
         return math.sqrt(self.inner(self))
@@ -366,13 +379,9 @@ def project_traceless(t) -> HarmonicCubic:
 
 
 def _traceless(cs):
-    """Unchecked project_traceless of raw entries (..., 10), row by row."""
-    full = _full(cs)
-    v = np.einsum("...iik->...k", full)[..., None, None, :]  # v at slot k
-    eye = np.eye(3)
-    corr = (eye[:, :, None] * v + eye * np.swapaxes(v, -1, -3)
-            + eye[:, None, :] * np.swapaxes(v, -1, -2)) / 5.0
-    return _gather(full - corr)
+    """Unchecked project_traceless of raw entries (..., 10), row by row; a
+    row with zero trace vector comes back unchanged."""
+    return cs - np.matmul(_TRACE_PART, _trace_vectors(cs)[..., None])[..., 0]
 
 
 def evaluate_and_gradient(h: HarmonicCubic, x):
@@ -576,17 +585,27 @@ def _axis_seeds(v):
     return seeds[keep] / n[keep, None], _SEED_KIND[row], owner
 
 
-# The finite-difference stencil lives in a chart recentred after every step,
-# so its five transports are fixed; precompute their exact coefficient
-# pullback operators composed with the projection onto all seven components.
-_REFINE_STEP = 1e-6
+def _generator(a):
+    """Coefficient map (10, 10) of d/d eps at 0 of the pullback by I + eps a.
+    That pullback is cubic in eps, so the five-point rule
+    (-P(2) + 8 P(1) - 8 P(-1) + P(-2)) / 12 gives it exactly."""
+    p2, p1, m1, m2 = (_pullback(np.eye(10), np.eye(3) + e * a).T
+                      for e in (2.0, 1.0, -1.0, -2.0))
+    return (8.0 * (p1 - m1) - p2 + m2) / 12.0
+
+
+# Each seed's chart is recentred after every step, so the components and
+# their derivatives along the chart coordinates (xi0, xi1), whose so(3)
+# generators are the first-order terms of _transport_matrices((xi0, xi1, 1)),
+# are fixed linear maps of the chart's coefficient rows: _REFINE_OP stacks
+# the projection onto all seven components and its composition with each
+# generator.
+_REFINE_OP = np.stack([_BASIS7] + [_BASIS7 @ _generator(_cross_matrix(a))
+                                   for a in ([0.0, 1.0, 0.0],
+                                             [-1.0, 0.0, 0.0])])
 _REFINE_ITERS = 60
 _REFINE_FLOOR = 1e-30  # a seed retires at this functional of a unit cubic
 _LINE_STEPS = 0.5 ** np.arange(8)  # line-search step lengths, full step first
-_STENCIL = _transport_matrices(
-    [[0.0, 0.0, 1.0], [_REFINE_STEP, 0.0, 1.0], [-_REFINE_STEP, 0.0, 1.0],
-     [0.0, _REFINE_STEP, 1.0], [0.0, -_REFINE_STEP, 1.0]])
-_STEN_OP = np.stack([_BASIS7 @ _pullback(np.eye(10), t).T for t in _STENCIL])
 
 
 def _reach(tol):
@@ -636,9 +655,11 @@ def _refine_axes(cs, seeds, mask, reach):
     before the first step with its starting functional, which the census
     rejects.  Each seed carries its own chart, recentred after every
     accepted step so the transport underlying the component phases stays
-    smooth; basins that stop descending are retired early.  The line search
-    pulls back the full step first and the seven halvings only for the
-    seeds where it does not improve; the first improving step is taken.
+    smooth, and the Gauss-Newton jacobian is exact: the chart's generator
+    maps of _REFINE_OP.  Basins that stop descending are retired early.  The
+    line search pulls back the full step first and the seven halvings only
+    for the seeds where it does not improve; the first improving step is
+    taken.
     Only the union of the masked rows is projected; a masked-out row adds
     exact zeros, so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
@@ -646,7 +667,7 @@ def _refine_axes(cs, seeds, mask, reach):
     cols = np.flatnonzero(np.any(mask, axis=0))
     mask = mask[:, cols]
     basis = _BASIS7[cols]
-    sten = _STEN_OP[:, cols]
+    op = _REFINE_OP[:, cols]
     n = len(seeds)
     base = _transport_matrices(seeds)
     cs = cs / np.sqrt(_rowdot(MULTIPLICITY * cs, cs))[:, None]
@@ -661,12 +682,10 @@ def _refine_axes(cs, seeds, mask, reach):
         active = active[keep]
         if not len(active):
             break
-        comps = (np.einsum("smi,ni->nsm", sten, cloc[active])
+        comps = (np.einsum("smi,ni->nsm", op, cloc[active])
                  * mask[active, None])
-        fvec = comps[:, 0, :]
+        fvec, j1, j2 = comps[:, 0], comps[:, 1], comps[:, 2]
         fval[active] = (fvec ** 2).sum(1)
-        j1 = (comps[:, 1] - comps[:, 2]) / (2 * _REFINE_STEP)
-        j2 = (comps[:, 3] - comps[:, 4]) / (2 * _REFINE_STEP)
         a11 = (j1 * j1).sum(1)
         a12 = (j1 * j2).sum(1)
         a22 = (j2 * j2).sum(1)
@@ -1083,48 +1102,3 @@ def singular_directions(h: HarmonicCubic):
     hit = res <= _TAU_GRAD * norm
     kept, ws = _dedupe(axes[hit], res[hit])
     return list(ws[kept[:3]])
-
-
-def is_reducible(h: HarmonicCubic):
-    """Whether a linear form divides the cubic; returns (flag, form or None).
-
-    A cubic is divisible by a linear form exactly when it has an order-2
-    (or circle) symmetry axis, found at the default tolerance of `classify`.
-    The factor returned is the coordinate of the distinguished axis after
-    normal-form alignment, pulled back to the input frame: the z-coordinate
-    for Circle/Z2/A4 forms, the x-coordinate for S3.
-    """
-    _checked_norm(h)
-    fit = classify(h)
-    m = fit.rotation.entries
-    if fit.type in (StabilizerType.CIRCLE, StabilizerType.Z2,
-                    StabilizerType.A4):
-        return True, m[:, 2].copy()
-    if fit.type is StabilizerType.S3:
-        return True, m[:, 0].copy()
-    return False, None
-
-
-# the six symmetric unit matrices E_pq (p <= q), and the operator (3, 27, 6)
-# whose contraction with a linear form ell has the columns 3 sym(ell (x) E_pq)
-_SYM_UNITS = np.zeros((6, 3, 3))
-for _col, (_p, _q) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
-                                 (2, 2))):
-    _SYM_UNITS[_col, _p, _q] = _SYM_UNITS[_col, _q, _p] = 1.0
-_DIVIDE_OP = (np.einsum("li,cjk->lijkc", np.eye(3), _SYM_UNITS)
-              + np.einsum("lj,cik->lijkc", np.eye(3), _SYM_UNITS)
-              + np.einsum("lk,cij->lijkc", np.eye(3), _SYM_UNITS)
-              ).reshape(3, 27, 6)
-
-
-def divide_by_linear(h: HarmonicCubic, ell):
-    """Least-squares quotient of the cubic by the linear form ell . x.
-
-    Returns (quadratic coefficients as a symmetric 3x3, remainder norm);
-    the remainder vanishes exactly when the form divides the cubic.
-    """
-    a = np.tensordot(np.asarray(ell, dtype=float), _DIVIDE_OP, axes=1) / 3.0
-    b = h.tensor.reshape(-1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = np.linalg.norm(a @ sol - b)
-    return np.tensordot(sol, _SYM_UNITS, axes=1), float(resid)

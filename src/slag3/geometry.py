@@ -35,6 +35,7 @@ from .cubics import (
     _gather,
     _pullback,
     _rowdot,
+    _trace_vectors,
     _traceless,
     classify,
 )
@@ -399,9 +400,10 @@ def _cubic_at(patch, nodes):
     a = (je @ w.reshape(-1, 6, 9)).reshape(-1, 3, 3, 3)  # J e_i · vᵀ D²F v
     legs = [a.transpose((0,) + p) for p in itertools.permutations((1, 2, 3))]
     s = sum(legs[1:], legs[0]) / 6.0
-    trace = nodes.spread(np.linalg.norm(np.einsum("niik->nk", s), axis=1))
+    raw = _gather(s)
+    trace = nodes.spread(np.linalg.norm(_trace_vectors(raw), axis=1))
     scale = nodes.spread(np.linalg.norm(s.reshape(-1, 27), axis=1))
-    coeffs = nodes.spread(_traceless(_gather(s)))
+    coeffs = nodes.spread(_traceless(raw))
     nodes.fail(~np.isfinite(scale[rows]), lambda i: GeometryError(
         f"cubic of {patch.name!r} overflows at {nodes.u[i]}"))
     nodes.fail(trace[nodes.open] > _TRACE_FAIL * scale[nodes.open] + 1e-12,

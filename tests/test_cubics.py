@@ -16,11 +16,9 @@ from slag3.cubics import (
     StabilizerType,
     axis_decompose,
     classify,
-    divide_by_linear,
     evaluate_and_gradient,
     find_symmetry_axes,
     invariants,
-    is_reducible,
     normal_form,
     project_traceless,
     rotate,
@@ -499,6 +497,32 @@ class TestFindSymmetryAxes:
         monkeypatch.setattr(cubics, "_reach", lambda tol: math.inf)
         assert answers() == pruned
         assert len(set(pruned[0])) == 6
+
+    def test_refiner_jacobian_is_the_exact_chart_derivative(self):
+        # slice 0 projects onto the components; slices 1 and 2 are their
+        # derivatives along the chart coordinates xi0 and xi1, equal to a
+        # central difference through the transports of (+-eps, 0, 1) and
+        # (0, +-eps, 1), and to the contraction 3 h(A ., ., .) with the
+        # chart's generator A, summed over the three legs
+        op = cubics._REFINE_OP
+        assert np.array_equal(op[0], cubics._BASIS7)
+        eps = 1e-6
+        eye = np.eye(10)
+        full = cubics._full(eye)
+        for slot, (d, a) in enumerate(((np.array([1.0, 0.0]), [0.0, 1.0, 0.0]),
+                                       (np.array([0.0, 1.0]), [-1.0, 0.0, 0.0])),
+                                      start=1):
+            plus, minus = cubics._transport_matrices(
+                [np.r_[eps * d, 1.0], np.r_[-eps * d, 1.0]])
+            diff = (cubics._pullback(eye, plus)
+                    - cubics._pullback(eye, minus)).T / (2.0 * eps)
+            assert np.max(np.abs(op[slot] - cubics._BASIS7 @ diff)) <= 1e-10
+            gen = cubics._cross_matrix(a)
+            leg = np.einsum("nljk,li->nijk", full, gen)
+            direct = (leg + leg.transpose(0, 2, 1, 3)
+                      + leg.transpose(0, 2, 3, 1))
+            exact = cubics._BASIS7 @ cubics._gather(direct).T
+            assert np.max(np.abs(op[slot] - exact)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -982,48 +1006,7 @@ class TestSingularDirections:
 
 
 # ---------------------------------------------------------------------------
-# is_reducible / divide_by_linear
-
-
-class TestReducibility:
-    def test_cube_divisible_by_x(self):
-        flag, form = is_reducible(CUBE3)
-        assert flag
-        assert np.allclose(form, [1.0, 0.0, 0.0], atol=1e-9)
-
-    def test_z2_family_divisible_by_z(self):
-        flag, form = is_reducible(n_family(1.0, 2.0))
-        assert flag
-        assert np.allclose(form, [0.0, 0.0, 1.0], atol=1e-9)
-
-    def test_z3_family_irreducible(self):
-        flag, form = is_reducible(m_family(1.0, 3.0))
-        assert not flag
-        assert form is None
-
-    def test_division_remainder_vanishes_when_reducible(self):
-        rng = np.random.default_rng(16)
-        for name, h, expected, _, _ in CORPUS:
-            if expected is ST.FULL:
-                continue
-            hr = rotate(h, random_rotation(rng))
-            flag, form = is_reducible(hr)
-            has_axis = bool(find_symmetry_axes(hr).order2
-                            or find_symmetry_axes(hr).circle)
-            assert flag == has_axis, name
-            if flag:
-                _, remainder = divide_by_linear(hr, form)
-                assert remainder <= 1e-6 * hr.norm()
-
-    def test_division_remainder_positive_when_irreducible(self):
-        _, remainder = divide_by_linear(m_family(1.0, 3.0), [0.0, 0.0, 1.0])
-        assert remainder > 1e-2
-
-    def test_exact_quotient(self):
-        quad, remainder = divide_by_linear(CUBE3, [1.0, 0.0, 0.0])
-        assert remainder < 1e-12
-        # quotient x^2 - 3y^2
-        assert np.allclose(quad, np.diag([1.0, -3.0, 0.0]), atol=1e-12)
+# linear factors, read from the normal-form fit
 
 
 def _divide_by_linear_reference(h, ell):
@@ -1045,13 +1028,31 @@ def _divide_by_linear_reference(h, ell):
     return quad, float(np.linalg.norm(a @ sol - b))
 
 
-def test_divide_by_linear_matches_the_columnwise_system():
-    rng = np.random.default_rng(21)
-    cases = [(CUBE3, np.array([1.0, 0.0, 0.0]))]
-    cases += [(project_traceless(rng.normal(size=10)), rng.normal(size=3))
-              for _ in range(10)]
-    for h, ell in cases:
-        quad, remainder = divide_by_linear(h, ell)
-        want_quad, want_remainder = _divide_by_linear_reference(h, ell)
-        assert np.array_equal(quad, want_quad)
-        assert remainder == want_remainder
+# the normal-form coordinate that divides each reducible type: z for Circle,
+# Z2 and A4 (z(2z^2-3x^2-3y^2), 6xyz), x for S3 (x(x^2-3y^2))
+_FACTOR_COLUMN = {ST.CIRCLE: 2, ST.Z2: 2, ST.A4: 2, ST.S3: 0}
+
+
+def test_fit_holds_a_linear_factor_exactly_when_an_order2_axis_exists():
+    # a cubic is reducible exactly when it has an order-2 or circle axis;
+    # then the fit's rotation carries the factor as one of its columns
+    rng = np.random.default_rng(16)
+    for name, h, expected, _, _ in CORPUS:
+        if expected is ST.FULL:
+            continue
+        for _ in range(3):
+            hr = rotate(h, random_rotation(rng))
+            fit = classify(hr)
+            axes = find_symmetry_axes(hr)
+            has_axis = bool(axes.order2 or axes.circle)
+            assert (fit.type in _FACTOR_COLUMN) == has_axis, name
+            if has_axis:
+                ell = fit.rotation.entries[:, _FACTOR_COLUMN[fit.type]]
+                _, remainder = _divide_by_linear_reference(hr, ell)
+                assert remainder <= 1e-6 * hr.norm(), name
+
+
+def test_z3_normal_form_has_no_factor_z():
+    _, remainder = _divide_by_linear_reference(m_family(1.0, 3.0),
+                                               np.array([0.0, 0.0, 1.0]))
+    assert remainder > 1e-2
