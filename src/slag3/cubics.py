@@ -64,9 +64,13 @@ TAU_AXIS = 1e-6    # relative: norm of the components a symmetry forbids
 _TAU_TRACE = 1e-8  # relative: trace residual admitted by the constructor
 _TAU_GRAD = 1e-6   # relative: gradient norm of a singular direction
 _MERGE_ANGLE = 1e-4  # directions closer than this (radians) are one
-_AXIS_CHUNK = 16     # cubics whose axis searches run together; bounds their
-                     # arrays (tracemalloc peak of classify on 180 random
-                     # cubics: 0.89 MB at 16, 8.6 MB in one chunk)
+_AXIS_CHUNK = 64     # cubics whose axis searches run together; bounds their
+                     # arrays.  classify on the 320 cubics of an hl_cone
+                     # sweep (2-core x86 VM): 28.3 ms and 0.62 MB
+                     # tracemalloc peak at 16, 21.6 ms and 1.66 MB at 64,
+                     # 20.3 ms and 6.6 MB in one chunk; peak RSS of the
+                     # seed-1 sweep benchmark: 45.5 MB at 16, 46.1 at 64,
+                     # 49.3 at 128, 50.7 in one chunk
 _CONE_SIGMA = 1e-12  # sigma_3 / sigma_1 of the slice matrix of an exact cone
 _OVERFLOW = "cubic norm overflows: its squared norm is not finite"
 
@@ -138,6 +142,29 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _cubic_errors(cs):
+    """Per row of the stack cs (n, ...): None for an admissible cubic (10
+    finite coefficients whose trace vector is within _TAU_TRACE of its
+    norm), else the ValueError that HarmonicCubic raises for it."""
+    if cs.shape[1:] != (10,):
+        return [ValueError("expected 10 independent coefficients")
+                for _ in range(len(cs))]
+    finite = np.isfinite(cs).all(axis=1)
+    if not finite.all():
+        cs = np.where(finite[:, None], cs, 0.0)
+    with np.errstate(over="ignore"):  # inf, which classify rejects
+        sq = _rowdot(MULTIPLICITY * cs, cs)
+    # relative bound with an absolute roundoff floor, so differences of
+    # nearly equal admissible cubics stay admissible
+    traceful = (np.abs(_trace_vectors(cs)).max(axis=1)
+                > _TAU_TRACE * np.sqrt(sq) + 1e-13)
+    return [ValueError("non-finite cubic coefficients") if not ok
+            else ValueError("coefficients violate the trace condition; "
+                            "route raw tensors through project_traceless")
+            if bad else None
+            for ok, bad in zip(finite.tolist(), traceful.tolist())]
+
+
 @dataclass(frozen=True)
 class HarmonicCubic:
     """Traceless symmetric cubic tensor on R^3 (10 independent entries)."""
@@ -146,18 +173,10 @@ class HarmonicCubic:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (10,):
-            raise ValueError("expected 10 independent coefficients")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite cubic coefficients")
+        fail = _cubic_errors(c[None])[0]
+        if fail is not None:
+            raise fail
         object.__setattr__(self, "coeffs", c)
-        tr = np.abs(self.trace_vector())
-        # relative bound with an absolute roundoff floor, so differences of
-        # nearly equal admissible cubics stay admissible
-        if tr.max() > _TAU_TRACE * self.norm() + 1e-13:
-            raise ValueError(
-                "coefficients violate the trace condition; route raw "
-                "tensors through project_traceless")
 
     @property
     def tensor(self):
@@ -1046,7 +1065,7 @@ def classify(h, tol: float = TAU_AXIS):
     the census matches no stabilizer pattern), returned in its place so that
     one failed census leaves the other cubics classified; a cubic whose
     squared norm overflows gets a ValueError.  Every step runs on arrays:
-    the axis search in chunks of up to 16 cubics (_AXIS_CHUNK, see
+    the axis search in chunks of up to _AXIS_CHUNK cubics (see
     _symmetry_axes), then the normal-form fit once per stabilizer type over
     all cubics of that type, with one check of their rotations.  A single
     cubic is a chunk of one.

@@ -31,6 +31,7 @@ from .cubics import (
     _SECONDS as _CLASSIFY_SECONDS,
     HarmonicCubic,
     NormalFormResult,
+    _cubic_errors,
     _full,
     _gather,
     _pullback,
@@ -441,16 +442,24 @@ def point_report(patch: ImmersionPatch, u):
     which gives a list of n, each equal to the report of its row alone.
     Each patch map is called once on the stack of nodes still open (eval
     twice: positions, then frame origins), and all cubics go to one
-    `classify` call.  A node whose position, derivatives, cubic or census
-    fail carries the error message; a map that raises fails every node of
-    that call.
+    `classify` call.  The node cubics are checked for admissibility in one
+    stacked pass (the check HarmonicCubic runs), and only the rows that pass
+    are wrapped.  A node whose position, derivatives, cubic or census fail
+    carries the error message; a map that raises fails every node of that
+    call.
     """
     nodes = _Nodes(u)
     cubics = {}
     try:
         position = _positions(patch, nodes)
         _, _, _, ups, lag, trace, coeffs = _cubic_at(patch, nodes)
-        cubics = {i: HarmonicCubic(coeffs[i]) for i in nodes.open}
+        checks = dict(zip(nodes.open.tolist(),
+                          _cubic_errors(coeffs[nodes.open])))
+        nodes.fail(np.array([checks[i] is not None for i in checks], bool),
+                   checks.__getitem__)
+        for i in nodes.open.tolist():
+            h = cubics[i] = object.__new__(HarmonicCubic)  # checked above
+            object.__setattr__(h, "coeffs", coeffs[i])
         _positions(patch, nodes)  # the frame origins, as fundamental_cubic
     except ValueError as exc:  # GeometryError and CensusError are too
         nodes.fail(np.ones(len(nodes.open), bool), lambda i: exc)
@@ -491,11 +500,12 @@ def sweep(patch: ImmersionPatch, counts):
     Nodes where a precondition fails (rank, Lagrangian residual, trace
     residual, classification census) carry the error message instead of data.
     The whole node stack goes to one `point_report` call, so the axis
-    searches of the node cubics run in chunks of up to 16 cubics.  Each call
-    emits one DEBUG record through the module logger, whose ``sweep``
-    attribute holds the node count, the seconds spent in derivatives and
-    cubics (the rest of the call), in the axis search and in the normal-form
-    fit, and the error counts by class.
+    searches of the node cubics run in chunks of up to
+    `slag3.cubics._AXIS_CHUNK` cubics.  Each call emits one DEBUG record
+    through the module logger, whose ``sweep`` attribute holds the node
+    count, the seconds spent in derivatives and cubics (the rest of the
+    call), in the axis search and in the normal-form fit, and the error
+    counts by class.
     """
     nodes = np.array(list(itertools.product(*grid_axes(patch.domain, counts))),
                      dtype=float).reshape(-1, 3)

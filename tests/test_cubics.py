@@ -1,7 +1,9 @@
 """Tests for the cubic-algebra layer: types, decomposition, classification."""
 
+import collections
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,22 +96,59 @@ def poly_value(h, x):
 # construction and validation
 
 
+SHAPE_ERROR = "^expected 10 independent coefficients$"
+FINITE_ERROR = "^non-finite cubic coefficients$"
+TRACE_ERROR = ("^coefficients violate the trace condition; route raw "
+               "tensors through project_traceless$")
+
+
 class TestHarmonicCubic:
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            HarmonicCubic(np.zeros(9))
+    @pytest.mark.parametrize("coeffs", [np.zeros(9), np.zeros((1, 10)),
+                                        np.zeros((2, 5)), 1.0])
+    def test_rejects_wrong_shape(self, coeffs):
+        with pytest.raises(ValueError, match=SHAPE_ERROR):
+            HarmonicCubic(coeffs)
 
     def test_rejects_nonfinite(self):
         c = np.zeros(10)
         c[0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=FINITE_ERROR):
             HarmonicCubic(c)
 
     def test_rejects_traceful(self):
         c = np.zeros(10)
         c[0] = 1.0  # x^3 alone has trace (1,0,0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=TRACE_ERROR):
             HarmonicCubic(c)
+
+    def test_stacked_check_gives_each_row_its_constructor_error(self):
+        rng = np.random.default_rng(11)
+        rows = []
+        for k in range(60):
+            c = random_cubic(rng).coeffs * 10.0 ** rng.uniform(-12.0, 12.0)
+            norm = math.sqrt(float(np.dot(cubics.MULTIPLICITY * c, c)))
+            if k % 4 == 1:  # x^3 term on either side of the trace bound
+                c[0] += (1e-8 * norm + 1e-13) * (0.999 if k % 8 == 1
+                                                 else 1.001)
+            elif k % 4 == 2:
+                c[rng.integers(10)] = rng.choice((np.nan, np.inf, -np.inf))
+            rows.append(c)
+        errors = cubics._cubic_errors(np.array(rows))
+        assert len(errors) == len(rows)
+        for c, error in zip(rows, errors):
+            try:
+                HarmonicCubic(c)
+            except ValueError as exc:
+                assert type(error) is ValueError and str(error) == str(exc)
+            else:
+                assert error is None
+        kinds = collections.Counter(
+            str(error).split(";")[0] for error in errors if error is not None)
+        assert kinds == {"non-finite cubic coefficients": 15,
+                         "coefficients violate the trace condition": 7}
+        assert cubics._cubic_errors(np.zeros((0, 10))) == []
+        for error in cubics._cubic_errors(np.zeros((3, 9))):
+            assert str(error) == "expected 10 independent coefficients"
 
     def test_norm_matches_27_triple_sum(self):
         rng = np.random.default_rng(0)
@@ -701,13 +740,17 @@ def same_fit(a, b):
                 b.dist_s_minus_rsqrt2))
 
 
+# a refine chunk small enough that short sequences cross several boundaries
+SMALL_CHUNK = 4
+
+
 class TestClassifyBatch:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(17, 40),
            zero_at=st.integers(0, 39))
     def test_sequence_equals_one_call_per_cubic(self, seed, count, zero_at):
-        # more cubics than one refine chunk holds: every type, one zero
-        # cubic, scales 10^[-8, 8]
+        # every type, one zero cubic, scales 10^[-8, 8], over several
+        # refine chunks (shrunk to SMALL_CHUNK so the sequence stays short)
         rng = np.random.default_rng(seed)
         typed = [c for c in CORPUS if c[2] is not ST.FULL]
         hs = [rotate(typed[i % len(typed)][1].scaled(
@@ -715,8 +758,9 @@ class TestClassifyBatch:
                   random_rotation(rng))
               for i in range(count)]
         hs[zero_at % count] = HarmonicCubic.zero()
-        assert count > cubics._AXIS_CHUNK
-        fits = classify(hs)
+        assert count > 4 * SMALL_CHUNK
+        with mock.patch.object(cubics, "_AXIS_CHUNK", SMALL_CHUNK):
+            fits = classify(hs)
         assert isinstance(fits, list) and len(fits) == count
         assert {f.type for f in fits} == set(ST)
         for h, fit in zip(hs, fits):
@@ -751,12 +795,11 @@ class TestClassifyBatch:
                                     st.integers(0, 2 ** 32 - 1),
                                     st.floats(-8.0, 8.0),
                                     st.sampled_from((1.0, -1.0))),
-                          min_size=cubics._AXIS_CHUNK + 1,
-                          max_size=2 * cubics._AXIS_CHUNK + 2))
+                          min_size=17, max_size=34))
     def test_chunks_mix_exact_forms_and_random_cubics(self, picks):
         # the exact unrotated forms (and the zero cubic) have sextics that
         # lose leading or trailing coefficients; the rest are rotated random
-        # cubics, and the sequence crosses a chunk boundary
+        # cubics, and the sequence crosses several chunk boundaries
         exact = [h for _, h, kind, _, _ in CORPUS if kind is not ST.TRIVIAL]
         hs = []
         for pick, seed, exponent, sign in picks:
@@ -767,7 +810,10 @@ class TestClassifyBatch:
                 rng = np.random.default_rng(seed)
                 hs.append(rotate(random_cubic(rng).scaled(lam),
                                  random_rotation(rng)))
-        for h, fit in zip(hs, classify(hs)):
+        assert len(hs) > 4 * SMALL_CHUNK
+        with mock.patch.object(cubics, "_AXIS_CHUNK", SMALL_CHUNK):
+            fits = classify(hs)
+        for h, fit in zip(hs, fits):
             try:
                 alone = classify(h)
             except ValueError as exc:

@@ -430,6 +430,46 @@ class TestBatchSweep:
             if i != 5:
                 assert same_report(report, ref)
 
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda c: c + np.abs(c).max() * np.eye(10)[0],
+         "coefficients violate the trace condition; route raw tensors "
+         "through project_traceless"),
+        (lambda c: np.where(np.arange(10) == 4, math.nan, c),
+         "non-finite cubic coefficients")], ids=["traceful", "nan"])
+    def test_an_inadmissible_node_cubic_fails_its_node_alone(
+            self, monkeypatch, spoil, message):
+        patch = hl_cone()
+        good = geo.sweep(patch, (2, 2, 2))
+        real = geo._cubic_at
+
+        def spoiled_at_node_3(patch, nodes):
+            *out, coeffs = real(patch, nodes)
+            coeffs[3] = spoil(coeffs[3])
+            return (*out, coeffs)
+
+        monkeypatch.setattr(geo, "_cubic_at", spoiled_at_node_3)
+        reports = geo.sweep(patch, (2, 2, 2))
+        assert reports[3].error == f"ValueError: {message}"
+        for i, (report, ref) in enumerate(zip(reports, good)):
+            if i != 3:
+                assert report.nf.type is StabilizerType.S3
+                assert same_report(report, ref)
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["still", "moved"])
+    @pytest.mark.parametrize("name", list(default_gallery()))
+    def test_sweep_node_cubics_are_the_fundamental_cubics(self, name, moved):
+        patch = default_gallery()[name].patch
+        if moved:
+            rng = np.random.default_rng(31)
+            patch = geo.transform_patch(
+                patch, ambient.su3_real_matrix(random_su3(rng)),
+                rng.normal(size=6))
+        reports = geo.sweep(patch, (2, 2, 3))
+        assert all(report.error is None for report in reports)
+        for report in reports:
+            h, _, _ = geo.fundamental_cubic(patch, report.u)
+            assert h.coeffs.tobytes() == report.cubic.coeffs.tobytes()
+
     def test_sweep_logs_one_timing_record(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="slag3.geometry"):
             geo.sweep(hl_cone(), (2, 1, 2))
