@@ -233,17 +233,21 @@ def _central(fn, u, h):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _differences(fn, u, s):
-    """(centre, first, second) differences of fn at the rows of u (n, 3),
-    steps s (n,), from one call on the 19n points u, u ± s·e_a and
-    u ± s·e_a ± s·e_b (a < b): first (n, 3, ...), second (n, 3, 3, ...)."""
+def _stencil(u, s):
+    """The 19n points (19n, 3) of `_differences` at the rows of u (n, 3),
+    steps s (n,), 19 per row: u, u ± s·e_a and u ± s·e_a ± s·e_b (a < b)."""
     d = s[:, None, None] * np.eye(3)
     plus, minus = u[:, None] + d, u[:, None] - d
     mixed = [x[:, a] + sign * d[:, b] for a, b in _PAIRS
              for x in (plus, minus) for sign in (1.0, -1.0)]
-    f = np.asarray(fn(np.concatenate([u[:, None], plus, minus, np.stack(
-        mixed, axis=1)], axis=1).reshape(-1, 3)), dtype=float)
-    f = f.reshape((len(u), 19) + f.shape[1:])
+    return np.concatenate([u[:, None], plus, minus, np.stack(mixed, axis=1)],
+                          axis=1).reshape(-1, 3)
+
+
+def _differences(f, s):
+    """(centre, first, second) differences from values f (19n, ...) at the
+    `_stencil`(u, s) points: first (n, 3, ...), second (n, 3, 3, ...)."""
+    f = np.asarray(f, float).reshape((len(s), 19) + np.shape(f)[1:])
     s = s.reshape((-1,) + (1,) * (f.ndim - 2))
     f0, fp, fm = f[:, 0], f[:, 1:4], f[:, 4:7]
     second = np.empty((f.shape[0], 3, 3) + f.shape[2:])
@@ -272,8 +276,8 @@ def hessian(patch: ImmersionPatch, u):
     each stencil covering the whole stack in one map call."""
     x = np.asarray(u, dtype=float).reshape(-1, 3)
     if patch.hess is None and patch.jac is None:
-        h = np.moveaxis(_differences(patch.eval, x, _step(_FD_STEP_2, x))[2],
-                        -1, 1)
+        s = _step(_FD_STEP_2, x)
+        h = np.moveaxis(_differences(patch.eval(_stencil(x, s)), s)[2], -1, 1)
     else:
         h = np.asarray(patch.hess(x) if patch.hess is not None else _central(
             patch.jac, x, _step(_FD_STEP_1, x)), dtype=float)  # FD slot last
@@ -552,68 +556,78 @@ def reports_to_csv(reports) -> str:
 _GAUSS_SIGN = -1.0  # fixed once by the calibration test on harvey_lawson_so3(1)
 
 
-def _aligned(patch, nodes, e0):
-    """Cubic tensors (n, 3, 3, 3) at the rows of nodes, each expressed in the
-    frame best aligned with the frame e0: the cubic's coefficients pulled
-    back by that frame rotation through cubics._pullback."""
+def _curvature(g0, dg, ddg):
+    """Coordinate curvature tensors R_kabcd of metrics g0 (k, 3, 3) from
+    their first (dg[k, a] = ∂_a g) and second (ddg[k, a, b]) derivatives."""
+    ginv = np.linalg.inv(g0)
+    # Γ^e_ab from first derivatives of the metric
+    gam = 0.5 * np.einsum("ked,kabd->keab", ginv, np.einsum("kadb->kabd", dg)
+                          + np.einsum("kbda->kabd", dg)
+                          - np.einsum("kdab->kabd", dg))
+    quad = np.einsum("kef,keac,kfbd->kabcd", g0, gam, gam)
+    riem = 0.5 * (np.einsum("kacbd->kabcd", ddg)
+                  + np.einsum("kbdac->kabcd", ddg)
+                  - np.einsum("kadbc->kabcd", ddg)
+                  - np.einsum("kbcad->kabcd", ddg))
+    riem += quad - np.einsum("kabdc->kabcd", quad)
+    return riem
+
+
+def _frame_derivative(patch, u, steps):
+    """(h, v, g, ∇h, curvature) at u: the cubic tensor h, the frame legs'
+    preimages v and the metric g at u, and per step in `steps` the frame
+    derivative ∇h and the frame curvature, each (k, 3, 3, 3, 3).
+
+    Two map stages serve all steps: the metric's 19-point stencils in one
+    jacobian call, whose row 0 (u itself) gives v; then u and its neighbours
+    u ± step·v_l as one cubic stack, the neighbours pulled back to u's frame.
+    Errors: the centre's, the neighbours', the stencil's, in step order."""
+    x = np.asarray(u, dtype=float)
+    s = np.array(steps, dtype=float)
+    stencil = _Nodes(_stencil(np.repeat(x[None], len(s), axis=0), s))
+    t = _checked_jacobian(patch, stencil)
+    if stencil.errors[0] is not None:  # u itself, as its cubic would fail
+        raise stencil.errors[0]
+    v = _frames(t[:1])[1][0]
+    # the six neighbours of each step, step-major: +v_1, -v_1, +v_2, ...
+    nodes = _Nodes([x] + [x + sign * step * v[:, l] for step in steps
+                          for l in range(3) for sign in (1.0, -1.0)])
     _, e, _, _, _, _, coeffs = _cubic_at(patch, nodes)
-    uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e0)
+    if nodes.errors[0] is not None:
+        raise nodes.errors[0]
+    h = HarmonicCubic(coeffs[0]).tensor
+    uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e[0])
     rot, sv = nodes.spread(uu @ vt), nodes.spread(sv)
     nodes.fail((sv[nodes.open, -1] < 0.5)
                | (np.linalg.det(rot[nodes.open]) < 0.0),
                lambda i: FrameAlignmentError(
                    f"adapted frames at {nodes.u[i]} rotate too far for "
                    f"differencing (singular values {sv[i]})"))
-    return _full(_pullback(coeffs, rot))
-
-
-def _metric(patch, u):
-    """Induced metrics tᵀt at the rows of u from one checked jacobian call;
-    the first degenerate row raises its RankDeficientError."""
-    t = _strict(_checked_jacobian, patch, u)
-    return np.swapaxes(t, -1, -2) @ t
-
-
-def _curvature(g0, dg, ddg):
-    """Coordinate curvature tensor R_abcd of a metric g0 from its first
-    (dg[a] = ∂_a g) and second (ddg[a, b]) derivatives at one point."""
-    ginv = np.linalg.inv(g0)
-    # Γ^e_ab from first derivatives of the metric
-    gam = 0.5 * np.einsum("ed,abd->eab", ginv,
-                          np.einsum("adb->abd", dg) + np.einsum("bda->abd", dg)
-                          - np.einsum("dab->abd", dg))
-    quad = np.einsum("ef,eac,fbd->abcd", g0, gam, gam)
-    riem = 0.5 * (np.einsum("acbd->abcd", ddg) + np.einsum("bdac->abcd", ddg)
-                  - np.einsum("adbc->abcd", ddg) - np.einsum("bcad->abcd", ddg))
-    riem += quad - np.einsum("abdc->abcd", quad)
-    return riem
+    for exc in filter(None, nodes.errors + stencil.errors):
+        raise exc
+    sides = _full(_pullback(coeffs[1:], rot[1:])).reshape(len(s), 6, 3, 3, 3)
+    grad = ((sides[:, 0::2] - sides[:, 1::2])
+            / (2.0 * s).reshape(-1, 1, 1, 1, 1))
+    # R_abcd v_ai v_bj v_ck v_dl: each product contracts the leading slot
+    riem = _curvature(*_differences(np.swapaxes(t, 1, 2) @ t, s))
+    for _ in range(4):
+        riem = np.swapaxes(riem.reshape(len(s), 3, -1), 1, 2) @ v
+    return h, v, t[0].T @ t[0], grad, riem.reshape(len(s), 3, 3, 3, 3)
 
 
 def _compat_residuals(patch, u, steps):
     """((codazzi, gauss, floors), ...) per step size in `steps`: the
     Frobenius residuals and, for each, the roundoff floor of its stencil at
-    that step.  All steps share one centre cubic, one stack of aligned
-    neighbour cubics and one metric stencil, so each patch map is called
-    once per stage whatever the number of steps.  A degenerate neighbour or
-    stencil point raises its typed error (RankDeficientError for a
-    non-finite or rank-deficient jacobian): the neighbours are checked
-    before the metric stencil, each stack in step order."""
-    t0, e0, v, _, _, _, coeffs = _strict(_cubic_at, patch, u)
-    t0, e0, v, h = t0[0], e0[0], v[0], HarmonicCubic(coeffs[0]).tensor
-    x = np.asarray(u, dtype=float)
-
-    # Codazzi: the frame derivative ∇h, differenced along the frame legs with
-    # neighbor cubics pulled back through the closest frame rotation, must be
-    # symmetric in all four slots.  The six neighbours u ± step·v_l of each
-    # step are one stack, step-major, in the order +v_1, -v_1, +v_2, ...
-    sides = _strict(lambda p, nodes: _aligned(p, nodes, e0), patch, np.stack(
-        [x + sign * step * v[:, l] for step in steps for l in range(3)
-         for sign in (1.0, -1.0)])).reshape(len(steps), 6, 3, 3, 3)
-    # Gauss: intrinsic curvature against the quadratic expression in h, the
-    # metric's 19-point stencils of all steps in one jacobian call.
-    metric = _differences(lambda y: _metric(patch, y),
-                          np.repeat(x[None], len(steps), axis=0),
-                          np.array(steps, dtype=float))
+    that step.  All steps share `_frame_derivative`'s two map stages, the
+    metric stencil then the centre with its neighbours (2 ``jac`` and 1
+    ``hess`` call), and its error order: centre, neighbours, stencil."""
+    h, v, g, grad, riem = _frame_derivative(patch, u, steps)
+    # Codazzi: ∇h must be symmetric in all four slots
+    sym = np.zeros_like(grad)
+    for perm in itertools.permutations(range(1, 5)):
+        sym += grad.transpose((0,) + perm)
+    sym /= 24.0
+    # Gauss: the intrinsic curvature must equal the quadratic expression in h
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
 
     # Roundoff floors: relative noise times the differenced values times the
@@ -627,27 +641,12 @@ def _compat_residuals(patch, u, steps):
         _FD_STEP_1 if patch.jac is not None else _FD_STEP_2 ** 2)
     hh = float(np.sum(h * h))
     cap = _ROUNDOFF_SHARE * hh
-    g_noise = 8.0 * _EPS * np.linalg.norm(t0.T @ t0) * np.linalg.norm(v) ** 4
-
-    out = []
-    for k, step in enumerate(steps):
-        grad = (sides[k, 0::2] - sides[k, 1::2]) / (2.0 * step)
-        sym = np.zeros_like(grad)
-        for perm in itertools.permutations(range(4)):
-            sym += grad.transpose(perm)
-        sym /= 24.0
-        codazzi = float(np.linalg.norm(grad - sym))
-        # R_abcd v_ai v_bj v_ck v_dl: each product contracts the leading
-        # slot and appends the new one, so four give ijkl
-        riem_frame = _curvature(*(d[k] for d in metric))
-        for _ in range(4):
-            riem_frame = riem_frame.reshape(3, -1).T @ v
-        riem_frame = riem_frame.reshape(3, 3, 3, 3)
-        gauss = float(np.linalg.norm(riem_frame - _GAUSS_SIGN * quad_h))
-        roundoff = (h_noise * math.sqrt(hh) / step, g_noise / step**2)
-        out.append((codazzi, gauss,
-                    tuple(float(min(r, cap)) for r in roundoff)))
-    return tuple(out)
+    g_noise = 8.0 * _EPS * np.linalg.norm(g) * np.linalg.norm(v) ** 4
+    return tuple(
+        (float(np.linalg.norm(c)), float(np.linalg.norm(r)),
+         tuple(float(min(f, cap)) for f in (h_noise * math.sqrt(hh) / step,
+                                            g_noise / step**2)))
+        for step, c, r in zip(steps, grad - sym, riem - _GAUSS_SIGN * quad_h))
 
 
 def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
@@ -661,13 +660,14 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     stencil's roundoff floor (at most 1e-6·‖h‖²) means the step is in the
     cancellation regime and raises StepTooSmallError.
 
-    Both steps are audited in one pass: one centre cubic, one stack of the
-    twelve aligned neighbour cubics and one metric stencil of 38 points,
-    each a single call per patch map (3 ``jac`` and 2 ``hess`` calls on a
-    patch with both analytic).  A degenerate neighbour or metric stencil
-    point (a non-finite or rank-deficient jacobian, a non-finite hessian)
-    raises its typed GeometryError instead of yielding a NaN or meaningless
-    residual.
+    Both steps are audited in one pass of two map stages: the metric
+    stencils of 38 points, whose row at u gives the frame, in one ``jac``
+    call; then u and its twelve neighbours u ± step·v_l as one cubic stack,
+    one ``jac`` and one ``hess`` call (2 ``jac`` and 1 ``hess`` calls on a
+    patch with both analytic).  A degenerate point (a non-finite or
+    rank-deficient jacobian, a non-finite hessian) raises its typed
+    GeometryError instead of yielding a NaN or meaningless residual: u
+    first, then the neighbours, then the other stencil points.
 
     The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
     the finite-difference fallback of a patch without an analytic ``jac``.
