@@ -233,21 +233,17 @@ def _central(fn, u, h):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _stencil(u, s):
-    """The 19n points (19n, 3) of `_differences` at the rows of u (n, 3),
-    steps s (n,), 19 per row: u, u ± s·e_a and u ± s·e_a ± s·e_b (a < b)."""
+def _second_differences(fn, u, s):
+    """Second differences (n, 3, 3, ...) of fn at the rows of u (n, 3),
+    steps s (n,), from one call on the 19n points u, u ± s·e_a and
+    u ± s·e_a ± s·e_b (a < b)."""
     d = s[:, None, None] * np.eye(3)
     plus, minus = u[:, None] + d, u[:, None] - d
     mixed = [x[:, a] + sign * d[:, b] for a, b in _PAIRS
              for x in (plus, minus) for sign in (1.0, -1.0)]
-    return np.concatenate([u[:, None], plus, minus, np.stack(mixed, axis=1)],
-                          axis=1).reshape(-1, 3)
-
-
-def _differences(f, s):
-    """(centre, first, second) differences from values f (19n, ...) at the
-    `_stencil`(u, s) points: first (n, 3, ...), second (n, 3, 3, ...)."""
-    f = np.asarray(f, float).reshape((len(s), 19) + np.shape(f)[1:])
+    x = np.concatenate([u[:, None], plus, minus, np.stack(mixed, 1)], 1)
+    f = np.asarray(fn(x.reshape(-1, 3)), dtype=float)
+    f = f.reshape((len(s), 19) + f.shape[1:])
     s = s.reshape((-1,) + (1,) * (f.ndim - 2))
     f0, fp, fm = f[:, 0], f[:, 1:4], f[:, 4:7]
     second = np.empty((f.shape[0], 3, 3) + f.shape[2:])
@@ -256,7 +252,7 @@ def _differences(f, s):
     for k, (a, b) in enumerate(_PAIRS):
         pp, pm, mp, mm = (f[:, 7 + 4 * k + j] for j in range(4))
         second[:, a, b] = second[:, b, a] = (pp - pm - mp + mm) / (4.0 * s**2)
-    return f0, (fp - fm) / (2.0 * s[:, None]), second
+    return second
 
 
 def jacobian(patch: ImmersionPatch, u):
@@ -277,7 +273,7 @@ def hessian(patch: ImmersionPatch, u):
     x = np.asarray(u, dtype=float).reshape(-1, 3)
     if patch.hess is None and patch.jac is None:
         s = _step(_FD_STEP_2, x)
-        h = np.moveaxis(_differences(patch.eval(_stencil(x, s)), s)[2], -1, 1)
+        h = np.moveaxis(_second_differences(patch.eval, x, s), -1, 1)
     else:
         h = np.asarray(patch.hess(x) if patch.hess is not None else _central(
             patch.jac, x, _step(_FD_STEP_1, x)), dtype=float)  # FD slot last
@@ -389,13 +385,14 @@ def adapted_frame(patch: ImmersionPatch, u):
 
 
 def _cubic_at(patch, nodes):
-    """(jacobians, frames e, preimages v, Υ₀ of the frames, Lagrangian and
-    raw trace residuals, cubic coefficient rows) over all rows, from one
-    jacobian and one hessian call; h_ijk = g₀(D²F(v_j, v_k), J e_i) is two
-    stacked matrix products.  A row is closed when its frame fails, its
-    hessian is not finite, its cubic norm overflows or its trace residual
-    exceeds 1e-3 of the cubic norm; a closed row's coefficients are zero.
-    Callers wrap a row in a HarmonicCubic only where they return one."""
+    """(jacobians, hessians, frames e, preimages v, Υ₀ of the frames,
+    Lagrangian and raw trace residuals, cubic coefficient rows) over all
+    rows, from one jacobian and one hessian call; h_ijk = g₀(D²F(v_j, v_k),
+    J e_i) is two stacked matrix products.  A row is closed when its frame
+    fails, its hessian is not finite, its cubic norm overflows or its trace
+    residual exceeds 1e-3 of the cubic norm; a closed row's coefficients
+    are zero.  Callers wrap a row in a HarmonicCubic only where they return
+    one."""
     t, e, v, ups, lag = _checked_frame(patch, nodes)
     h2 = nodes.call(lambda x: hessian(patch, x), (6, 3, 3),
                     f"hessian of {patch.name!r}")
@@ -417,7 +414,7 @@ def _cubic_at(patch, nodes):
                    f"{_TRACE_FAIL:.0e} of the cubic norm {scale[i]:.3e}"))
     out = np.zeros_like(coeffs)
     out[nodes.open] = coeffs[nodes.open]
-    return t, e, v, ups, lag, trace, out
+    return t, h2, e, v, ups, lag, trace, out
 
 
 def fundamental_cubic(patch: ImmersionPatch, u):
@@ -429,7 +426,7 @@ def fundamental_cubic(patch: ImmersionPatch, u):
     of the trace vector before projection — for a genuinely minimal patch it
     is pure numerical noise, and a value above 1e-3 of the cubic norm aborts.
     """
-    _, e, _, _, _, trace, coeffs = _strict(_cubic_at, patch, u)
+    _, _, e, _, _, _, trace, coeffs = _strict(_cubic_at, patch, u)
     return HarmonicCubic(coeffs[0]), AdaptedFrame(
         *e[0].T, position=_strict(_positions, patch, u)[0]), float(trace[0])
 
@@ -456,7 +453,7 @@ def point_report(patch: ImmersionPatch, u):
     cubics = {}
     try:
         position = _positions(patch, nodes)
-        _, _, _, ups, lag, trace, coeffs = _cubic_at(patch, nodes)
+        _, _, _, _, ups, lag, trace, coeffs = _cubic_at(patch, nodes)
         checks = dict(zip(nodes.open.tolist(),
                           _cubic_errors(coeffs[nodes.open])))
         nodes.fail(np.array([checks[i] is not None for i in checks], bool),
@@ -574,28 +571,22 @@ def _curvature(g0, dg, ddg):
 
 
 def _frame_derivative(patch, u, steps):
-    """(h, v, g, ∇h, curvature) at u: the cubic tensor h, the frame legs'
-    preimages v and the metric g at u, and per step in `steps` the frame
+    """(h, v, t, D²F, ∇h, curvature) at u: the cubic tensor h, the frame
+    legs' preimages v, the jacobian and hessian at u, and per step the frame
     derivative ∇h and the frame curvature, each (k, 3, 3, 3, 3).
 
-    Two map stages serve all steps: the metric's 19-point stencils in one
-    jacobian call, whose row 0 (u itself) gives v; then u and its neighbours
-    u ± step·v_l as one cubic stack, the neighbours pulled back to u's frame.
-    Errors: the centre's, the neighbours', the stencil's, in step order."""
-    x = np.asarray(u, dtype=float)
-    s = np.array(steps, dtype=float)
-    stencil = _Nodes(_stencil(np.repeat(x[None], len(s), axis=0), s))
-    t = _checked_jacobian(patch, stencil)
-    if stencil.errors[0] is not None:  # u itself, as its cubic would fail
-        raise stencil.errors[0]
-    v = _frames(t[:1])[1][0]
-    # the six neighbours of each step, step-major: +v_1, -v_1, +v_2, ...
-    nodes = _Nodes([x] + [x + sign * step * v[:, l] for step in steps
-                          for l in range(3) for sign in (1.0, -1.0)])
-    _, e, _, _, _, _, coeffs = _cubic_at(patch, nodes)
+    One map stage serves all steps: u and its neighbours u ± step·e_a as
+    one cubic stack.  ∇h along the frame legs is Σ_a v_al·∂_a h, ∂_a h the
+    central difference of the neighbours' cubics pulled back to u's frame;
+    ∂_a g_bc = D²F(a, b)·t_c + t_b·D²F(a, c) at every row in closed form,
+    ∂∂g its central difference.  Errors are raised in stack order."""
+    x, s = np.asarray(u, dtype=float), np.array(steps, dtype=float)
+    # the six neighbours of each step, step-major: +e_1, -e_1, +e_2, ...
+    d = s[:, None, None, None] * np.stack([np.eye(3), -np.eye(3)], axis=1)
+    nodes = _Nodes(np.concatenate([x[None], (x + d).reshape(-1, 3)]))
+    t, hess, e, v, _, _, _, coeffs = _cubic_at(patch, nodes)
     if nodes.errors[0] is not None:
         raise nodes.errors[0]
-    h = HarmonicCubic(coeffs[0]).tensor
     uu, sv, vt = np.linalg.svd(np.swapaxes(e[nodes.open], 1, 2) @ e[0])
     rot, sv = nodes.spread(uu @ vt), nodes.spread(sv)
     nodes.fail((sv[nodes.open, -1] < 0.5)
@@ -603,50 +594,59 @@ def _frame_derivative(patch, u, steps):
                lambda i: FrameAlignmentError(
                    f"adapted frames at {nodes.u[i]} rotate too far for "
                    f"differencing (singular values {sv[i]})"))
-    for exc in filter(None, nodes.errors + stencil.errors):
+    for exc in filter(None, nodes.errors):
         raise exc
-    sides = _full(_pullback(coeffs[1:], rot[1:])).reshape(len(s), 6, 3, 3, 3)
-    grad = ((sides[:, 0::2] - sides[:, 1::2])
-            / (2.0 * s).reshape(-1, 1, 1, 1, 1))
+    dg = np.einsum("rxab,rxc->rabc", hess, t)  # dg[r, a] = ∂_a g at row r
+    dg += np.swapaxes(dg, -1, -2)
+    # ∂_a of the pulled-back cubics and of ∂g: central differences per step
+    f = np.concatenate([_full(_pullback(coeffs[1:], rot[1:])), dg[1:]], 1)
+    f = f.reshape(len(s), 3, 2, 54)
+    f = (f[:, :, 0] - f[:, :, 1]) / (2.0 * s).reshape(-1, 1, 1)
+    grad = v[0].T @ f[..., :27]
+    ddg = f[..., 27:].reshape(-1, 3, 3, 3, 3)
+    riem = _curvature(t[:1].transpose(0, 2, 1) @ t[:1], dg[:1],
+                      0.5 * (ddg + np.swapaxes(ddg, 1, 2)))
     # R_abcd v_ai v_bj v_ck v_dl: each product contracts the leading slot
-    riem = _curvature(*_differences(np.swapaxes(t, 1, 2) @ t, s))
     for _ in range(4):
-        riem = np.swapaxes(riem.reshape(len(s), 3, -1), 1, 2) @ v
-    return h, v, t[0].T @ t[0], grad, riem.reshape(len(s), 3, 3, 3, 3)
+        riem = np.swapaxes(riem.reshape(len(s), 3, -1), 1, 2) @ v[0]
+    return (HarmonicCubic(coeffs[0]).tensor, v[0], t[0], hess[0],
+            grad.reshape(-1, 3, 3, 3, 3), riem.reshape(-1, 3, 3, 3, 3))
 
 
 def _compat_residuals(patch, u, steps):
     """((codazzi, gauss, floors), ...) per step size in `steps`: the
-    Frobenius residuals and, for each, the roundoff floor of its stencil at
-    that step.  All steps share `_frame_derivative`'s two map stages, the
-    metric stencil then the centre with its neighbours (2 ``jac`` and 1
-    ``hess`` call), and its error order: centre, neighbours, stencil."""
-    h, v, g, grad, riem = _frame_derivative(patch, u, steps)
+    Frobenius residuals and the roundoff floor of each.  All steps share
+    `_frame_derivative`'s one map stage (1 ``jac`` and 1 ``hess`` call) and
+    its error order; a Codazzi floor above 1e-6·‖h‖² raises
+    StepTooSmallError."""
+    h, v, t, hess, grad, riem = _frame_derivative(patch, u, steps)
     # Codazzi: ∇h must be symmetric in all four slots
-    sym = np.zeros_like(grad)
-    for perm in itertools.permutations(range(1, 5)):
-        sym += grad.transpose((0,) + perm)
-    sym /= 24.0
+    sym = sum(grad.transpose((0,) + perm)
+              for perm in itertools.permutations(range(1, 5))) / 24.0
     # Gauss: the intrinsic curvature must equal the quadratic expression in h
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
 
-    # Roundoff floors: relative noise times the differenced values times the
-    # stencil's absolute weights, in frame units.  ∇h differences cubics
-    # (‖h‖, the noise of `hessian`'s branch: eps, eps^(2/3) or eps^(1/2))
-    # with weights 1/step; each curvature entry is half of four second
-    # differences of g (‖g‖, eps) with weights 4/step², carried to the frame
-    # by v⁴.  Both residuals are curvatures; roundoff above _ROUNDOFF_SHARE
-    # of ‖h‖² is no longer negligible, so it excuses no growth.
+    # Roundoff floors in frame units: the noise of `hessian`'s branch (eps,
+    # eps^(2/3) or eps^(1/2)) times the differenced values over the step.
+    # ∇h differences cubics (‖h‖), carried by v; a curvature entry is half
+    # of four differences of ∂g (2‖D²F‖‖t‖), carried by v⁴.  Roundoff above
+    # _ROUNDOFF_SHARE of ‖h‖² is not negligible, so it excuses no growth.
     h_noise = _EPS if patch.hess is not None else _EPS / (
         _FD_STEP_1 if patch.jac is not None else _FD_STEP_2 ** 2)
     hh = float(np.sum(h * h))
     cap = _ROUNDOFF_SHARE * hh
-    g_noise = 8.0 * _EPS * np.linalg.norm(g) * np.linalg.norm(v) ** 4
-    return tuple(
-        (float(np.linalg.norm(c)), float(np.linalg.norm(r)),
-         tuple(float(min(f, cap)) for f in (h_noise * math.sqrt(hh) / step,
-                                            g_noise / step**2)))
-        for step, c, r in zip(steps, grad - sym, riem - _GAUSS_SIGN * quad_h))
+    nv = float(np.linalg.norm(v))
+    unit = h_noise * np.array([math.sqrt(hh) * nv, 4.0 * nv**4
+                               * np.linalg.norm(hess) * np.linalg.norm(t)])
+    floors = unit / np.array(steps, dtype=float)[:, None]
+    if floors[:, 0].max() > cap:
+        raise StepTooSmallError(
+            f"codazzi roundoff floor {floors[:, 0].max():.3e} exceeds "
+            f"{_ROUNDOFF_SHARE:.0e}·‖h‖²; step {min(steps):.1e} is too small")
+    return tuple((float(np.linalg.norm(c)), float(np.linalg.norm(r)),
+                  tuple(np.minimum(f, cap).tolist()))
+                 for c, r, f in zip(grad - sym, riem - _GAUSS_SIGN * quad_h,
+                                    floors))
 
 
 def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
@@ -656,18 +656,17 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     derivative of the fundamental cubic. gauss: Frobenius norm of the
     difference between the finite-difference intrinsic curvature and the
     quadratic cubic expression it must equal.  Both are recomputed at half
-    the step; a residual that grows under halving by more than its
-    stencil's roundoff floor (at most 1e-6·‖h‖²) means the step is in the
-    cancellation regime and raises StepTooSmallError.
+    the step.  StepTooSmallError is raised when a residual grows under
+    halving by more than its roundoff floor (at most 1e-6·‖h‖²), or when the
+    Codazzi floor exceeds 1e-6·‖h‖², since the Gauss roundoff grows only as
+    1/step and halving alone would not catch it.
 
-    Both steps are audited in one pass of two map stages: the metric
-    stencils of 38 points, whose row at u gives the frame, in one ``jac``
-    call; then u and its twelve neighbours u ± step·v_l as one cubic stack,
-    one ``jac`` and one ``hess`` call (2 ``jac`` and 1 ``hess`` calls on a
-    patch with both analytic).  A degenerate point (a non-finite or
-    rank-deficient jacobian, a non-finite hessian) raises its typed
-    GeometryError instead of yielding a NaN or meaningless residual: u
-    first, then the neighbours, then the other stencil points.
+    `step` is in parameter units.  One map stage serves both steps: u and
+    its neighbours u ± step·e_a, u ± step/2·e_a as one cubic stack, one
+    ``jac`` and one ``hess`` call, which give the metric's derivatives in
+    closed form.  A degenerate point (a non-finite or rank-deficient
+    jacobian, a non-finite hessian) raises its typed GeometryError, u first,
+    then the neighbours, instead of yielding a meaningless residual.
 
     The audit reads ``jac`` and ``hess`` alone; it evaluates F only through
     the finite-difference fallback of a patch without an analytic ``jac``.
