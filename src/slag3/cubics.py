@@ -15,11 +15,13 @@ Conventions (load-bearing, used across the package):
   ``c0`` (axial), ``c1, c2, c3`` (complex); the complex structure is chosen
   so that pulling back by a rotation through ``alpha`` about ``w``
   multiplies ``c_k`` by ``exp(i k alpha)``.
-* The axis search runs on coefficient rows scaled to unit norm, so its
-  arithmetic does not depend on the cubic's scale; the residuals it reports
-  in ``SymmetryAxes`` are scaled back, in the units of (tol * ||h||)^2.
-  Only seeds within reach of an acceptable axis, a starting functional of
-  at most 100 * tol^(2/3) on the unit-norm rows (``_reach``), are polished.
+* The axis search normalizes each cubic once and runs on its unit-norm
+  rows, so its arithmetic does not depend on the cubic's scale; the
+  residuals it reports in ``SymmetryAxes`` are scaled back, in the units of
+  (tol * ||h||)^2.  Each seed's starting functional is screened in closed
+  form (``_screen``), and only the seeds within reach of an acceptable
+  axis, a starting functional of at most 100 * tol^(2/3) on the unit-norm
+  rows (``_reach``), go to the refiner and are polished.
 * Every pullback of a cubic by a rotation goes through ``_pullback``.
 """
 
@@ -433,24 +435,17 @@ def _transport_matrices(ws):
     """transport_rotation for the direction of each row of ws (n, 3), as raw
     (n, 3, 3) matrices; rows need not be unit (hot path)."""
     ws = np.asarray(ws, dtype=float)
-    ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
-    flip = ws[:, 2] < -0.5
-    wf = np.where(flip[:, None], -ws, ws)
-    w0, w1, w2 = wf[:, 0], wf[:, 1], wf[:, 2]
+    ws = ws / np.sqrt((ws * ws).sum(1, keepdims=True))  # as np.linalg.norm
+    x, y, z = ws.T
+    # rows near the antipode are flipped; composing their transport with the
+    # half-turn about x negates its columns y, z, so the z-column is ws
+    sign = np.where(z < -0.5, -1.0, 1.0)
+    w0, w1, w2 = ws.T * sign
     d = 1.0 + w2
-    out = np.empty((len(ws), 3, 3))
-    out[:, 0, 0] = 1.0 - w0 * w0 / d
-    out[:, 0, 1] = out[:, 1, 0] = -w0 * w1 / d
-    out[:, 0, 2] = w0
-    out[:, 1, 1] = 1.0 - w1 * w1 / d
-    out[:, 1, 2] = w1
-    out[:, 2, 0] = -w0
-    out[:, 2, 1] = -w1
-    out[:, 2, 2] = w2
-    # antipodal composition with the half-turn about x negates columns y, z
-    out[flip, :, 1] *= -1.0
-    out[flip, :, 2] *= -1.0
-    return out
+    m01 = -w0 * w1 / d
+    return np.array([1.0 - w0 * w0 / d, m01 * sign, x,
+                     m01, (1.0 - w1 * w1 / d) * sign, y,
+                     -w0, -y, z]).T.reshape(-1, 3, 3)
 
 
 def transport_rotation(w) -> Rotation3:
@@ -589,19 +584,55 @@ _SEED_KIND = np.repeat(np.arange(3), [3, 12, 10])  # row of _CONDITION_MASKS
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
-def _axis_seeds(v):
-    """(unit seed axes (k, 3), condition index (k,), owning cubic (k,)) for
-    all three symmetry conditions from the Maxwell directions v (n, 3, 3),
-    cubic by cubic."""
+# the squared components |c0|^2, |c1|^2, |c2|^2, |c3|^2 of a unit cubic about
+# a unit axis w as rows of weights of (1, A^2, |g|^2, ||M||^2), where
+# M = h(w, ., .), g = M w and A = g.w; |c3|^2 is the rest of the unit norm
+_SCREEN_PARTS = np.array([[0, 2.5, 0, 0], [0, -3.75, 3.75, 0],
+                          [0, 1.5, -6, 3], [1, -0.25, 2.25, -3.0]])
+# the weights of the functional of each seed row: its condition's masked sum
+_SCREEN_COEF = (_CONDITION_MASKS[:, [0, 1, 3, 5]] @ _SCREEN_PARTS)[_SEED_KIND]
+_SCREEN_SLACK = 1e-6  # relative and absolute slack of the screen's cut
+
+
+def _screen(units, axes, coef):
+    """Functionals (n, m) sum_j coef[:, j] * (1, A^2, |g|^2, ||M||^2)_j about
+    the unit axes (n, m, 3) of the cubics with unit-norm coefficient rows
+    units (n, 10): with coef = mask @ _SCREEN_PARTS, the masked sum of the
+    squared components about each axis, in closed form.
+
+    The closed form assumes tr M = 0: on unit rows it matches _components
+    to about 1e-15 when traceless and 2.5e-8 at the trace residual the
+    constructor admits, well inside the screen's slack _SCREEN_SLACK.  Few
+    array calls, since a single cubic's search pays for each: M is one
+    matmul over each cubic's stack of axes, and ||M||^2 and |g|^2 come
+    from one weighted einsum."""
+    n, m = axes.shape[:2]
+    mw = np.matmul(axes, _full(units).reshape(n, 3, 9))
+    g = np.einsum("nmjk,nmj->nmk", mw.reshape(n, m, 3, 3), axes)
+    a = np.einsum("nmi,nmi->nm", g, axes)
+    z = np.concatenate([mw, g], axis=-1)
+    quad = np.einsum("nmi,nmi,mi->nm", z, z,
+                     np.repeat(coef[:, :1:-1], (9, 3), axis=1))
+    return coef[:, 0] + coef[:, 1] * (a * a) + quad
+
+
+def _axis_seeds(v, units):
+    """(unit seed axes (k, 3), condition index (k,), owning cubic (k,),
+    starting functional (k,) by the closed-form screen) for all three
+    symmetry conditions from the Maxwell directions v (n, 3, 3) of the
+    cubics with unit-norm coefficient rows units (n, 10), cubic by
+    cubic."""
     w = v[:, _NEXT]  # the normals v_i x v_(i+1), computed as np.cross does
     cands = np.concatenate([np.matmul(_SEED_SUMS, v),
                             v[..., _NEXT] * w[..., _PREV]
                             - v[..., _PREV] * w[..., _NEXT]], axis=1)
-    seeds = cands[:, _SEED_ROWS]
-    n = np.linalg.norm(seeds, axis=2)
+    seeds = np.ascontiguousarray(cands[:, _SEED_ROWS])
+    n = np.sqrt((seeds * seeds).sum(2))  # as np.linalg.norm
     keep = n > 1e-12
     owner, row = np.nonzero(keep)
-    return seeds[keep] / n[keep, None], _SEED_KIND[row], owner
+    seeds = seeds / np.where(keep, n, 1.0)[..., None]
+    screened = _screen(units, seeds, _SCREEN_COEF)
+    return seeds[keep], _SEED_KIND[row], owner, screened[keep]
 
 
 def _generator(a):
@@ -662,23 +693,24 @@ def _trials(cloc, delta, lams, mask, basis):
             _functional(trials, basis, mask[:, None]))
 
 
-def _refine_axes(cs, seeds, mask, reach):
+def _refine_axes(units, seeds, mask, reach):
     """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
-    Seed i searches the cubic with coefficient rows cs[i] (n, 10), scaled to
-    unit norm, and retires once its functional is at most _REFINE_FLOOR, so
+    Seed i searches the cubic with unit-norm coefficient rows units[i]
+    (n, 10) and retires once its functional is at most _REFINE_FLOOR, so
     the search is scale-free and the seeds of many cubics march together,
-    each with the arithmetic it has alone.  A seed starting above `reach`
-    (_reach: an acceptable axis has a seed within about tol^(2/3)) retires
-    before the first step with its starting functional, which the census
-    rejects.  Each seed carries its own chart, recentred after every
-    accepted step so the transport underlying the component phases stays
-    smooth, and the Gauss-Newton jacobian is exact: the chart's generator
-    maps of _REFINE_OP.  Basins that stop descending are retired early.  The
-    line search pulls back the full step first and the seven halvings only
-    for the seeds where it does not improve; the first improving step is
-    taken.
+    each with the arithmetic it has alone.  The axis search passes only the
+    seeds its closed-form screen (_screen) puts in reach.  A seed starting
+    above `reach` (_reach: an acceptable axis has a seed within about
+    tol^(2/3)) retires before the first step with its starting functional,
+    which the census rejects.  Each seed carries its own chart, recentred
+    after every accepted step so the transport underlying the component
+    phases stays smooth, and the Gauss-Newton jacobian is exact: the
+    chart's generator maps of _REFINE_OP.  Basins that stop descending are
+    retired early.  The line search pulls back the full step first and the
+    seven halvings only for the seeds where it does not improve; the first
+    improving step is taken.
     Only the union of the masked rows is projected; a masked-out row adds
     exact zeros, so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
@@ -689,15 +721,15 @@ def _refine_axes(cs, seeds, mask, reach):
     op = _REFINE_OP[:, cols]
     n = len(seeds)
     base = _transport_matrices(seeds)
-    cs = cs / np.sqrt(_rowdot(MULTIPLICITY * cs, cs))[:, None]
-    cloc = _pullback(cs, base)
+    cloc = _pullback(units, base)
     fval = _functional(cloc, basis, mask)
     f0 = fval.copy()
     active = np.flatnonzero(fval <= reach)
     for it in range(_REFINE_ITERS):
-        keep = fval[active] > _REFINE_FLOOR
+        fa = fval[active]
+        keep = fa > _REFINE_FLOOR
         if it >= 2:
-            keep &= fval[active] <= 0.5 ** it * f0[active]
+            keep &= fa <= 0.5 ** it * f0[active]
         active = active[keep]
         if not len(active):
             break
@@ -713,14 +745,17 @@ def _refine_axes(cs, seeds, mask, reach):
         det = a11 * a22 - a12 * a12
         good = np.isfinite(det) & (det > 1e-200 * np.maximum(a11 * a22,
                                                              1e-300))
-        active = active[good]
-        if not len(active):
-            break
-        inv = 1.0 / det[good]
-        delta = np.stack(
-            [-(a22[good] * b1[good] - a12[good] * b2[good]) * inv,
-             -(a11[good] * b2[good] - a12[good] * b1[good]) * inv], axis=1)
-        delta = np.clip(delta, -1.0, 1.0)  # keep trials inside the chart
+        if not good.all():
+            active = active[good]
+            if not len(active):
+                break
+            a11, a12, a22, b1, b2, det = (
+                x[good] for x in (a11, a12, a22, b1, b2, det))
+        inv = 1.0 / det
+        delta = np.array([-(a22 * b1 - a12 * b2) * inv,
+                          -(a11 * b2 - a12 * b1) * inv]).T
+        # keep trials inside the chart
+        delta = np.minimum(np.maximum(delta, -1.0), 1.0)
         rmat, trial, tval = (a[:, 0] for a in _trials(
             cloc[active], delta, _LINE_STEPS[:1], mask[active], basis))
         lam = np.ones(len(active))
@@ -737,7 +772,7 @@ def _refine_axes(cs, seeds, mask, reach):
             tval[short] = vs[at, pick]
             lam[short] = _LINE_STEPS[1:][pick]
             ok[short] = improving.any(axis=1)
-        stepn = np.linalg.norm(delta, axis=1) * lam
+        stepn = np.sqrt((delta * delta).sum(1)) * lam  # as np.linalg.norm
         sel = np.flatnonzero(ok & (stepn > 1e-14))
         if len(sel):
             ai = active[sel]
@@ -751,11 +786,14 @@ def _refine_axes(cs, seeds, mask, reach):
 _LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
 
 
-def _antipodal_gap(a, b):
-    """Distances min(|a - b|, |a + b|) (...) between the axes a and b
-    (..., 3), each standing for the line it spans."""
-    return np.sqrt(np.minimum(((a - b) ** 2).sum(-1),
-                              ((a + b) ** 2).sum(-1)))
+def _near(a, b):
+    """Whether the lines spanned by the axes a (..., m, 3) and b (..., p, 3)
+    are within _MERGE_ANGLE, (..., m, p), from one Gram product: the
+    distance min(|a - b|, |a + b|) squared is |a|^2 + |b|^2 - 2 |a.b|."""
+    gram = np.matmul(a, np.swapaxes(b, -1, -2))
+    sa, sb = (a * a).sum(-1), (b * b).sum(-1)
+    return (sa[..., :, None] + sb[..., None, :] - 2.0 * np.abs(gram)
+            < _MERGE_ANGLE * _MERGE_ANGLE)
 
 
 def _dedupe(axes, res, groups=None):
@@ -765,12 +803,12 @@ def _dedupe(axes, res, groups=None):
     Each axis is signed so that its first coordinate above 1e-8 in modulus
     is positive.  Taken by increasing residual (ties in input order), an
     axis is dropped when its distance to a kept axis of its group, the
-    smaller over +-, is below _MERGE_ANGLE.  That greedy pass is
-    solved on one pairwise distance matrix per group, repeated on the last
-    kept set until it is stable (the greedy result is its only fixed
-    point).  Returns (indices of the kept axes, by group, each group's in
-    the order of the coordinates rounded to 9 digits, ties by residual;
-    canonical axes (n, 3)).
+    smaller over +-, is below _MERGE_ANGLE.  The distances come from one
+    Gram product per group (_near), and the greedy pass is solved on them,
+    repeated on the last kept set until it is stable (the greedy result is
+    its only fixed point).  Returns (indices of the kept axes, by group,
+    each group's in the order of the coordinates rounded to 9 digits, ties
+    by residual; canonical axes (n, 3)).
     """
     axes = np.asarray(axes, dtype=float).reshape(-1, 3)
     n = len(axes)
@@ -787,8 +825,7 @@ def _dedupe(axes, res, groups=None):
     held[g, pos] = axes[order]
     valid = np.zeros(held.shape[:2], dtype=bool)
     valid[g, pos] = True
-    close = ((_antipodal_gap(held[:, :, None], held[:, None]) < _MERGE_ANGLE)
-             & valid[:, None]
+    close = (_near(held, held) & valid[:, None]
              & np.tri(held.shape[1], k=-1, dtype=bool))
     keep = valid
     while True:
@@ -850,11 +887,13 @@ def _census(sq, tol, seeds, kind, owner, axes, final):
     to cubic owner[i]).
 
     An axis is accepted when its squared functional is at most
-    (tol * ||h||)^2.  One _dedupe call merges the accepted axes of every
-    cubic and condition, and one array test removes the order-2/order-3
-    axes within _MERGE_ANGLE of a circle axis of their cubic.
+    (tol * ||h||)^2.  A seed the screen left out of reach carries its
+    screened functional, which is what the debug log of its rejection
+    shows.  One _dedupe call merges the accepted axes of every cubic and
+    condition, and one Gram test (_near) removes the order-2/order-3 axes
+    within _MERGE_ANGLE of a circle axis of their cubic.
     """
-    threshold = np.array([(tol * math.sqrt(q)) ** 2 for q in sq])[owner]
+    threshold = ((tol * np.sqrt(sq)) ** 2)[owner]
     hit = final <= threshold
     if log.isEnabledFor(logging.DEBUG):
         for i in np.flatnonzero(~hit):
@@ -866,7 +905,7 @@ def _census(sq, tol, seeds, kind, owner, axes, final):
     ws, res, groups = ws[kept], final[hit][kept], groups[kept]
     circle = groups % 3 == 0
     if circle.any():
-        near = ((_antipodal_gap(ws[:, None], ws[circle]) < _MERGE_ANGLE)
+        near = (_near(ws, ws[circle])
                 & (groups[:, None] // 3 == groups[circle] // 3))
         stay = circle | ~near.any(axis=1)
         ws, res, groups = ws[stay], res[stay], groups[stay]
@@ -881,21 +920,32 @@ def _symmetry_axes(cs, sq, tol):
     """SymmetryAxes of each nonzero cubic with coefficient rows cs (n, 10)
     and squared norms sq (n,).
 
-    The cubics go in chunks of _AXIS_CHUNK, and each step runs once per
-    chunk: one stacked root-finding call gives the Maxwell directions of
-    all its cubics (_maxwell_directions), one pass builds their seeds
-    (_axis_seeds), one lockstep refine polishes the seeds within _reach(tol)
-    together (_refine_axes), and one census merges the accepted axes
-    (_census).  The refine works on unit-norm rows; its functional is
-    multiplied by ||h||^2 before the census, so the census and the residuals
-    it reports keep the cubic's own units.
+    The cubics go in chunks of _AXIS_CHUNK, each normalized once, and each
+    step runs once per chunk: one stacked root-finding call gives the
+    Maxwell directions of all its cubics (_maxwell_directions), and one
+    pass builds their seeds with each seed's starting functional on the
+    unit-norm rows in closed form (_axis_seeds, _screen).  Only the seeds
+    the screen puts within _reach(tol), with the slack _SCREEN_SLACK, go to
+    one lockstep refine (_refine_axes; none when no seed is in reach),
+    whose exact starting functional still decides which seeds it polishes.
+    The others keep their seed and screened functional, and one census
+    merges the accepted axes (_census).  Every functional is multiplied by
+    ||h||^2 before the census, so the census and the residuals it reports
+    keep the cubic's own units.
     """
     out = []
+    reach = _reach(tol)
+    cut = reach * (1.0 + _SCREEN_SLACK) + _SCREEN_SLACK
     for lo in range(0, len(cs), _AXIS_CHUNK):
         c, q = cs[lo:lo + _AXIS_CHUNK], sq[lo:lo + _AXIS_CHUNK]
-        seeds, kind, owner = _axis_seeds(_maxwell_directions(c))
-        axes, final = _refine_axes(c[owner], seeds, _CONDITION_MASKS[kind],
-                                   _reach(tol))
+        units = c / np.sqrt(q)[:, None]
+        seeds, kind, owner, final = _axis_seeds(_maxwell_directions(c), units)
+        axes = seeds.copy()
+        live = np.flatnonzero(final <= cut)
+        if len(live):
+            axes[live], final[live] = _refine_axes(
+                units[owner[live]], seeds[live],
+                _CONDITION_MASKS[kind[live]], reach)
         out += _census(q, tol, seeds, kind, owner, axes, final * q[owner])
     return out
 
@@ -923,7 +973,9 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     from the order-2/order-3 lists.  Only seeds starting within
     100 * tol^(2/3) * ||h||^2 are polished: near Circle the Maxwell roots
     split by about tol^(1/3) rad, so an acceptable axis has a seed within
-    about tol^(2/3) (_reach).  A zero or overflowing norm raises ValueError.
+    about tol^(2/3) (_reach).  Each seed's starting functional is taken in
+    closed form on the unit-norm cubic (_screen), and the refiner sees
+    only the seeds in reach.  A zero or overflowing norm raises ValueError.
     """
     _checked_norm(h)
     return _symmetry_axes(h.coeffs[None], np.array([h.inner(h)]), tol)[0]
@@ -961,20 +1013,26 @@ def _fit(tag, cs, frames):
     that r >= 0 (types with an axial part), then turn about z, which
     multiplies c_k by exp(i k alpha), until c_k has its target phase (types
     with one).  The target phase -pi/2 of c2 makes the xyz component
-    positive and the (x^2-y^2)z component zero.  The residual is taken on
-    raw coefficients, so no absolute trace floor applies to the difference.
+    positive and the (x^2-y^2)z component zero.  The components are taken
+    once, and again for the rows whose z flipped (negating them by the
+    flip's sign pattern would differ in the sign of exact zeros, and so
+    turn the phase of an exact normal form by pi).  The residual is taken
+    on raw coefficients, so no absolute trace floor applies to the
+    difference.
     Returns (rotations (n, 3, 3), r, s, residual (n,)), each row with the
     rounding of its cubic alone."""
     axial, k, target, per_s = _FITS[tag]
     r = s = np.zeros(len(cs))
+    comps = _components(cs, frames)
     if axial:
-        r = _components(cs, frames)[:, 0] / _NORM_P0
+        r = comps[:, 0] / _NORM_P0
         flip = r < 0
         frames = np.where(flip[:, None, None], np.matmul(frames, _FLIP_Z),
                           frames)
         r = np.where(flip, -r, r)
+        if k and flip.any():
+            comps[flip] = _components(cs[flip], frames[flip])
     if k:
-        comps = _components(cs, frames)
         re, im = comps[:, 2 * k - 1], -comps[:, 2 * k]
         alpha = ((target - np.arctan2(im, re)) / k).tolist()
         sin = np.array([math.sin(a) for a in alpha])[:, None, None]
@@ -1113,7 +1171,7 @@ def singular_directions(h: HarmonicCubic):
     t = h.tensor
     seeds = _singular_seeds(t)
     n = len(seeds)
-    axes, _ = _refine_axes(np.broadcast_to(h.coeffs, (n, 10)), seeds,
+    axes, _ = _refine_axes(np.broadcast_to(h.coeffs / norm, (n, 10)), seeds,
                            np.broadcast_to(_GRADIENT, (n, 7)),
                            _reach(_TAU_GRAD))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)

@@ -57,23 +57,36 @@ class GalleryEntry:
     notes: str = ""
 
 
+def _patch(name, params, domain, ev, jc, hs=None):
+    """ImmersionPatch whose maps each run on the (n, 3) stack of their
+    points and reshape back, so a bare point (3,) rounds as a one-row
+    stack: numpy's complex arithmetic on 0-d operands is not its array
+    loop."""
+
+    def stacked(fn):
+        def mapped(u):
+            u = np.asarray(u, dtype=float)
+            out = fn(u.reshape(-1, 3))
+            return out.reshape(u.shape[:-1] + out.shape[1:])
+        return None if fn is None else mapped
+
+    return ImmersionPatch(name=name, params=params, domain=domain,
+                          eval=stacked(ev), jac=stacked(jc), hess=stacked(hs))
+
+
 # --- flat plane --------------------------------------------------------------
 
 def plane() -> ImmersionPatch:
     """The real 3-plane R³ ⊂ C³; totally geodesic, cubic identically zero."""
 
     def ev(u):
-        u = np.asarray(u, dtype=float)
         return np.concatenate([u, np.zeros_like(u)], axis=-1)
 
     def jc(u):
-        return np.broadcast_to(np.eye(6, 3), np.shape(u)[:-1] + (6, 3)).copy()
+        return np.broadcast_to(np.eye(6, 3), (len(u), 6, 3)).copy()
 
-    return ImmersionPatch(
-        name="plane", params={},
-        domain=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        eval=ev, jac=jc,
-        hess=lambda u: np.zeros(np.shape(u)[:-1] + (6, 3, 3)))
+    return _patch("plane", {}, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+                  ev, jc, lambda u: np.zeros((len(u), 6, 3, 3)))
 
 
 # --- the rotationally invariant family over S² -------------------------------
@@ -145,8 +158,7 @@ def _profile_patch(name, params, c3, domain, x, dx, hess=None):
         t = dx(u[..., 1:])
         return _columns([wg * x(u[..., 1:]), w * t[..., 0], w * t[..., 1]])
 
-    return ImmersionPatch(name=name, params=params, domain=domain,
-                          eval=ev, jac=jc, hess=hess)
+    return _patch(name, params, domain, ev, jc, hess)
 
 
 def harvey_lawson_so3(c: float) -> ImmersionPatch:
@@ -209,8 +221,7 @@ def _product(name, params, domain, curve, second):
         return np.stack([np.stack(row, axis=-1) for row in (
             [z, z, z], [z, paa, pab], [z, pab, -paa])], axis=-2)
 
-    return ImmersionPatch(name=name, params=params, domain=domain,
-                          eval=ev, jac=jc, hess=hs)
+    return _patch(name, params, domain, ev, jc, hs)
 
 
 def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
@@ -281,10 +292,8 @@ def hl_cone() -> ImmersionPatch:
             [1j * z * d1 / rho, -z * d1 * d1, -z * d1 * d2],
             [1j * z * d2 / rho, -z * d1 * d2, -z * d2 * d2]])
 
-    return ImmersionPatch(
-        name="hl_cone", params={},
-        domain=((0.4, 1.6), (0.0, _TWO_PI), (0.0, _TWO_PI)),
-        eval=ev, jac=jc, hess=hs)
+    return _patch("hl_cone", {},
+                  ((0.4, 1.6), (0.0, _TWO_PI), (0.0, _TWO_PI)), ev, jc, hs)
 
 
 def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
@@ -330,10 +339,8 @@ def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
                         [d1, drr[..., 0, 0, :], drr[..., 0, 1, :]],
                         [d2, drr[..., 1, 0, :], drr[..., 1, 1, :]]])
 
-    return ImmersionPatch(
-        name="l_lambda", params={"l1": lam[0], "l2": lam[1], "l3": lam[2]},
-        domain=((0.0, 0.6), (0.6, 1.4), (0.6, 1.4)),
-        eval=ev, jac=jc, hess=hs)
+    return _patch("l_lambda", {"l1": lam[0], "l2": lam[1], "l3": lam[2]},
+                  ((0.0, 0.6), (0.6, 1.4), (0.6, 1.4)), ev, jc, hs)
 
 
 # --- minimal Legendrian surfaces in S⁵ and their cones -----------------------
@@ -488,8 +495,11 @@ def twisted_cone(s: LegendrianSurface, avec,
 
     F(t, θ₁, θ₂) = 𝐛(θ) + t·x(θ) with d𝐛 = β = x·★db − b·★dx and b = <a, x>.
     𝐛(θ) integrates β from the domain corner along θ₁, then along θ₂, with
-    a 16-point Gauss–Legendre rule on each leg, built once here; the legs of
-    all points of a stack are integrated in one stacked evaluation.
+    a 16-point Gauss–Legendre rule on each leg, built once here.  𝐛 and x
+    do not depend on t, so `eval` integrates once per distinct θ row of a
+    stack (rows compared by their bytes, so each row keeps its own
+    rounding; a sweep grid repeats every θ once per t), and the legs of
+    all of them in one stacked evaluation.
     Closedness of β is audited at construction time by the boundary loop
     integral on the same rule, which must stay below 1e-6; a = 0 gives the
     plain cone t·x.
@@ -515,23 +525,23 @@ def twisted_cone(s: LegendrianSurface, avec,
         return ints[:n] + ints[n:]
 
     def ev(u):
-        x = np.asarray(u, dtype=float).reshape(-1, 3)
-        out = _bvec(x[:, 1:]) + x[:, :1] * from_complex(s.eval(x[:, 1:]))
-        return out.reshape(np.shape(u)[:-1] + (6,))
+        theta = np.ascontiguousarray(u[:, 1:])
+        rows = theta.view(np.dtype((np.void, 2 * theta.itemsize)))[:, 0]
+        _, first, at = np.unique(rows, return_index=True, return_inverse=True)
+        theta = theta[first]
+        return (_bvec(theta)[at]
+                + u[:, :1] * from_complex(s.eval(theta))[at])
 
     def jc(u):
-        x = np.asarray(u, dtype=float).reshape(-1, 3)
-        frames = _surface_frames(s, x[:, 1:])
+        frames = _surface_frames(s, u[:, 1:])
         legs = (np.swapaxes(_betas(avec, frames), 1, 2)
-                + x[:, :1, None] * frames[1])
-        return np.concatenate([frames[0][:, :, None], legs], axis=2).reshape(
-            np.shape(u)[:-1] + (6, 3))
+                + u[:, :1, None] * frames[1])
+        return np.concatenate([frames[0][:, :, None], legs], axis=2)
 
     dom = (tuple(float(v) for v in t_range), s.domain[0], s.domain[1])
-    return ImmersionPatch(
-        name="twisted_cone", params={"surface": s.name,
-                                     "a": tuple(float(v) for v in avec)},
-        domain=dom, eval=ev, jac=jc)
+    return _patch("twisted_cone", {"surface": s.name,
+                                   "a": tuple(float(v) for v in avec)},
+                  dom, ev, jc)
 
 
 def z3_family(s: LegendrianSurface, c: float) -> ImmersionPatch:

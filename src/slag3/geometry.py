@@ -123,10 +123,10 @@ class ImmersionPatch:
     that fallback only: frames, cubics and the Codazzi–Gauss audit read
     ``jac`` and ``hess`` alone.  This module calls each map with one (n, 3)
     stack (a point is a stack of one), so a map that raises fails every
-    node of that call.  A gallery map given a bare point (3,) may round
-    differently in the last bits from the same point as a one-row stack
-    (1, 3), since numpy's complex arithmetic on 0-d operands is not its
-    array loop; compare ``patch.jac(u)`` with :func:`jacobian` on stacks.
+    node of that call.  The gallery's maps compute on the (n, 3) stack of
+    their points, so a bare point (3,) rounds as a one-row stack (1, 3);
+    a map that computes on 0-d operands may not, since numpy's complex
+    arithmetic there is not its array loop.
     """
 
     name: str

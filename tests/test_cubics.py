@@ -489,9 +489,9 @@ class TestFindSymmetryAxes:
             find_symmetry_axes(HarmonicCubic.zero())
 
     def test_one_lockstep_refine_per_search(self, monkeypatch):
-        # each search polishes all of its seeds in one call of the refiner:
-        # the circle, order-2 and order-3 seeds together, or the gradient
-        # seeds
+        # each search polishes its seeds in at most one call of the
+        # refiner: the circle, order-2 and order-3 seeds the screen puts in
+        # reach together (none when no seed is), or the gradient seeds
         calls = []
         refine = cubics._refine_axes
 
@@ -536,6 +536,67 @@ class TestFindSymmetryAxes:
         monkeypatch.setattr(cubics, "_reach", lambda tol: math.inf)
         assert answers() == pruned
         assert len(set(pruned[0])) == 6
+
+    @pytest.mark.parametrize("trace", [0.0, 0.9 * cubics._TAU_TRACE],
+                             ids=["traceless", "at_trace_bound"])
+    def test_screen_is_the_closed_form_of_the_components(self, trace):
+        # the screen's squared components about random unit axes against
+        # _components under every condition mask and the gradient mask.
+        # Measured on 20000 rows: 2e-15 when traceless; 2.4e-8 at 0.9 of
+        # the admitted trace residual, where the closed form's tr M = 0
+        # no longer holds, still far inside the screen's slack
+        rng = np.random.default_rng(31)
+        cs = np.array([random_cubic(rng).coeffs for _ in range(2000)])
+        cs /= np.sqrt(cubics._rowdot(cubics.MULTIPLICITY * cs, cs))[:, None]
+        v = rng.normal(size=(len(cs), 3))
+        v *= trace / np.abs(v).max(axis=1, keepdims=True)
+        cs += (cubics._TRACE_PART @ v[:, :, None])[:, :, 0]
+        for c in cs[:20]:
+            HarmonicCubic(c)  # admissible
+        units = cs / np.sqrt(
+            cubics._rowdot(cubics.MULTIPLICITY * cs, cs))[:, None]
+        w = rng.normal(size=(len(cs), 3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        comps = cubics._components(units, cubics._transport_matrices(w))
+        bound = 1e-14 if trace == 0.0 else 1e-7
+        assert bound <= 0.1 * cubics._SCREEN_SLACK
+        for mask in list(cubics._CONDITION_MASKS) + [cubics._GRADIENT]:
+            exact = (comps ** 2) @ mask
+            closed = cubics._screen(units, w[:, None], (
+                mask[[0, 1, 3, 5]] @ cubics._SCREEN_PARTS)[None])[:, 0]
+            assert np.max(np.abs(closed - exact)) <= bound
+
+    def test_screening_changes_no_census(self, monkeypatch):
+        # a screen that puts every seed in reach hands all of them to the
+        # refiner, whose exact starting functional then retires the ones
+        # beyond the reach: every fit is the same bit for bit, and so are
+        # the census and singular-direction counts; Circle within 0.99 tol
+        # is the case whose best seed starts farthest out (_reach)
+        rng = np.random.default_rng(29)
+        hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
+        hs += [rotate(h, random_rotation(rng)) for h in hs]
+        hs += [random_cubic(rng) for _ in range(200)]
+        unit = cubics._BASIS7 / cubics.MULTIPLICITY
+        for _ in range(10):
+            p = HarmonicCubic(rng.normal(size=6) @ unit[1:])
+            hs.append(rotate(P0 + p.scaled(0.99e-6 * P0.norm() / p.norm()),
+                             random_rotation(rng)))
+        cs = np.array([h.coeffs for h in hs])
+        sq = np.array([h.inner(h) for h in hs])
+
+        def answers():
+            return (classify(hs),
+                    [(len(a.order2), len(a.order3), len(a.circle))
+                     for a in cubics._symmetry_axes(cs, sq, cubics.TAU_AXIS)],
+                    [len(singular_directions(h)) for h in hs])
+
+        screened = answers()
+        monkeypatch.setattr(cubics, "_screen", lambda units, axes, coef:
+                            np.zeros(axes.shape[:-1]))
+        every = answers()
+        assert all(same_fit(a, b) for a, b in zip(screened[0], every[0]))
+        assert screened[1:] == every[1:]
+        assert len({fit.type for fit in screened[0]}) == 6
 
     def test_refiner_jacobian_is_the_exact_chart_derivative(self):
         # slice 0 projects onto the components; slices 1 and 2 are their

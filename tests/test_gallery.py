@@ -1,5 +1,6 @@
 """Tests for the explicit special Lagrangian families."""
 
+import itertools
 import math
 
 import numpy as np
@@ -77,8 +78,9 @@ def same_bytes(a, b):
 class TestBroadcastContract:
     """A stack of points gives, byte for byte, the rows of calls on stacks of
     one, which `sweep`'s equality with one `point_report` per node rests on.
-    (A bare point (3,) may round differently: numpy's scalar complex
-    arithmetic is not its array arithmetic.)"""
+    A bare point (3,) gives the row of a stack of one: the gallery's maps
+    compute on stacks, since numpy's scalar complex arithmetic is not its
+    array arithmetic."""
 
     @pytest.mark.parametrize("motion", [None, 5], ids=["unmoved", "moved"])
     @pytest.mark.parametrize("name", sorted(gal.default_gallery()))
@@ -99,6 +101,16 @@ class TestBroadcastContract:
             assert out.shape[0] == len(stack)
             for k in range(len(stack)):
                 assert same_bytes(out[k], fn(stack[k:k + 1])[0]), (k, fn)
+
+    @pytest.mark.parametrize("name", sorted(gal.default_gallery()))
+    def test_a_bare_point_is_a_stack_of_one(self, name):
+        patch = gal.default_gallery()[name].patch
+        rng = np.random.default_rng(0)
+        lo, hi = np.array(patch.domain).T
+        for u in lo + (hi - lo) * (0.05 + 0.9 * rng.random((11, 3))):
+            for fn in (patch.eval, patch.jac, patch.hess):
+                if fn is not None:
+                    assert same_bytes(fn(u), fn(u[None])[0]), (u, fn)
 
     def test_surfaces_broadcast(self):
         rng = np.random.default_rng(14)
@@ -297,6 +309,21 @@ class TestTwistedCone:
                    + t * from_complex(s.eval((th1, th2))))
             got = patch.eval(np.array([t, th1, th2]))
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_repeated_theta_rows_evaluate_as_single_rows(self):
+        # eval integrates once per distinct θ row; a sweep grid repeats
+        # each θ once per t, and every row keeps the bytes it has alone
+        patch = gal.default_gallery()["twisted_cone"].patch
+        grid = np.array(list(itertools.product(
+            *geo.grid_axes(patch.domain, (4, 3, 3)))))
+        grid = np.vstack([grid, grid[::-5], [[1.0, -0.0, 1.0],
+                                             [1.0, 0.0, 1.0]]])
+        out = patch.eval(grid)
+        for k, u in enumerate(grid):
+            assert same_bytes(out[k], patch.eval(u[None])[0]), k
+        assert same_bytes(patch.eval(grid[7]), patch.eval(grid[7:8])[0])
+        assert same_bytes(patch.eval(grid[:36].reshape(4, 9, 3)),
+                          out[:36].reshape(4, 9, 6))
 
     def test_off_sphere_surface_rejected(self):
         with pytest.raises(ValueError, match="unit sphere"):
