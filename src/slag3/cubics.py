@@ -240,7 +240,12 @@ class Rotation3:
     def about_axis(cls, axis, angle: float) -> "Rotation3":
         """Right-handed rotation through `angle` about the unit vector `axis`."""
         a = np.asarray(axis, dtype=float)
-        k = _cross_matrix(a / np.linalg.norm(a))
+        n = np.linalg.norm(a)
+        if n < 1e-12:
+            raise ValueError("zero-length axis")
+        if not n < math.inf:  # NaN fails too
+            raise ValueError("axis must be finite")
+        k = _cross_matrix(a / n)
         m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
         return cls(m)
 
@@ -479,7 +484,7 @@ def axis_decompose(h: HarmonicCubic, w) -> AxisDecomposition:
     n = np.linalg.norm(w)
     if n < 1e-12:
         raise ValueError("zero-length axis")
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("axis must be a unit vector")
     v = _components(h.coeffs[None], _transport_matrices(w[None]))[0]
     return AxisDecomposition(axis=w, c0=v[0], c1=complex(v[1], -v[2]),
@@ -655,7 +660,6 @@ _REFINE_OP = np.stack([_BASIS7] + [_BASIS7 @ _generator(_cross_matrix(a))
                                              [-1.0, 0.0, 0.0])])
 _REFINE_ITERS = 60
 _REFINE_FLOOR = 1e-30  # a seed retires at this functional of a unit cubic
-_LINE_STEPS = 0.5 ** np.arange(8)  # line-search step lengths, full step first
 
 
 def _reach(tol):
@@ -678,23 +682,8 @@ def _functional(c, basis, mask):
     return ((comps * mask) ** 2).sum(-1)
 
 
-def _trials(cloc, delta, lams, mask, basis):
-    """Line-search trials of the steps lams * delta from each seed's chart,
-    whose coefficient rows are cloc (m, 10): (rotations (m, L, 3, 3),
-    pulled-back coefficients (m, L, 10), masked functionals (m, L)).  Each
-    row is repeated once per step length and pulled back by its trial
-    rotation in one _pullback call."""
-    m, L = len(cloc), len(lams)
-    pts = np.ones((m, L, 3))  # chart point (xi0, xi1) at z = 1
-    pts[:, :, :2] = delta[:, None, :] * lams[None, :, None]
-    rmats = _transport_matrices(pts.reshape(-1, 3))
-    trials = _pullback(np.repeat(cloc, L, axis=0), rmats).reshape(m, L, 10)
-    return (rmats.reshape(m, L, 3, 3), trials,
-            _functional(trials, basis, mask[:, None]))
-
-
 def _refine_axes(units, seeds, mask, reach):
-    """Damped Gauss-Newton zero search, run from all seeds in lockstep on the
+    """Gauss-Newton zero search, run from all seeds in lockstep on the
     sphere, of the components each seed's row of mask (n, 7) selects.
 
     Seed i searches the cubic with unit-norm coefficient rows units[i]
@@ -707,10 +696,11 @@ def _refine_axes(units, seeds, mask, reach):
     which the census rejects.  Each seed carries its own chart, recentred
     after every accepted step so the transport underlying the component
     phases stays smooth, and the Gauss-Newton jacobian is exact: the
-    chart's generator maps of _REFINE_OP.  Basins that stop descending are
-    retired early.  The line search pulls back the full step first and the
-    seven halvings only for the seeds where it does not improve; the first
-    improving step is taken.
+    chart's generator maps of _REFINE_OP.  Every iteration takes the full
+    step, clipped to the chart's unit square; a seed keeps it when it
+    lowers the functional and retires otherwise, as it does on a singular
+    normal matrix or a step under 1e-14.  Basins that stop descending are
+    retired early.
     Only the union of the masked rows is projected; a masked-out row adds
     exact zeros, so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
@@ -745,35 +735,18 @@ def _refine_axes(units, seeds, mask, reach):
         det = a11 * a22 - a12 * a12
         good = np.isfinite(det) & (det > 1e-200 * np.maximum(a11 * a22,
                                                              1e-300))
-        if not good.all():
-            active = active[good]
-            if not len(active):
-                break
-            a11, a12, a22, b1, b2, det = (
-                x[good] for x in (a11, a12, a22, b1, b2, det))
-        inv = 1.0 / det
+        inv = 1.0 / np.where(good, det, 1.0)
         delta = np.array([-(a22 * b1 - a12 * b2) * inv,
                           -(a11 * b2 - a12 * b1) * inv]).T
-        # keep trials inside the chart
+        # keep the step inside the chart
         delta = np.minimum(np.maximum(delta, -1.0), 1.0)
-        rmat, trial, tval = (a[:, 0] for a in _trials(
-            cloc[active], delta, _LINE_STEPS[:1], mask[active], basis))
-        lam = np.ones(len(active))
-        ok = tval < fval[active]
-        short = np.flatnonzero(~ok)
-        if len(short):
-            rs, ts, vs = _trials(cloc[active[short]], delta[short],
-                                 _LINE_STEPS[1:], mask[active[short]], basis)
-            improving = vs < fval[active[short], None]
-            pick = np.argmax(improving, axis=1)  # first (largest) improving
-            at = np.arange(len(short))
-            rmat[short] = rs[at, pick]
-            trial[short] = ts[at, pick]
-            tval[short] = vs[at, pick]
-            lam[short] = _LINE_STEPS[1:][pick]
-            ok[short] = improving.any(axis=1)
-        stepn = np.sqrt((delta * delta).sum(1)) * lam  # as np.linalg.norm
-        sel = np.flatnonzero(ok & (stepn > 1e-14))
+        pts = np.ones((len(active), 3))  # chart point (xi0, xi1) at z = 1
+        pts[:, :2] = delta
+        rmat = _transport_matrices(pts)
+        trial = _pullback(cloc[active], rmat)
+        tval = _functional(trial, basis, mask[active])
+        stepn = np.sqrt((delta * delta).sum(1))  # as np.linalg.norm
+        sel = np.flatnonzero(good & (tval < fval[active]) & (stepn > 1e-14))
         if len(sel):
             ai = active[sel]
             base[ai] = base[ai] @ rmat[sel]
@@ -933,6 +906,8 @@ def _symmetry_axes(cs, sq, tol):
     ||h||^2 before the census, so the census and the residuals it reports
     keep the cubic's own units.
     """
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     out = []
     reach = _reach(tol)
     cut = reach * (1.0 + _SCREEN_SLACK) + _SCREEN_SLACK
@@ -975,7 +950,8 @@ def find_symmetry_axes(h: HarmonicCubic, tol: float = TAU_AXIS) -> SymmetryAxes:
     split by about tol^(1/3) rad, so an acceptable axis has a seed within
     about tol^(2/3) (_reach).  Each seed's starting functional is taken in
     closed form on the unit-norm cubic (_screen), and the refiner sees
-    only the seeds in reach.  A zero or overflowing norm raises ValueError.
+    only the seeds in reach.  A zero or overflowing norm, or a tol that is
+    not finite and positive, raises ValueError.
     """
     _checked_norm(h)
     return _symmetry_axes(h.coeffs[None], np.array([h.inner(h)]), tol)[0]
@@ -1115,7 +1091,8 @@ def classify(h, tol: float = TAU_AXIS):
     have norm at most tol * ||h||, so a cubic within that distance of a
     collapse line (Z2 with s = r, Z3 with s = r*sqrt(2)) has the larger
     census of S3 / A4 and is classified so.  Z2 and Z3 fits report their
-    distance to the collapse line.
+    distance to the collapse line.  A tol that is not finite and positive
+    raises ValueError, for a sequence too.
 
     `h` is one HarmonicCubic or a sequence of them.  A sequence gives a
     list, one entry per cubic, equal to classify on that cubic alone: its

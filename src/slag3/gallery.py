@@ -168,8 +168,8 @@ def harvey_lawson_so3(c: float) -> ImmersionPatch:
     the waist radius.  Every point has a circle-invariant cubic.
     """
     c = float(c)
-    if c <= 0.0:
-        raise ValueError("the waist radius c must be positive")
+    if not 0.0 < c < math.inf:  # NaN fails too
+        raise ValueError("the waist radius c must be finite and positive")
 
     def hs(u):
         w, wg, wgg = (x[..., None] for x in _circle_profile(c ** 3, u[..., 0]))
@@ -236,8 +236,9 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
     """
     if kind == "hyperbolic":
         c = float(c)
-        if c <= 0.0:
-            raise ValueError("hyperbolic branch parameter c must be positive")
+        if not 0.0 < c < math.inf:  # NaN fails too
+            raise ValueError(
+                "hyperbolic branch parameter c must be finite and positive")
 
         def curve(z):
             w, v = c * np.cosh(z), c * np.sinh(z)
@@ -303,6 +304,8 @@ def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
     third radius is pinned by λ₁r₁² + λ₂r₂² + λ₃r₃² = 0.
     """
     lam = np.array([float(l1), float(l2), float(l3)])
+    if not np.isfinite(lam).all():
+        raise ValueError("the weights must be finite")
     if abs(lam.sum()) > 1e-12:
         raise ValueError("the weights must sum to zero")
     if not (lam[0] >= lam[1] > 0.0 > lam[2]):
@@ -499,17 +502,19 @@ def twisted_cone(s: LegendrianSurface, avec,
     do not depend on t, so `eval` integrates once per distinct θ row of a
     stack (rows compared by their bytes, so each row keeps its own
     rounding; a sweep grid repeats every θ once per t), and the legs of
-    all of them in one stacked evaluation.
+    all of them in one stacked evaluation.  `jac` takes the surface frames
+    and β once per distinct θ row in the same way; only its t·dx term
+    reads t.
     Closedness of β is audited at construction time by the boundary loop
     integral on the same rule, which must stay below 1e-6; a = 0 gives the
     plain cone t·x.
     """
     avec = np.asarray(avec, dtype=float)
-    if avec.shape != (6,):
-        raise ValueError("the direction a must be a real 6-vector")
+    if avec.shape != (6,) or not np.isfinite(avec).all():
+        raise ValueError("the direction a must be a finite real 6-vector")
     if np.any(avec):
         loop = legendrian_loop_residual(s, avec)
-        if loop > _LOOP_TOL:
+        if not loop <= _LOOP_TOL:  # NaN fails too
             raise ValueError(
                 f"β is not closed on {s.name!r} (loop residual {loop:.3e}); "
                 "the height <a, x> is not compatible with this surface")
@@ -524,19 +529,25 @@ def twisted_cone(s: LegendrianSurface, avec,
             np.repeat([a0, b0], n), theta.T.ravel()), rule)
         return ints[:n] + ints[n:]
 
-    def ev(u):
+    def distinct(u):
+        """The distinct θ rows of u (n, 3), compared by their bytes, and
+        the index of each row of u among them."""
         theta = np.ascontiguousarray(u[:, 1:])
         rows = theta.view(np.dtype((np.void, 2 * theta.itemsize)))[:, 0]
         _, first, at = np.unique(rows, return_index=True, return_inverse=True)
-        theta = theta[first]
+        return theta[first], at
+
+    def ev(u):
+        theta, at = distinct(u)
         return (_bvec(theta)[at]
                 + u[:, :1] * from_complex(s.eval(theta))[at])
 
     def jc(u):
-        frames = _surface_frames(s, u[:, 1:])
-        legs = (np.swapaxes(_betas(avec, frames), 1, 2)
-                + u[:, :1, None] * frames[1])
-        return np.concatenate([frames[0][:, :, None], legs], axis=2)
+        theta, at = distinct(u)
+        frames = _surface_frames(s, theta)
+        legs = (np.swapaxes(_betas(avec, frames), 1, 2)[at]
+                + u[:, :1, None] * frames[1][at])
+        return np.concatenate([frames[0][at][:, :, None], legs], axis=2)
 
     dom = (tuple(float(v) for v in t_range), s.domain[0], s.domain[1])
     return _patch("twisted_cone", {"surface": s.name,
@@ -551,8 +562,8 @@ def z3_family(s: LegendrianSurface, c: float) -> ImmersionPatch:
     the cubic has exactly an order-3 axis.
     """
     c = float(c)
-    if c == 0.0:
-        raise ValueError("the profile constant c must be nonzero")
+    if c == 0.0 or not math.isfinite(c):
+        raise ValueError("the profile constant c must be finite and nonzero")
     third = math.pi / 3.0
     if c > 0.0:
         dom_gamma = (-0.95 * third, -0.05 * third)

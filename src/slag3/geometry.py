@@ -661,7 +661,8 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     Codazzi floor exceeds 1e-6·‖h‖², since the Gauss roundoff grows only as
     1/step and halving alone would not catch it.
 
-    `step` is in parameter units.  One map stage serves both steps: u and
+    `step` is in parameter units and must be finite and positive
+    (ValueError otherwise).  One map stage serves both steps: u and
     its neighbours u ± step·e_a, u ± step/2·e_a as one cubic stack, one
     ``jac`` and one ``hess`` call, which give the metric's derivatives in
     closed form.  A degenerate point (a non-finite or rank-deficient
@@ -672,6 +673,8 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
     the finite-difference fallback of a patch without an analytic ``jac``.
     """
     step = float(step)
+    if not 0.0 < step < math.inf:  # NaN fails too
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     (*full, _), (*half, floors) = _compat_residuals(patch, u,
                                                     (step, 0.5 * step))
     for name, f, h, floor in zip(("codazzi", "gauss"), full, half, floors):

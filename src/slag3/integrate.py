@@ -564,24 +564,17 @@ def _leaf_mesh(y0, spans, counts, step):
 
     def flow_line(ys, axis, span, count):
         vals = np.linspace(-span, span, count)
-        order = np.argsort(np.abs(vals), kind="stable")
         out = np.empty((count,) + ys.shape)
-        pos = neg = ys
-        pos_s = neg_s = 0.0
-        for idx in order:
-            target = vals[idx]
-            if target >= 0.0:
-                dist, cur = target - pos_s, pos
-            else:
-                dist, cur = target - neg_s, neg
-            if abs(dist) > 0.0:
-                m = max(1, int(math.ceil(abs(dist) / step)))
-                cur = _march(cur, axis, dist / m, m, [0, 0.0])[-1]
-            if target >= 0.0:
-                pos, pos_s = cur, target
-            else:
-                neg, neg_s = cur, target
-            out[idx] = cur
+        # each side marches outward from the start, node to node
+        for side in (np.flatnonzero(vals >= 0.0),
+                     np.flatnonzero(vals < 0.0)[::-1]):
+            cur, at = ys, 0.0
+            for idx in side:
+                dist = vals[idx] - at
+                if dist:
+                    m = max(1, math.ceil(abs(dist) / step))
+                    cur = _march(cur, axis, dist / m, m, [0, 0.0])[-1]
+                out[idx], at = cur, vals[idx]
         return out
 
     start = np.array(y0, dtype=float)

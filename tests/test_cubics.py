@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slag3 import cubics
+from slag3 import cubics, gallery, geometry
 from slag3.cubics import (
     LEX_TRIPLES,
     AxisDecomposition,
@@ -183,6 +183,16 @@ class TestRotation3:
         rng = np.random.default_rng(1)
         a, b = random_rotation(rng), random_rotation(rng)
         assert np.allclose(a.compose(b).entries, a.entries @ b.entries)
+
+    @pytest.mark.parametrize("axis, match", [
+        ([0.0, 0.0, 0.0], "zero-length axis"),
+        ([math.nan, 0.0, 1.0], "axis must be finite"),
+        ([math.inf, 0.0, 0.0], "axis must be finite")])
+    def test_about_axis_rejects_a_degenerate_axis_without_warning(
+            self, axis, match):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=match):
+                Rotation3.about_axis(axis, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +398,13 @@ class TestAxisDecompose:
         with pytest.raises(ValueError):
             axis_decompose(XYZ6, np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("axis", [[math.nan, 0.0, 0.0],
+                                      [0.0, math.nan, 1.0],
+                                      [math.inf, 0.0, 0.0]])
+    def test_rejects_non_finite_axis(self, axis):
+        with pytest.raises(ValueError, match="unit vector"):
+            axis_decompose(XYZ6, np.array(axis))
+
     def test_transport_rotation_carries_z_to_axis(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -487,6 +504,11 @@ class TestFindSymmetryAxes:
     def test_rejects_zero_cubic(self):
         with pytest.raises(ValueError):
             find_symmetry_axes(HarmonicCubic.zero())
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            find_symmetry_axes(n_family(1.0, 2.0), tol=tol)
 
     def test_one_lockstep_refine_per_search(self, monkeypatch):
         # each search polishes its seeds in at most one call of the
@@ -598,6 +620,46 @@ class TestFindSymmetryAxes:
         assert screened[1:] == every[1:]
         assert len({fit.type for fit in screened[0]}) == 6
 
+    def test_refined_functional_never_exceeds_the_start(self):
+        # a seed moves only on a step that lowers its functional, so every
+        # seed returns at most its starting functional, up to the rounding
+        # of the loop's evaluation through _REFINE_OP: an ulp, or up to
+        # _REFINE_FLOOR where the functional is all rounding
+        rng = np.random.default_rng(37)
+        hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
+        hs += [rotate(h, random_rotation(rng)) for h in hs]
+        hs += [random_cubic(rng) for _ in range(100)]
+        cs = np.array([h.coeffs for h in hs])
+        units = cs / np.sqrt(np.array([h.inner(h) for h in hs]))[:, None]
+        seeds, kind, owner, _ = cubics._axis_seeds(
+            cubics._maxwell_directions(cs), units)
+        args = (units[owner], seeds, cubics._CONDITION_MASKS[kind])
+        _, start = cubics._refine_axes(*args, -1.0)  # nothing in reach
+        axes, final = cubics._refine_axes(*args, math.inf)
+        assert np.all(final <= start * (1.0 + 4.0 * np.finfo(float).eps)
+                      + cubics._REFINE_FLOOR)
+        moved = np.any(axes != cubics._transport_matrices(seeds)[:, :, 2],
+                       axis=1)
+        assert np.all(final[moved] < start[moved])
+        assert 0.5 * len(seeds) < moved.sum() < len(seeds)
+
+    def test_a_seed_whose_full_step_does_not_descend_retires_in_place(self):
+        # the first node of the z3_family sweep, searched for an order-3
+        # axis from (1, 1, 0)/sqrt2: the full Gauss-Newton step raises the
+        # functional by 10% (a half step would lower it to 16%), so the
+        # seed retires before its first step, with its seed axis and its
+        # starting functional
+        entry = gallery.default_gallery()["z3_family"]
+        h = geometry.sweep(entry.patch, entry.default_counts)[0].cubic
+        units = (h.coeffs / h.norm())[None]
+        seed = np.array([[1.0, 1.0, 0.0]]) / math.sqrt(2.0)
+        mask = cubics._CONDITION_MASKS[[2]]
+        axes, final = cubics._refine_axes(units, seed, mask, 1.0)
+        _, start = cubics._refine_axes(units, seed, mask, -1.0)
+        assert np.array_equal(axes, cubics._transport_matrices(seed)[:, :, 2])
+        assert final[0] == pytest.approx(start[0], rel=1e-14)
+        assert 0.4 < start[0] < 0.5
+
     def test_refiner_jacobian_is_the_exact_chart_derivative(self):
         # slice 0 projects onto the components; slices 1 and 2 are their
         # derivatives along the chart coordinates xi0 and xi1, equal to a
@@ -657,6 +719,17 @@ class TestClassify:
         z3 = classify(m_family(1.0, 3.0))
         assert z3.dist_s_minus_rsqrt2 == pytest.approx(3.0 - math.sqrt(2.0),
                                                        abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # the threshold is (tol * ||h||)^2: NaN would call the Z2 form
+        # Trivial and -1 would call it Circle
+        with pytest.raises(ValueError, match="tol must be finite"):
+            classify(n_family(1.0, 2.0), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            classify([n_family(1.0, 2.0), HarmonicCubic.zero()], tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            classify([HarmonicCubic.zero()], tol=tol)
 
     def test_runtime_under_one_second(self):
         import time

@@ -147,11 +147,10 @@ class TestHarveyLawsonSo3:
             with pytest.raises(ValueError):
                 patch.eval(np.array([gamma, 1.0, 1.0]))
 
-    def test_invalid_waist_rejected(self):
-        with pytest.raises(ValueError):
-            gal.harvey_lawson_so3(0.0)
-        with pytest.raises(ValueError):
-            gal.harvey_lawson_so3(-1.0)
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_waist_rejected(self, c):
+        with pytest.raises(ValueError, match="waist radius"):
+            gal.harvey_lawson_so3(c)
 
     def test_circle_type_across_branch(self):
         patch = gal.harvey_lawson_so3(1.0)
@@ -180,9 +179,10 @@ class TestProducts:
         nf = classify_at(patch, probe(patch))
         assert nf.type == StabilizerType.S3
 
-    def test_hyperbolic_needs_positive_branch(self):
-        with pytest.raises(ValueError):
-            gal.product_curve("hyperbolic", c=-2.0)
+    @pytest.mark.parametrize("c", [-2.0, 0.0, math.nan, math.inf])
+    def test_hyperbolic_needs_a_finite_positive_branch(self, c):
+        with pytest.raises(ValueError, match="branch parameter"):
+            gal.product_curve("hyperbolic", c=c)
 
     def test_custom_holomorphic_curve(self):
         patch = gal.product_curve(f=lambda w: w ** 3,
@@ -235,6 +235,10 @@ class TestLLambda:
             gal.l_lambda(1.0, -0.5, -0.5)     # middle weight not positive
         with pytest.raises(ValueError):
             gal.l_lambda(1.0, 2.0, -3.0)      # weights out of order
+        with pytest.raises(ValueError):
+            gal.l_lambda(math.inf, 1.0, -math.inf)
+        with pytest.raises(ValueError):
+            gal.l_lambda(math.nan, 1.0, -1.0)
 
     def test_austere_type(self):
         patch = gal.l_lambda(2.0, 1.0, -3.0)
@@ -310,20 +314,22 @@ class TestTwistedCone:
             got = patch.eval(np.array([t, th1, th2]))
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_repeated_theta_rows_evaluate_as_single_rows(self):
-        # eval integrates once per distinct θ row; a sweep grid repeats
+    @pytest.mark.parametrize("name", ["eval", "jac"])
+    def test_repeated_theta_rows_evaluate_as_single_rows(self, name):
+        # eval and jac work once per distinct θ row; a sweep grid repeats
         # each θ once per t, and every row keeps the bytes it has alone
         patch = gal.default_gallery()["twisted_cone"].patch
+        fn = getattr(patch, name)
         grid = np.array(list(itertools.product(
             *geo.grid_axes(patch.domain, (4, 3, 3)))))
         grid = np.vstack([grid, grid[::-5], [[1.0, -0.0, 1.0],
                                              [1.0, 0.0, 1.0]]])
-        out = patch.eval(grid)
+        out = fn(grid)
         for k, u in enumerate(grid):
-            assert same_bytes(out[k], patch.eval(u[None])[0]), k
-        assert same_bytes(patch.eval(grid[7]), patch.eval(grid[7:8])[0])
-        assert same_bytes(patch.eval(grid[:36].reshape(4, 9, 3)),
-                          out[:36].reshape(4, 9, 6))
+            assert same_bytes(out[k], fn(u[None])[0]), k
+        assert same_bytes(fn(grid[7]), fn(grid[7:8])[0])
+        assert same_bytes(fn(grid[:36].reshape(4, 9, 3)),
+                          out[:36].reshape((4, 9) + out.shape[1:]))
 
     def test_off_sphere_surface_rejected(self):
         with pytest.raises(ValueError, match="unit sphere"):
@@ -333,6 +339,22 @@ class TestTwistedCone:
         with pytest.raises(ValueError):
             gal.twisted_cone(gal.clifford_link(), np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_direction_rejected(self, value):
+        # a NaN direction used to pass the closedness audit and then fail
+        # every node with a non-finite position
+        avec = E1.copy()
+        avec[2] = value
+        with pytest.raises(ValueError, match="finite real 6-vector"):
+            gal.twisted_cone(gal.clifford_link(), avec)
+
+    def test_a_nan_loop_residual_fails_the_closedness_audit(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(gal, "legendrian_loop_residual",
+                            lambda s, avec: math.nan)
+        with pytest.raises(ValueError, match="not closed"):
+            gal.twisted_cone(gal.clifford_link(), E1)
+
     def test_austere_type(self):
         patch = gal.twisted_cone(gal.clifford_link(), E1)
         for frac in ((0.3, 0.5, 0.3), (0.7, 0.2, 0.8)):
@@ -341,9 +363,10 @@ class TestTwistedCone:
 
 
 class TestZ3Family:
-    def test_zero_constant_rejected(self):
-        with pytest.raises(ValueError):
-            gal.z3_family(gal.clifford_link(), 0.0)
+    @pytest.mark.parametrize("c", [0.0, math.nan, math.inf, -math.inf])
+    def test_zero_or_non_finite_constant_rejected(self, c):
+        with pytest.raises(ValueError, match="profile constant"):
+            gal.z3_family(gal.clifford_link(), c)
 
     def test_branch_is_enforced(self):
         patch = gal.z3_family(gal.clifford_link(), 1.0)

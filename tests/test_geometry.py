@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -600,6 +601,16 @@ class TestCodazziGauss:
         with pytest.raises(geo.RankDeficientError) as audit:
             geo.codazzi_gauss_residual(broken, u)
         assert str(audit.value) == str(cubic.value)
+
+    @pytest.mark.parametrize("step", [-1e-3, 0.0, math.nan, math.inf])
+    def test_a_step_that_is_not_finite_and_positive_raises(self, step):
+        # a negative step made the roundoff floors negative and raised a
+        # false StepTooSmallError; 0, NaN and inf warned first and then
+        # failed on unrelated checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step must be finite"):
+                geo.codazzi_gauss_residual(hl_cone(), (1.0, 0.7, 1.9), step)
 
     def test_cancellation_regime_raises(self):
         # at step 1e-10 (half step 5e-11) the Codazzi roundoff floor
