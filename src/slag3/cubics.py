@@ -504,9 +504,11 @@ _SEXTIC = np.stack([
     for m, (i, j, k) in zip(MULTIPLICITY, LEX_TRIPLES)], axis=1)
 
 
-# _TOUCHES[i] flags the 36 pairs (i', j') of six points with i in {i', j'}
-_TOUCHES = np.array([(np.arange(36) // 6 == i) | (np.arange(36) % 6 == i)
-                     for i in range(6)])
+# the 15 pairs (_PAIR_I, _PAIR_J), i < j, of six points in the order of
+# their flat index 6 i + j; _CLASH[p] flags the pairs sharing a point with p
+_PAIR_I, _PAIR_J = np.triu_indices(6, 1)
+_CLASH = (np.c_[_PAIR_I, _PAIR_J][:, None, :, None]
+          == np.c_[_PAIR_I, _PAIR_J][None, :, None, :]).any(axis=(2, 3))
 
 
 def _maxwell_directions(cs):
@@ -518,14 +520,14 @@ def _maxwell_directions(cs):
     the cubic permutes them.  The root zeta is the point
     (-2 Re zeta, -2 Im zeta, 1 - |zeta|^2) / (1 + |zeta|^2), read through
     1/zeta when |zeta| > 1; a degree lost to vanishing leading coefficients
-    is a root at infinity, the pole -z.  Pairs are matched closest first and
-    one vector per pair is kept.
+    is a root at infinity, the pole -z.
 
     The roots are those of np.roots: the sextics of equal trimmed degree
     share one eigvals call on their stacked companion matrices, and vanishing
-    trailing coefficients are roots at zero.  Closest first is the order of
-    np.argsort over the 36 gaps of a cubic, whose ties (i, j) / (j, i) fix
-    each vector's sign, so each round takes the free pair of lowest rank.
+    trailing coefficients are roots at zero.  The points p_i are paired
+    closest first: each of three rounds takes the free pair (i, j), i < j,
+    of least gap |p_i + p_j|, ties to the lowest flat index 6 i + j, and
+    the pair's vector is p_i - p_j.
     """
     n = len(cs)
     at = np.arange(n)[:, None]
@@ -551,17 +553,12 @@ def _maxwell_directions(cs):
     pts = np.stack([-2.0 * z.real / d, -2.0 * sign * z.imag / d,
                     sign * (2.0 / d - 1.0)], axis=2)
     pts[np.arange(6) >= 6 - lead[:, None]] = [0.0, 0.0, -1.0]
-    gap = np.linalg.norm(pts[:, :, None] + pts[:, None], axis=3)
-    rank = np.empty((n, 36), dtype=int)
-    rank[at, np.argsort(gap.reshape(n, 36), axis=1)] = np.arange(36)
-    rank[:, ::7] = 36  # the pairs (i, i)
+    gap = np.linalg.norm(pts[:, _PAIR_I] + pts[:, _PAIR_J], axis=2)
     pairs = np.empty((n, 3), dtype=int)
     for v in range(3):
-        pairs[:, v] = np.argmin(rank, axis=1)
-        i, j = np.divmod(pairs[:, v], 6)
-        rank[_TOUCHES[i] | _TOUCHES[j]] = 36
-    i, j = np.divmod(pairs, 6)
-    out = pts[at, i] - pts[at, j]
+        pairs[:, v] = np.argmin(gap, axis=1)
+        gap[_CLASH[pairs[:, v]]] = np.inf
+    out = pts[at, _PAIR_I[pairs]] - pts[at, _PAIR_J[pairs]]
     return out / np.linalg.norm(out, axis=2, keepdims=True)
 
 
@@ -700,7 +697,9 @@ def _refine_axes(units, seeds, mask, reach):
     step, clipped to the chart's unit square; a seed keeps it when it
     lowers the functional and retires otherwise, as it does on a singular
     normal matrix or a step under 1e-14.  Basins that stop descending are
-    retired early.
+    retired early.  Every functional the search compares or returns is
+    _functional's, so a seed returns at most its starting functional,
+    exactly.
     Only the union of the masked rows is projected; a masked-out row adds
     exact zeros, so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
@@ -726,7 +725,6 @@ def _refine_axes(units, seeds, mask, reach):
         comps = (np.einsum("smi,ni->nsm", op, cloc[active])
                  * mask[active, None])
         fvec, j1, j2 = comps[:, 0], comps[:, 1], comps[:, 2]
-        fval[active] = (fvec ** 2).sum(1)
         a11 = (j1 * j1).sum(1)
         a12 = (j1 * j2).sum(1)
         a22 = (j2 * j2).sum(1)

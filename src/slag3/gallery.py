@@ -224,8 +224,8 @@ def _product(name, params, domain, curve, second):
     return _patch(name, params, domain, ev, jc, hs)
 
 
-def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
-                  domain=None) -> ImmersionPatch:
+def product_curve(kind="square", c=1.0, f=None, df=None,
+                  d2f=None) -> ImmersionPatch:
     """Product of a real line with a plane curve, F = (x₁, Re w, -Im w, 0, Re v, Im v).
 
     kind "zero" or "square" (or callables f, df, d2f) take v = f(w) on the
@@ -245,7 +245,7 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
             return w, v, v, w          # dw/dζ = v, dv/dζ = w
 
         return _product("product_hyperbolic", {"kind": kind, "c": c},
-                        domain or ((-1.0, 1.0), (-0.6, 0.6), (-0.6, 0.6)),
+                        ((-1.0, 1.0), (-0.6, 0.6), (-0.6, 0.6)),
                         curve, lambda z: curve(z)[1::-1])  # (v'', w'')
     if f is None:
         try:
@@ -255,7 +255,7 @@ def product_curve(kind="square", c=1.0, f=None, df=None, d2f=None,
     elif df is None or d2f is None:
         raise ValueError("a custom curve needs f, df and d2f")
     return _product(f"product_{kind}", {"kind": kind},
-                    domain or ((-1.0, 1.0), (0.2, 1.2), (0.15, 1.15)),
+                    ((-1.0, 1.0), (0.2, 1.2), (0.15, 1.15)),
                     lambda z: (z, f(z), np.ones_like(z), df(z)),
                     lambda z: (d2f(z), None))
 
@@ -401,10 +401,10 @@ def flat_torus() -> LegendrianSurface:
 def _surface_frames(s: LegendrianSurface, thetas):
     """Points x (n, 6), tangents (n, 6, 2) and metrics (n, 2, 2), in real
     form, at the rows of thetas (n, 2), from one call of each surface map;
-    points off the unit sphere by more than 1e-12 are rejected."""
+    points off the unit sphere by more than 1e-12, or NaN, are rejected."""
     x = from_complex(np.asarray(s.eval(thetas)))
     tt = from_complex(np.swapaxes(np.asarray(s.jac(thetas)), -1, -2))
-    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.linalg.norm(x, axis=-1) - 1.0) <= 1e-12):
         raise ValueError(f"{s.name!r} does not map into the unit sphere")
     return x, np.swapaxes(tt, -1, -2), tt @ np.swapaxes(tt, -1, -2)
 

@@ -139,8 +139,10 @@ class ImmersionPatch:
     def __post_init__(self):
         if self.eval is None:
             raise ValueError("an immersion patch needs an eval map")
-        if len(self.domain) != 3 or any(lo >= hi for lo, hi in self.domain):
-            raise ValueError("domain must be three nonempty intervals")
+        if len(self.domain) != 3 or not all(
+                -math.inf < lo < hi < math.inf for lo, hi in self.domain):
+            raise ValueError("domain must be three finite nonempty "
+                             "intervals")  # NaN fails too
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import collections
 import itertools
+import json
+import logging
 import math
 from unittest import mock
 
@@ -183,6 +185,11 @@ class TestRotation3:
         rng = np.random.default_rng(1)
         a, b = random_rotation(rng), random_rotation(rng)
         assert np.allclose(a.compose(b).entries, a.entries @ b.entries)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (1, 3, 3)])
+    def test_rejects_a_matrix_that_is_not_3x3(self, shape):
+        with pytest.raises(ValueError, match="finite 3x3 matrix"):
+            Rotation3(np.ones(shape))
 
     @pytest.mark.parametrize("axis, match", [
         ([0.0, 0.0, 0.0], "zero-length axis"),
@@ -413,6 +420,10 @@ class TestAxisDecompose:
             R = transport_rotation(w)
             assert np.allclose(R.entries @ self.Z, w, atol=1e-12)
 
+    def test_transport_rotation_rejects_a_zero_vector(self):
+        with pytest.raises(ValueError, match="zero-length axis"):
+            transport_rotation(np.zeros(3))
+
 
 # ---------------------------------------------------------------------------
 # find_symmetry_axes
@@ -424,7 +435,8 @@ def axis_set(entries):
 
 def maxwell_reference(c):
     """Maxwell directions of one cubic, computed one at a time: np.roots and
-    a greedy walk over the argsorted gaps."""
+    a greedy walk over the pairs i < j in stable sorted order of their
+    gaps."""
     roots = np.roots((cubics._SEXTIC @ c)[::-1])
     far = np.abs(roots) > 1.0
     z = roots.copy()
@@ -437,8 +449,9 @@ def maxwell_reference(c):
     gap = np.linalg.norm(pts[:, None] + pts[None], axis=2)
     free = np.ones(6, dtype=bool)
     out = []
-    for i, j in zip(*np.unravel_index(np.argsort(gap, axis=None), gap.shape)):
-        if i != j and free[i] and free[j]:
+    order = np.argsort(gap, axis=None, kind="stable")
+    for i, j in zip(*np.unravel_index(order, gap.shape)):
+        if i < j and free[i] and free[j]:
             free[i] = free[j] = False
             out.append(pts[i] - pts[j])
     out = np.array(out)
@@ -621,10 +634,9 @@ class TestFindSymmetryAxes:
         assert len({fit.type for fit in screened[0]}) == 6
 
     def test_refined_functional_never_exceeds_the_start(self):
-        # a seed moves only on a step that lowers its functional, so every
-        # seed returns at most its starting functional, up to the rounding
-        # of the loop's evaluation through _REFINE_OP: an ulp, or up to
-        # _REFINE_FLOOR where the functional is all rounding
+        # a seed moves only on a step that lowers its functional, and every
+        # functional comes from _functional, so every seed returns at most
+        # its starting functional, exactly
         rng = np.random.default_rng(37)
         hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
         hs += [rotate(h, random_rotation(rng)) for h in hs]
@@ -636,8 +648,7 @@ class TestFindSymmetryAxes:
         args = (units[owner], seeds, cubics._CONDITION_MASKS[kind])
         _, start = cubics._refine_axes(*args, -1.0)  # nothing in reach
         axes, final = cubics._refine_axes(*args, math.inf)
-        assert np.all(final <= start * (1.0 + 4.0 * np.finfo(float).eps)
-                      + cubics._REFINE_FLOOR)
+        assert np.all(final <= start)
         moved = np.any(axes != cubics._transport_matrices(seeds)[:, :, 2],
                        axis=1)
         assert np.all(final[moved] < start[moved])
@@ -657,8 +668,24 @@ class TestFindSymmetryAxes:
         axes, final = cubics._refine_axes(units, seed, mask, 1.0)
         _, start = cubics._refine_axes(units, seed, mask, -1.0)
         assert np.array_equal(axes, cubics._transport_matrices(seed)[:, :, 2])
-        assert final[0] == pytest.approx(start[0], rel=1e-14)
+        assert final[0] == start[0]
         assert 0.4 < start[0] < 0.5
+
+    def test_census_logs_each_rejected_seed_at_debug(self, caplog):
+        # 6xyz has cube axes only: its circle seeds all fail, and each
+        # rejection is one DEBUG record with its functional and threshold
+        with caplog.at_level(logging.DEBUG, logger="slag3.cubics"):
+            find_symmetry_axes(XYZ6)
+        rejected = [r.getMessage() for r in caplog.records
+                    if r.name == "slag3.cubics"
+                    and r.getMessage().startswith("axis seed")]
+        assert rejected
+        assert all("rejected: functional" in m and " above " in m
+                   for m in rejected)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="slag3.cubics"):
+            find_symmetry_axes(XYZ6)
+        assert not caplog.records
 
     def test_refiner_jacobian_is_the_exact_chart_derivative(self):
         # slice 0 projects onto the components; slices 1 and 2 are their
@@ -719,6 +746,17 @@ class TestClassify:
         z3 = classify(m_family(1.0, 3.0))
         assert z3.dist_s_minus_rsqrt2 == pytest.approx(3.0 - math.sqrt(2.0),
                                                        abs=1e-9)
+
+    def test_json_dict_carries_every_field(self):
+        fit = classify(n_family(1.0, 2.0))
+        out = fit.to_json_dict()
+        assert json.loads(json.dumps(out)) == out
+        assert out["type"] == fit.type.value == "Z2"
+        assert out["rotation"] == fit.rotation.entries.ravel().tolist()
+        assert (out["r"], out["s"], out["residual"]) == (fit.r, fit.s,
+                                                         fit.residual)
+        assert out["dist_s_minus_r"] == fit.dist_s_minus_r
+        assert out["dist_s_minus_rsqrt2"] == fit.dist_s_minus_rsqrt2
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):

@@ -1,5 +1,6 @@
 """Tests for the explicit special Lagrangian families."""
 
+import dataclasses
 import itertools
 import math
 
@@ -334,6 +335,19 @@ class TestTwistedCone:
     def test_off_sphere_surface_rejected(self):
         with pytest.raises(ValueError, match="unit sphere"):
             gal.twisted_cone(off_sphere(), E1)
+
+    def test_nan_surface_rejected(self):
+        # a NaN point is not within 1e-12 of the unit sphere either
+        surface = dataclasses.replace(
+            gal.clifford_link(),
+            eval=lambda th: np.full(np.shape(th)[:-1] + (3,), np.nan + 0j))
+        with pytest.raises(ValueError, match="unit sphere"):
+            gal.twisted_cone(surface, E1)
+
+    @pytest.mark.parametrize("t_range", [(math.nan, 1.0), (0.0, math.inf)])
+    def test_non_finite_t_range_rejected(self, t_range):
+        with pytest.raises(ValueError, match="finite nonempty intervals"):
+            gal.twisted_cone(gal.clifford_link(), E1, t_range=t_range)
 
     def test_direction_shape_checked(self):
         with pytest.raises(ValueError):

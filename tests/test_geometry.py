@@ -141,6 +141,22 @@ class TestDerivativeFallbacks:
         fd = geo.hessian(self.poly_patch(with_jac=True), u)
         assert np.max(np.abs(fd - self.exact_hess(u))) < 1e-9
 
+    def test_validate_derivatives_passes_a_patch_without_jac(self):
+        # nothing to check: the jacobian is the FD of eval itself
+        assert geo.validate_derivatives(self.poly_patch()) == 0.0
+
+    def test_a_patch_needs_an_eval_map(self):
+        with pytest.raises(ValueError, match="needs an eval map"):
+            geo.ImmersionPatch(name="no_eval", jac=self.poly_patch(True).jac)
+
+    @pytest.mark.parametrize("interval", [
+        (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+        (1.0, 1.0), (1.0, 0.0)])
+    def test_a_domain_interval_must_be_finite_and_nonempty(self, interval):
+        with pytest.raises(ValueError, match="finite nonempty intervals"):
+            geo.ImmersionPatch(name="bad_domain", eval=self.poly_patch().eval,
+                               domain=((0.0, 1.0), interval, (0.0, 1.0)))
+
     def test_validate_derivatives_accepts_consistent_jacobian(self):
         assert geo.validate_derivatives(self.poly_patch(with_jac=True)) < 1e-8
 

@@ -1,6 +1,7 @@
 """Tests for the moving-frame integrator's helpers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,35 @@ def test_so2_theta_rates_are_the_closed_form_derivative(theta):
 def test_so2_profile_conserves_its_invariant(c, theta):
     p = integrate.so2_profile(c, theta)
     assert abs(p.conserved() - c ** -1.5) <= 1e-14
+
+
+@pytest.mark.parametrize("call,args", [
+    (integrate.so2_profile, (math.nan, 0.1)),
+    (integrate.so2_profile, (1.0, math.nan)),
+    (integrate.so2_profile, (math.inf, 0.1)),
+    (integrate.so2_profile, (-1.0, 0.1)),
+    (integrate.so2_profile, (1.0, math.pi / 6.0)),
+    (integrate.so2_theta_rates, (math.nan, 0.1)),
+    (integrate.so2_theta_rates, (1.0, math.nan)),
+    (integrate.so2_march, (math.inf, -0.3, 0.3)),
+    (integrate.so2_march, (1.0, -0.3, math.nan))])
+def test_so2_entry_points_need_finite_c_and_theta_in_the_branch(call, args):
+    # unchecked, NaN would give a NaN profile and c = inf r = t = 0
+    with pytest.raises(integrate.IntegrationError):
+        call(*args)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"init": (1.0, 2.0, 0.1, np.inf, -0.2, 0.3)}, "non-finite"),
+    ({"init": (np.nan, 2.0, 0.1, 0.1, -0.2, 0.3)}, "non-finite"),
+    ({"step": np.nan}, "step must be finite"),
+    ({"step": np.inf}, "step must be finite"),
+    ({"extents": (0.2, np.nan, 0.2)}, "extents must be three finite"),
+    ({"extents": (0.2, 0.2, np.inf)}, "extents must be three finite")])
+def test_z2_integrate_rejects_non_finite_arguments_up_front(kwargs, match):
+    # raised before any arithmetic, so without a warning first
+    with pytest.raises(integrate.IntegrationError, match=match):
+        integrate.z2_integrate(**{"init": Z2_INIT, **kwargs})
 
 
 @pytest.mark.parametrize("init,match", [
