@@ -48,9 +48,11 @@ def omega0(a, b):
 
 def upsilon0(a, b, c):
     """Holomorphic volume dz₁∧dz₂∧dz₃ on three real 6-vectors (complex);
-    stacks of vectors (..., 6) give volumes (...), one determinant each."""
-    m = np.stack([to_complex(a), to_complex(b), to_complex(c)], axis=-1)
-    return np.linalg.det(m)
+    stacks of vectors (..., 6) give volumes (...), one determinant each.
+    The legs are stacked as real columns (..., 6, 3) and made complex once,
+    entry by entry as in to_complex."""
+    m = np.asarray(np.stack([a, b, c], axis=-1), dtype=float)
+    return np.linalg.det(m[..., :3, :] + 1j * m[..., 3:, :])
 
 
 def su3_real_matrix(q):

@@ -140,7 +140,11 @@ def _pullback(cs, ms):
 def _rowdot(a, b):
     """Dot products of matching rows of a and b (..., n), each with np.dot's
     rounding: numpy runs a (1, n) @ (n, 1) product through the same BLAS
-    dot, while a sum of products rounds differently."""
+    dot, while a sum of products rounds differently.  A stack of one row
+    (1, n) takes np.dot(a, b[0]), the same BLAS dot without matmul's
+    stacking."""
+    if a.shape[:-1] == (1,):
+        return np.dot(a, b[0])
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -695,11 +699,11 @@ def _refine_axes(units, seeds, mask, reach):
     phases stays smooth, and the Gauss-Newton jacobian is exact: the
     chart's generator maps of _REFINE_OP.  Every iteration takes the full
     step, clipped to the chart's unit square; a seed keeps it when it
-    lowers the functional and retires otherwise, as it does on a singular
-    normal matrix or a step under 1e-14.  Basins that stop descending are
-    retired early.  Every functional the search compares or returns is
-    _functional's, so a seed returns at most its starting functional,
-    exactly.
+    lowers the functional and retires otherwise.  A seed with a singular
+    normal matrix or a step under 1e-14 retires before its trial step is
+    evaluated.  Basins that stop descending are retired early.  Every
+    functional the search compares or returns is _functional's, so a seed
+    returns at most its starting functional, exactly.
     Only the union of the masked rows is projected; a masked-out row adds
     exact zeros, so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
@@ -738,13 +742,18 @@ def _refine_axes(units, seeds, mask, reach):
                           -(a11 * b2 - a12 * b1) * inv]).T
         # keep the step inside the chart
         delta = np.minimum(np.maximum(delta, -1.0), 1.0)
+        stepn = np.sqrt((delta * delta).sum(1))  # as np.linalg.norm
+        # a seed without a usable step retires before its trial
+        live = good & (stepn > 1e-14)
+        active, delta = active[live], delta[live]
+        if not len(active):
+            break
         pts = np.ones((len(active), 3))  # chart point (xi0, xi1) at z = 1
         pts[:, :2] = delta
         rmat = _transport_matrices(pts)
         trial = _pullback(cloc[active], rmat)
         tval = _functional(trial, basis, mask[active])
-        stepn = np.sqrt((delta * delta).sum(1))  # as np.linalg.norm
-        sel = np.flatnonzero(good & (tval < fval[active]) & (stepn > 1e-14))
+        sel = np.flatnonzero(tval < fval[active])
         if len(sel):
             ai = active[sel]
             base[ai] = base[ai] @ rmat[sel]

@@ -184,13 +184,20 @@ class _Nodes:
         self.errors = [None] * len(self.u)
 
     def fail(self, bad, error):
-        """Close the open rows set in the mask `bad`, row i with error(i)."""
+        """Close the open rows set in the mask `bad`, row i with error(i);
+        nothing to do when no row is bad."""
+        if not bad.any():
+            return
         for i in self.open[bad]:
             self.errors[i] = error(i)
         self.open = self.open[~bad]
 
     def spread(self, values):
-        """Values of the open rows (m, ...) as an array over all rows."""
+        """Values of the open rows (m, ...) as an array over all rows.  While
+        every row is open that is the values themselves, uncopied when they
+        are C-contiguous, the layout the general path gives."""
+        if len(self.open) == len(self.u):
+            return np.ascontiguousarray(values)
         out = np.full((len(self.u),) + values.shape[1:], np.nan, values.dtype)
         out[self.open] = values
         return out
@@ -200,10 +207,11 @@ class _Nodes:
         all rows; a row with a non-finite entry is closed with `kind`."""
         if not len(self.open):
             return np.full((len(self.u),) + shape, np.nan)
-        x = self.spread(np.asarray(fn(self.u[self.open]), dtype=float))
-        self.fail(~np.isfinite(x[self.open]).reshape(len(self.open), -1)
-                  .all(axis=1), lambda i: kind(
-                      f"{what} has non-finite entries at {self.u[i]}"))
+        x = np.asarray(fn(self.u[self.open]), dtype=float)
+        bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+        x = self.spread(x)
+        self.fail(bad, lambda i: kind(
+            f"{what} has non-finite entries at {self.u[i]}"))
         return x
 
 
@@ -318,6 +326,20 @@ def _checked_jacobian(patch, nodes):
     return t
 
 
+_UPPER = np.triu_indices(3, 1)
+
+
+def _norm(x, axis=None):
+    """np.linalg.norm(x, axis=axis) of a real array, computed as that
+    function computes it, without its argument handling: along an axis,
+    the square root of the sum of squares; over all entries, a float, the
+    square root of one dot of the entries in memory order."""
+    if axis is not None:
+        return np.sqrt((x * x).sum(axis=axis))
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def _pairing_residual(t):
     """Worst normalized pairing |ω₀(t_a, t_b)| / (|t_a||t_b|) of two columns
     of each matrix of t (m, 6, 3).  The residual is homogeneous of degree 0,
@@ -325,8 +347,8 @@ def _pairing_residual(t):
     largest entry into [0.5, 1): exact, and safe from over- and underflow."""
     t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(1, 2)))[1][:, None, None])
     pair = apply_j(np.swapaxes(t, 1, 2)) @ t   # pair[a, b] = ω₀(t_a, t_b)
-    norms = np.linalg.norm(t, axis=1)
-    a, b = np.triu_indices(3, 1)
+    norms = _norm(t, axis=1)
+    a, b = _UPPER
     return np.max(np.abs(pair[:, a, b]) / (norms[:, a] * norms[:, b]), axis=1)
 
 
@@ -341,9 +363,10 @@ def _frames(t):
     signs = np.where(signs == 0.0, 1.0, signs)[:, None, :]
     q = q * signs                           # classical GS: e1 along t1, etc.
     ups = upsilon0(q[..., 0], q[..., 1], q[..., 2])
-    legs = np.where((ups.real < 0.0)[:, None, None], [0, 2, 1], [0, 1, 2])
-    v = np.take_along_axis(np.linalg.inv(r) * signs, legs, axis=2)
-    return np.take_along_axis(q, legs, axis=2), v, ups
+    swap = (ups.real < 0.0)[:, None, None]
+    v = np.linalg.inv(r) * signs
+    return (np.where(swap, q[..., [0, 2, 1]], q),
+            np.where(swap, v[..., [0, 2, 1]], v), ups)
 
 
 def lagrangian_residual(patch: ImmersionPatch, u):
@@ -386,6 +409,26 @@ def adapted_frame(patch: ImmersionPatch, u):
     return AdaptedFrame(*e[0].T, position=_strict(_positions, patch, u)[0])
 
 
+def _slot_permutations(k):
+    """(k!, 3^k) table: row p lists the flat source entry of each entry of
+    a (3,)*k tensor's transpose by the p-th slot permutation, in the order
+    of itertools.permutations."""
+    flat = np.arange(3 ** k).reshape((3,) * k)
+    return np.array([flat.transpose(p).ravel()
+                     for p in itertools.permutations(range(k))])
+
+
+_SYM3 = _slot_permutations(3)  # (6, 27)
+_SYM4 = _slot_permutations(4)  # (24, 81)
+
+
+def _symmetrize(t, table):
+    """Symmetric parts (n, 3^k) of flat tensors t (n, 3^k), table _SYM3 or
+    _SYM4: one gather of every slot transpose and one sum over them, which
+    adds the transposes left to right in itertools.permutations order."""
+    return np.take(t, table, axis=1).sum(axis=1) / len(table)
+
+
 def _cubic_at(patch, nodes):
     """(jacobians, hessians, frames e, preimages v, Υ₀ of the frames,
     Lagrangian and raw trace residuals, cubic coefficient rows) over all
@@ -394,19 +437,20 @@ def _cubic_at(patch, nodes):
     fails, its hessian is not finite, its cubic norm overflows or its trace
     residual exceeds 1e-3 of the cubic norm; a closed row's coefficients
     are zero.  Callers wrap a row in a HarmonicCubic only where they return
-    one."""
+    one.  The raw tensor is symmetrized through the (6, 27) table _SYM3
+    (_symmetrize): its six slot transposes, summed left to right in
+    itertools.permutations order."""
     t, e, v, ups, lag = _checked_frame(patch, nodes)
     h2 = nodes.call(lambda x: hessian(patch, x), (6, 3, 3),
                     f"hessian of {patch.name!r}")
     rows = nodes.open
     je = apply_j(np.swapaxes(e[rows], 1, 2))           # row i: J e_i
     w = np.swapaxes(v[rows], 1, 2)[:, None] @ h2[rows] @ v[rows][:, None]
-    a = (je @ w.reshape(-1, 6, 9)).reshape(-1, 3, 3, 3)  # J e_i · vᵀ D²F v
-    legs = [a.transpose((0,) + p) for p in itertools.permutations((1, 2, 3))]
-    s = sum(legs[1:], legs[0]) / 6.0
-    raw = _gather(s)
-    trace = nodes.spread(np.linalg.norm(_trace_vectors(raw), axis=1))
-    scale = nodes.spread(np.linalg.norm(s.reshape(-1, 27), axis=1))
+    a = (je @ w.reshape(-1, 6, 9)).reshape(-1, 27)  # J e_i · vᵀ D²F v
+    s = _symmetrize(a, _SYM3)
+    raw = _gather(s.reshape(-1, 3, 3, 3))
+    trace = nodes.spread(_norm(_trace_vectors(raw), axis=1))
+    scale = nodes.spread(_norm(s, axis=1))
     coeffs = nodes.spread(_traceless(raw))
     nodes.fail(~np.isfinite(scale[rows]), lambda i: GeometryError(
         f"cubic of {patch.name!r} overflows at {nodes.u[i]}"))
@@ -559,17 +603,22 @@ def _curvature(g0, dg, ddg):
     """Coordinate curvature tensors R_kabcd of metrics g0 (k, 3, 3) from
     their first (dg[k, a] = ∂_a g) and second (ddg[k, a, b]) derivatives."""
     ginv = np.linalg.inv(g0)
-    # Γ^e_ab from first derivatives of the metric
-    gam = 0.5 * np.einsum("ked,kabd->keab", ginv, np.einsum("kadb->kabd", dg)
-                          + np.einsum("kbda->kabd", dg)
-                          - np.einsum("kdab->kabd", dg))
+    # Γ^e_ab from first derivatives of the metric; the index shuffles are
+    # transposed views (dg[k, a, d, b] is dg.transpose(0, 1, 3, 2)[k, a, b, d])
+    gam = 0.5 * np.einsum("ked,kabd->keab", ginv, dg.transpose(0, 1, 3, 2)
+                          + dg.transpose(0, 3, 1, 2)
+                          - dg.transpose(0, 2, 3, 1))
     quad = np.einsum("kef,keac,kfbd->kabcd", g0, gam, gam)
-    riem = 0.5 * (np.einsum("kacbd->kabcd", ddg)
-                  + np.einsum("kbdac->kabcd", ddg)
-                  - np.einsum("kadbc->kabcd", ddg)
-                  - np.einsum("kbcad->kabcd", ddg))
-    riem += quad - np.einsum("kabdc->kabcd", quad)
+    riem = 0.5 * (ddg.transpose(0, 1, 3, 2, 4)
+                  + ddg.transpose(0, 3, 1, 4, 2)
+                  - ddg.transpose(0, 1, 3, 4, 2)
+                  - ddg.transpose(0, 3, 1, 2, 4))
+    riem += quad - quad.transpose(0, 1, 2, 4, 3)
     return riem
+
+
+# the six neighbour offsets of a unit step, in order +e_1, -e_1, +e_2, ...
+_NEIGHBOURS = np.stack([np.eye(3), -np.eye(3)], axis=1)
 
 
 def _frame_derivative(patch, u, steps):
@@ -583,8 +632,7 @@ def _frame_derivative(patch, u, steps):
     ∂_a g_bc = D²F(a, b)·t_c + t_b·D²F(a, c) at every row in closed form,
     ∂∂g its central difference.  Errors are raised in stack order."""
     x, s = np.asarray(u, dtype=float), np.array(steps, dtype=float)
-    # the six neighbours of each step, step-major: +e_1, -e_1, +e_2, ...
-    d = s[:, None, None, None] * np.stack([np.eye(3), -np.eye(3)], axis=1)
+    d = s[:, None, None, None] * _NEIGHBOURS  # step-major
     nodes = _Nodes(np.concatenate([x[None], (x + d).reshape(-1, 3)]))
     t, hess, e, v, _, _, _, coeffs = _cubic_at(patch, nodes)
     if nodes.errors[0] is not None:
@@ -620,11 +668,16 @@ def _compat_residuals(patch, u, steps):
     Frobenius residuals and the roundoff floor of each.  All steps share
     `_frame_derivative`'s one map stage (1 ``jac`` and 1 ``hess`` call) and
     its error order; a Codazzi floor above 1e-6·‖h‖² raises
-    StepTooSmallError."""
+    StepTooSmallError.
+
+    ∇h is symmetrized through the (24, 81) table _SYM4 (_symmetrize): its
+    24 slot transposes, summed left to right in itertools.permutations
+    order.  The scalar norms are np.linalg.norm's own arithmetic (_norm).
+    """
     h, v, t, hess, grad, riem = _frame_derivative(patch, u, steps)
     # Codazzi: ∇h must be symmetric in all four slots
-    sym = sum(grad.transpose((0,) + perm)
-              for perm in itertools.permutations(range(1, 5))) / 24.0
+    grad = grad.reshape(len(steps), 81)
+    codazzi = grad - _symmetrize(grad, _SYM4)
     # Gauss: the intrinsic curvature must equal the quadratic expression in h
     quad_h = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
 
@@ -635,19 +688,18 @@ def _compat_residuals(patch, u, steps):
     # _ROUNDOFF_SHARE of ‖h‖² is not negligible, so it excuses no growth.
     h_noise = _EPS if patch.hess is not None else _EPS / (
         _FD_STEP_1 if patch.jac is not None else _FD_STEP_2 ** 2)
-    hh = float(np.sum(h * h))
+    hh = float((h * h).sum())
     cap = _ROUNDOFF_SHARE * hh
-    nv = float(np.linalg.norm(v))
-    unit = h_noise * np.array([math.sqrt(hh) * nv, 4.0 * nv**4
-                               * np.linalg.norm(hess) * np.linalg.norm(t)])
+    nv = _norm(v)
+    unit = h_noise * np.array([math.sqrt(hh) * nv,
+                               4.0 * nv**4 * _norm(hess) * _norm(t)])
     floors = unit / np.array(steps, dtype=float)[:, None]
     if floors[:, 0].max() > cap:
         raise StepTooSmallError(
             f"codazzi roundoff floor {floors[:, 0].max():.3e} exceeds "
             f"{_ROUNDOFF_SHARE:.0e}·‖h‖²; step {min(steps):.1e} is too small")
-    return tuple((float(np.linalg.norm(c)), float(np.linalg.norm(r)),
-                  tuple(np.minimum(f, cap).tolist()))
-                 for c, r, f in zip(grad - sym, riem - _GAUSS_SIGN * quad_h,
+    return tuple((_norm(c), _norm(r), tuple(np.minimum(f, cap).tolist()))
+                 for c, r, f in zip(codazzi, riem - _GAUSS_SIGN * quad_h,
                                     floors))
 
 

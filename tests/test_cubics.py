@@ -152,6 +152,21 @@ class TestHarmonicCubic:
         for error in cubics._cubic_errors(np.zeros((3, 9))):
             assert str(error) == "expected 10 independent coefficients"
 
+    @pytest.mark.parametrize("n", [3, 9, 10])
+    def test_one_row_dot_is_the_stacked_dot(self, n):
+        # a stack of one row takes np.dot, the others one matmul per row:
+        # the same BLAS dot, so the same bytes
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(2000, n)) * 10.0 ** rng.uniform(-150, 150,
+                                                             (2000, 1))
+        b = rng.normal(size=(2000, n)) * 10.0 ** rng.uniform(-150, 150,
+                                                             (2000, 1))
+        stacked = cubics._rowdot(a, b)
+        for i in range(len(a)):
+            one = cubics._rowdot(a[i:i + 1], b[i:i + 1])
+            assert one.shape == (1,)
+            assert one.tobytes() == stacked[i:i + 1].tobytes()
+
     def test_norm_matches_27_triple_sum(self):
         rng = np.random.default_rng(0)
         h = random_cubic(rng)
@@ -653,6 +668,27 @@ class TestFindSymmetryAxes:
                        axis=1)
         assert np.all(final[moved] < start[moved])
         assert 0.5 * len(seeds) < moved.sum() < len(seeds)
+
+    def test_refining_a_stack_equals_each_seed_alone(self):
+        # seeds retire from the lockstep stack (before their trial step when
+        # it is unusable), so each seed's search must not depend on the
+        # others: the stack's axes and functionals equal each seed's own
+        rng = np.random.default_rng(39)
+        hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
+        hs += [rotate(h, random_rotation(rng)) for h in hs]
+        hs += [random_cubic(rng) for _ in range(20)]
+        cs = np.array([h.coeffs for h in hs])
+        units = cs / np.sqrt(np.array([h.inner(h) for h in hs]))[:, None]
+        seeds, kind, owner, _ = cubics._axis_seeds(
+            cubics._maxwell_directions(cs), units)
+        masks = cubics._CONDITION_MASKS[kind]
+        axes, final = cubics._refine_axes(units[owner], seeds, masks,
+                                          math.inf)
+        for i in range(0, len(seeds), 3):
+            one = cubics._refine_axes(units[owner[i:i + 1]], seeds[i:i + 1],
+                                      masks[i:i + 1], math.inf)
+            assert one[0].tobytes() == axes[i:i + 1].tobytes()
+            assert one[1].tobytes() == final[i:i + 1].tobytes()
 
     def test_a_seed_whose_full_step_does_not_descend_retires_in_place(self):
         # the first node of the z3_family sweep, searched for an order-3

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 import warnings
@@ -92,6 +93,20 @@ class TestAmbientForms:
         rng = np.random.default_rng(7)
         v = rng.normal(size=6)
         assert np.array_equal(ambient.from_complex(ambient.to_complex(v)), v)
+
+    def test_stacked_upsilon_equals_each_vector(self):
+        # one complex matrix from the stacked real legs, byte for byte the
+        # volume of each row alone and of the legs made complex one by one
+        rng = np.random.default_rng(8)
+        a, b, c = rng.normal(size=(3, 50, 6))
+        a[0, 3:] = -0.0  # a signed zero imaginary part
+        stacked = ambient.upsilon0(a, b, c)
+        legs = np.linalg.det(np.stack([ambient.to_complex(x)
+                                       for x in (a, b, c)], axis=-1))
+        assert stacked.tobytes() == legs.tobytes()
+        for i in range(len(a)):
+            assert (ambient.upsilon0(a[i], b[i], c[i]).tobytes()
+                    == stacked[i].tobytes())
 
 
 class TestDerivativeFallbacks:
@@ -504,6 +519,119 @@ class TestBatchSweep:
                 assert stats[key] >= 0.0
         assert cone["axis_search_s"] > 0.0
         assert "hl_cone" in records[0].getMessage()
+
+
+def permutation_symmetrize(t, table):
+    """Reference for geo._symmetrize: the mean of the slot transposes of t
+    (n, 3^k), summed left to right in itertools.permutations order."""
+    k = round(math.log(t.shape[1], 3))
+    x = t.reshape((-1,) + (3,) * k)
+    legs = [x.transpose((0,) + tuple(p + 1 for p in perm))
+            for perm in itertools.permutations(range(k))]
+    return (sum(legs[1:], legs[0]) / len(legs)).reshape(len(t), -1)
+
+
+class TestAuditKernel:
+    """The constant tables, views and shortcuts of the audit's kernel
+    against the formulations they replace."""
+
+    @pytest.mark.parametrize("k,table", [(3, "_SYM3"), (4, "_SYM4")])
+    def test_symmetrizer_tables_equal_the_permutation_sums(self, k, table):
+        rng = np.random.default_rng(41)
+        t = rng.normal(size=(40, 3 ** k)) * 10.0 ** rng.integers(
+            -200, 200, size=(40, 1))
+        t[0] = 0.0
+        t[1, ::2] = -0.0
+        table = getattr(geo, table)
+        assert table.shape == (math.factorial(k), 3 ** k)
+        # equal values; a sum of signed zeros may differ in its sign only
+        assert np.array_equal(geo._symmetrize(t, table),
+                              permutation_symmetrize(t, table))
+
+    def test_curvature_transposes_equal_the_einsum_shuffles(self):
+        def reference(g0, dg, ddg):
+            ginv = np.linalg.inv(g0)
+            gam = 0.5 * np.einsum("ked,kabd->keab", ginv,
+                                  np.einsum("kadb->kabd", dg)
+                                  + np.einsum("kbda->kabd", dg)
+                                  - np.einsum("kdab->kabd", dg))
+            quad = np.einsum("kef,keac,kfbd->kabcd", g0, gam, gam)
+            riem = 0.5 * (np.einsum("kacbd->kabcd", ddg)
+                          + np.einsum("kbdac->kabcd", ddg)
+                          - np.einsum("kadbc->kabcd", ddg)
+                          - np.einsum("kbcad->kabcd", ddg))
+            return riem + (quad - np.einsum("kabdc->kabcd", quad))
+
+        rng = np.random.default_rng(43)
+        t = rng.normal(size=(4, 6, 3))
+        args = (np.swapaxes(t, 1, 2) @ t, rng.normal(size=(4, 3, 3, 3)),
+                rng.normal(size=(4, 3, 3, 3, 3)))
+        assert (geo._curvature(*args).tobytes()
+                == reference(*args).tobytes())
+
+    def test_frames_leg_swap_equals_take_along_axis(self):
+        rng = np.random.default_rng(47)
+        t = rng.normal(size=(60, 6, 3))
+        e, v, ups = geo._frames(t)
+        swap = ups.real < 0.0
+        assert 10 < swap.sum() < 50
+        q, r = np.linalg.qr(t)
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        signs = np.where(signs == 0.0, 1.0, signs)[:, None, :]
+        legs = np.where(swap[:, None, None], [0, 2, 1], [0, 1, 2])
+        assert (e.tobytes()
+                == np.take_along_axis(q * signs, legs, axis=2).tobytes())
+        assert (v.tobytes() == np.take_along_axis(
+            np.linalg.inv(r) * signs, legs, axis=2).tobytes())
+
+    def test_nodes_shortcuts_match_the_general_path(self):
+        # spread, call and fail on an all-open stack (values uncopied, no
+        # bookkeeping) and on the same stack with row 2 closed agree on
+        # every open row
+        rng = np.random.default_rng(53)
+        u = rng.random((5, 3))
+
+        def fn(x):  # non-finite on row 4 alone
+            return np.where(x == u[4], np.inf, 2.0 * x)
+
+        stacks = []
+        for closed in ([], [2]):
+            nodes = geo._Nodes(u)
+            nodes.fail(np.isin(nodes.open, closed),
+                       lambda i: ValueError(f"row {i}"))
+            values = rng.random((len(nodes.open), 2))
+            spread = nodes.spread(values)
+            assert np.array_equal(spread[nodes.open], values)
+            assert np.isnan(spread[closed]).all()
+            assert (spread is values) == (not closed)
+            strided = nodes.spread(np.asfortranarray(values))
+            assert strided.flags.c_contiguous  # as the general path lays out
+            assert np.array_equal(strided, spread, equal_nan=True)
+            before = (nodes.open.copy(), list(nodes.errors))
+            nodes.fail(np.zeros(len(nodes.open), bool), None)  # never called
+            assert np.array_equal(nodes.open, before[0])
+            assert nodes.errors == before[1]
+            stacks.append((nodes, nodes.call(fn, (3,), "fn")))
+        (full, x), (part, y) = stacks
+        assert np.array_equal(x[part.open], y[part.open])
+        assert full.open.tolist() == [0, 1, 2, 3]
+        assert part.open.tolist() == [0, 1, 3]
+        assert str(full.errors[4]) == str(part.errors[4]) == (
+            f"fn has non-finite entries at {u[4]}")
+        assert str(part.errors[2]) == "row 2"
+
+    @pytest.mark.parametrize("name", list(default_gallery()))
+    def test_audit_equals_the_permutation_reference(self, monkeypatch, name):
+        # the residuals at two interior points, byte for byte, with both
+        # symmetrizers summed over itertools.permutations
+        patch = default_gallery()[name].patch
+        lo, hi = np.array(patch.domain).T
+        points = [lo + (hi - lo) * np.array(w)
+                  for w in ((0.3, 0.45, 0.6), (0.7, 0.55, 0.35))]
+        fast = [geo.codazzi_gauss_residual(patch, u) for u in points]
+        monkeypatch.setattr(geo, "_symmetrize", permutation_symmetrize)
+        slow = [geo.codazzi_gauss_residual(patch, u) for u in points]
+        assert np.array(fast).tobytes() == np.array(slow).tobytes()
 
 
 class TestCodazziGauss:
