@@ -23,10 +23,14 @@ Conventions (load-bearing, used across the package):
   axis, a starting functional of at most 100 * tol^(2/3) on the unit-norm
   rows (``_reach``), go to the refiner and are polished.
 * Every pullback of a cubic by a rotation goes through ``_pullback``.
+* Every index table derives from ``_slot_permutations``: the orbits of its
+  degree-3 table ``_SYM3`` give ``LEX_TRIPLES``, ``MULTIPLICITY`` and the
+  gather/scatter maps between the 10 entries and the 27 flat positions.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -79,19 +83,24 @@ _OVERFLOW = "cubic norm overflows: its squared norm is not finite"
 # cumulative wall seconds of classify's two stages, read by geometry.sweep
 _SECONDS = {"axis_search": 0.0, "fit": 0.0}
 
-LEX_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
-               (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
-MULTIPLICITY = np.array([1, 3, 3, 3, 6, 3, 1, 3, 3, 1], dtype=float)
 
-# the independent entry that each flat position of the full symmetric
-# tensor repeats, and the flat positions recovering the entries
-_IDX27 = np.empty(27, dtype=int)
-_IDX10 = np.empty(10, dtype=int)
-for _col, (_i, _j, _k) in enumerate(LEX_TRIPLES):
-    for _p in {(_i, _j, _k), (_i, _k, _j), (_j, _i, _k), (_j, _k, _i),
-               (_k, _i, _j), (_k, _j, _i)}:
-        _IDX27[(_p[0] - 1) * 9 + (_p[1] - 1) * 3 + (_p[2] - 1)] = _col
-    _IDX10[_col] = (_i - 1) * 9 + (_j - 1) * 3 + (_k - 1)
+def _slot_permutations(k):
+    """(k!, 3^k) table: row p lists the flat source entry of each entry of
+    a (3,)*k tensor's transpose by the p-th slot permutation, in the order
+    of itertools.permutations."""
+    flat = np.arange(3 ** k).reshape((3,) * k)
+    return np.array([flat.transpose(p).ravel()
+                     for p in itertools.permutations(range(k))])
+
+
+_SYM3 = _slot_permutations(3)  # (6, 27)
+# the least flat position of each orbit of _SYM3 is its sorted index triple:
+# _IDX10 recovers the independent entries, _IDX27 is the entry that each
+# flat position repeats, and MULTIPLICITY counts the orbit
+_IDX10, _IDX27 = np.unique(_SYM3.min(0), return_inverse=True)
+MULTIPLICITY = np.bincount(_IDX27).astype(float)
+LEX_TRIPLES = tuple(map(tuple, (np.column_stack(
+    np.unravel_index(_IDX10, (3, 3, 3))) + 1).tolist()))
 
 
 def _full(c):
@@ -106,11 +115,10 @@ def _gather(t):
 
 
 # v_k = sum_i h_iik as a (3, 10) map of the coefficients, and the (10, 3)
-# map from v to the trace part (d_ij v_k + d_jk v_i + d_ki v_j) / 5
+# map from v to the trace part (d_ij v_k + d_jk v_i + d_ki v_j) / 5: 3/5 of
+# the trace map's adjoint under the cubic inner product
 _TRACE = np.einsum("niik->kn", _full(np.eye(10)))
-_TRACE_PART = _gather(np.einsum("ij,nk->nijk", np.eye(3), np.eye(3))
-                      + np.einsum("jk,ni->nijk", np.eye(3), np.eye(3))
-                      + np.einsum("ki,nj->nijk", np.eye(3), np.eye(3))).T / 5.0
+_TRACE_PART = 3 * _TRACE.T / MULTIPLICITY[:, None] / 5
 
 
 def _trace_vectors(cs):
@@ -464,8 +472,11 @@ def transport_rotation(w) -> Rotation3:
     fixed half-turn about x composed with the stable geodesic to -w.
     """
     w = np.asarray(w, dtype=float)
-    if np.linalg.norm(w) < 1e-12:
+    n = np.linalg.norm(w)
+    if n < 1e-12:
         raise ValueError("zero-length axis")
+    if not n < math.inf:  # NaN fails too
+        raise ValueError("axis must be finite")
     return Rotation3(_transport_matrices(w[None])[0])
 
 
@@ -642,12 +653,11 @@ def _axis_seeds(v, units):
 
 
 def _generator(a):
-    """Coefficient map (10, 10) of d/d eps at 0 of the pullback by I + eps a.
-    That pullback is cubic in eps, so the five-point rule
-    (-P(2) + 8 P(1) - 8 P(-1) + P(-2)) / 12 gives it exactly."""
-    p2, p1, m1, m2 = (_pullback(np.eye(10), np.eye(3) + e * a).T
-                      for e in (2.0, 1.0, -1.0, -2.0))
-    return (8.0 * (p1 - m1) - p2 + m2) / 12.0
+    """Coefficient map (10, 10) of d/d eps at 0 of the pullback by I + eps a:
+    the contraction h(a ., ., .) summed over the three slots."""
+    leg = np.einsum("nljk,li->nijk", _full(np.eye(10)), a)
+    return _gather(leg + leg.transpose(0, 2, 1, 3)
+                   + leg.transpose(0, 2, 3, 1)).T
 
 
 # Each seed's chart is recentred after every step, so the components and

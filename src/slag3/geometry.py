@@ -29,6 +29,7 @@ import numpy as np
 from .ambient import apply_j, upsilon0
 from .cubics import (
     _SECONDS as _CLASSIFY_SECONDS,
+    _SYM3,
     HarmonicCubic,
     NormalFormResult,
     _cubic_errors,
@@ -36,6 +37,7 @@ from .cubics import (
     _gather,
     _pullback,
     _rowdot,
+    _slot_permutations,
     _trace_vectors,
     _traceless,
     classify,
@@ -409,23 +411,13 @@ def adapted_frame(patch: ImmersionPatch, u):
     return AdaptedFrame(*e[0].T, position=_strict(_positions, patch, u)[0])
 
 
-def _slot_permutations(k):
-    """(k!, 3^k) table: row p lists the flat source entry of each entry of
-    a (3,)*k tensor's transpose by the p-th slot permutation, in the order
-    of itertools.permutations."""
-    flat = np.arange(3 ** k).reshape((3,) * k)
-    return np.array([flat.transpose(p).ravel()
-                     for p in itertools.permutations(range(k))])
-
-
-_SYM3 = _slot_permutations(3)  # (6, 27)
 _SYM4 = _slot_permutations(4)  # (24, 81)
 
 
 def _symmetrize(t, table):
     """Symmetric parts (n, 3^k) of flat tensors t (n, 3^k), table _SYM3 or
     _SYM4: one gather of every slot transpose and one sum over them, which
-    adds the transposes left to right in itertools.permutations order."""
+    adds the transposes left to right in the table's row order."""
     return np.take(t, table, axis=1).sum(axis=1) / len(table)
 
 
@@ -439,7 +431,7 @@ def _cubic_at(patch, nodes):
     are zero.  Callers wrap a row in a HarmonicCubic only where they return
     one.  The raw tensor is symmetrized through the (6, 27) table _SYM3
     (_symmetrize): its six slot transposes, summed left to right in
-    itertools.permutations order."""
+    _slot_permutations order."""
     t, e, v, ups, lag = _checked_frame(patch, nodes)
     h2 = nodes.call(lambda x: hessian(patch, x), (6, 3, 3),
                     f"hessian of {patch.name!r}")
@@ -529,10 +521,16 @@ def _failed(u, exc):
 
 def grid_axes(domain, counts):
     """Per-axis node coordinates: `counts` nodes, inset by 5% of the side at
-    each end; a count of 1 is the side's midpoint."""
+    each end; a count of 1 is the side's midpoint.  `counts` must hold one
+    positive integer per side of `domain`, else ValueError."""
+    counts = tuple(counts)
+    if len(counts) != len(domain) or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n > 0 for n in counts):
+        raise ValueError(f"counts must be one positive integer per side of "
+                         f"the {len(domain)}-sided domain, got {counts!r}")
     axes = []
     for (lo, hi), n in zip(domain, counts):
-        n = int(n)
         pad = _GRID_INSET * (hi - lo)
         if n == 1:
             axes.append(np.array([0.5 * (lo + hi)]))
@@ -671,7 +669,7 @@ def _compat_residuals(patch, u, steps):
     StepTooSmallError.
 
     ∇h is symmetrized through the (24, 81) table _SYM4 (_symmetrize): its
-    24 slot transposes, summed left to right in itertools.permutations
+    24 slot transposes, summed left to right in _slot_permutations
     order.  The scalar norms are np.linalg.norm's own arithmetic (_norm).
     """
     h, v, t, hess, grad, riem = _frame_derivative(patch, u, steps)

@@ -55,6 +55,7 @@ import numpy as np
 from .ambient import apply_j, to_complex, from_complex
 from .structure_laws import (
     SO2_BRANCH_HALFWIDTH,
+    Z2_STATE_NAMES,
     so2_closed_form,
     so2_rates,
     z2_auxiliary,
@@ -168,6 +169,8 @@ _EE = slice(6, 24)
 _Q = slice(24, 30)
 _V1 = slice(30, 33)
 _V2 = slice(33, 36)
+# flat positions of the scalars r, s and t1
+_R, _S, _T1 = (_Q.start + Z2_STATE_NAMES.index(n) for n in ("r", "s", "t1"))
 _W3 = np.array([0.0, 0.0, 1.0])
 
 _R_BOUNDS = (1e-6, 1e6)
@@ -219,13 +222,13 @@ def _check_state(y):
     y = np.asarray(y)
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state during integration")
-    r = np.abs(y[..., 24])
-    s = np.abs(y[..., 25])
+    r = np.abs(y[..., _R])
+    s = np.abs(y[..., _S])
     lo, hi = _R_BOUNDS
     if np.any(r < lo) or np.any(r > hi) or np.any(s < lo) or np.any(s > hi):
         raise IntegrationError(
             "state blow-up: r or s left [%g, %g]" % _R_BOUNDS)
-    if np.any(np.abs(y[..., 24] - y[..., 25]) < _SPLIT_TOL):
+    if np.any(np.abs(y[..., _R] - y[..., _S]) < _SPLIT_TOL):
         raise IntegrationError("profile crossing: |r - s| below 1e-8")
 
 
@@ -294,10 +297,9 @@ class StructureStateZ2:
 
 def _unpack_state(y) -> StructureStateZ2:
     y = np.asarray(y, dtype=float)
-    return StructureStateZ2(
-        x=y[_X].copy(), e1=y[6:12].copy(), e2=y[12:18].copy(),
-        e3=y[18:24].copy(), r=float(y[24]), s=float(y[25]), t1=float(y[26]),
-        t2=float(y[27]), t3=float(y[28]), u1=float(y[29]))
+    e1, e2, e3 = (row.copy() for row in y[_EE].reshape(3, 6))
+    return StructureStateZ2(x=y[_X].copy(), e1=e1, e2=e2, e3=e3,
+                            **dict(zip(Z2_STATE_NAMES, y[_Q].tolist())))
 
 
 @dataclass
@@ -592,7 +594,7 @@ def _leaf_planes(mesh):
     """Orthonormal bases (..., 6, 3) of the transported 3-plane field."""
     lead = mesh.shape[:-1]
     ee = mesh[..., _EE].reshape(lead + (3, 6))
-    t1 = mesh[..., 26]
+    t1 = mesh[..., _T1]
     last = apply_j(ee[..., 0, :]) - t1[..., None] * ee[..., 0, :]
     span = np.stack([ee[..., 1, :], ee[..., 2, :], last], axis=-1)
     q, _ = np.linalg.qr(span)

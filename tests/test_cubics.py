@@ -95,6 +95,51 @@ def poly_value(h, x):
 
 
 # ---------------------------------------------------------------------------
+# index tables of the coefficient order
+
+
+def five_point_generator(a):
+    """Reference for cubics._generator: the pullback by I + eps a is cubic
+    in eps, so the five-point rule (-P(2) + 8 P(1) - 8 P(-1) + P(-2)) / 12
+    gives its derivative at 0 exactly."""
+    p2, p1, m1, m2 = (cubics._pullback(np.eye(10), np.eye(3) + e * a).T
+                      for e in (2.0, 1.0, -1.0, -2.0))
+    return (8.0 * (p1 - m1) - p2 + m2) / 12.0
+
+
+class TestIndexTables:
+    """The tables derived from the slot permutations against their written
+    out values and the formulations they replace."""
+
+    def test_coefficient_order_and_multiplicities(self):
+        assert LEX_TRIPLES == ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2),
+                               (1, 2, 3), (1, 3, 3), (2, 2, 2), (2, 2, 3),
+                               (2, 3, 3), (3, 3, 3))
+        assert all(type(i) is int for t in LEX_TRIPLES for i in t)
+        assert cubics.MULTIPLICITY.dtype == float
+        assert cubics.MULTIPLICITY.tolist() == [1, 3, 3, 3, 6, 3, 1, 3, 3, 1]
+
+    def test_flat_positions_equal_the_permutation_set_loop(self):
+        idx27 = np.empty(27, dtype=int)
+        idx10 = np.empty(10, dtype=int)
+        for col, (i, j, k) in enumerate(LEX_TRIPLES):
+            for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j),
+                      (k, j, i)}:
+                idx27[(p[0] - 1) * 9 + (p[1] - 1) * 3 + (p[2] - 1)] = col
+            idx10[col] = (i - 1) * 9 + (j - 1) * 3 + (k - 1)
+        for table, ref in ((cubics._IDX27, idx27), (cubics._IDX10, idx10)):
+            assert table.dtype == ref.dtype
+            assert np.array_equal(table, ref)
+
+    def test_trace_part_equals_the_delta_sum(self):
+        eye = np.eye(3)
+        ref = cubics._gather(np.einsum("ij,nk->nijk", eye, eye)
+                             + np.einsum("jk,ni->nijk", eye, eye)
+                             + np.einsum("ki,nj->nijk", eye, eye)).T / 5.0
+        assert cubics._TRACE_PART.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # construction and validation
 
 
@@ -439,6 +484,13 @@ class TestAxisDecompose:
         with pytest.raises(ValueError, match="zero-length axis"):
             transport_rotation(np.zeros(3))
 
+    @pytest.mark.parametrize("axis", [[math.inf, 0.0, 0.0],
+                                      [math.nan, 0.0, 1.0],
+                                      [0.0, -math.inf, math.nan]])
+    def test_transport_rotation_rejects_a_non_finite_axis(self, axis):
+        with pytest.raises(ValueError, match="^axis must be finite$"):
+            transport_rotation(np.array(axis))
+
 
 # ---------------------------------------------------------------------------
 # find_symmetry_axes
@@ -727,13 +779,12 @@ class TestFindSymmetryAxes:
         # slice 0 projects onto the components; slices 1 and 2 are their
         # derivatives along the chart coordinates xi0 and xi1, equal to a
         # central difference through the transports of (+-eps, 0, 1) and
-        # (0, +-eps, 1), and to the contraction 3 h(A ., ., .) with the
-        # chart's generator A, summed over the three legs
+        # (0, +-eps, 1), and byte for byte to the five-point rule on the
+        # pullbacks by I + eps A with the chart's generator A
         op = cubics._REFINE_OP
         assert np.array_equal(op[0], cubics._BASIS7)
         eps = 1e-6
         eye = np.eye(10)
-        full = cubics._full(eye)
         for slot, (d, a) in enumerate(((np.array([1.0, 0.0]), [0.0, 1.0, 0.0]),
                                        (np.array([0.0, 1.0]), [-1.0, 0.0, 0.0])),
                                       start=1):
@@ -742,12 +793,9 @@ class TestFindSymmetryAxes:
             diff = (cubics._pullback(eye, plus)
                     - cubics._pullback(eye, minus)).T / (2.0 * eps)
             assert np.max(np.abs(op[slot] - cubics._BASIS7 @ diff)) <= 1e-10
-            gen = cubics._cross_matrix(a)
-            leg = np.einsum("nljk,li->nijk", full, gen)
-            direct = (leg + leg.transpose(0, 2, 1, 3)
-                      + leg.transpose(0, 2, 3, 1))
-            exact = cubics._BASIS7 @ cubics._gather(direct).T
-            assert np.max(np.abs(op[slot] - exact)) <= 1e-14
+            exact = cubics._BASIS7 @ five_point_generator(
+                cubics._cross_matrix(a))
+            assert op[slot].tobytes() == exact.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,23 @@ class TestSweepAndCsv:
         assert np.allclose(axes[2], [1.025, 1.475], rtol=0, atol=1e-15)
         assert "grid_axes" in geo.__all__
 
+    @pytest.mark.parametrize("counts", [(3, 3), (2, 2, 2, 2), (1.5, 2, 2),
+                                        (0, 2, 2), (2, -1, 2), (2, True, 2),
+                                        (2.0, 2, 2)])
+    def test_grid_axes_and_sweep_reject_malformed_counts(self, counts):
+        # one positive integer per side, or no grid: a short tuple used to
+        # regroup its nodes into points outside the domain
+        patch = hl_cone()
+        with pytest.raises(ValueError, match="^counts must be one positive"):
+            geo.grid_axes(patch.domain, counts)
+        with pytest.raises(ValueError, match="^counts must be one positive"):
+            geo.sweep(patch, counts)
+
+    def test_grid_axes_takes_a_count_per_side_of_any_domain(self):
+        # a 2-sided domain (legendrian_residual's grid) and numpy integers
+        axes = geo.grid_axes(((0.0, 1.0), (0.0, 2.0)), np.array([2, 3]))
+        assert [len(a) for a in axes] == [2, 3]
+
 
 def same_report(a, b):
     """Field-by-field bit equality of two PointReports."""
