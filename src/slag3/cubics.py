@@ -251,12 +251,7 @@ class Rotation3:
     @classmethod
     def about_axis(cls, axis, angle: float) -> "Rotation3":
         """Right-handed rotation through `angle` about the unit vector `axis`."""
-        a = np.asarray(axis, dtype=float)
-        n = np.linalg.norm(a)
-        if n < 1e-12:
-            raise ValueError("zero-length axis")
-        if not n < math.inf:  # NaN fails too
-            raise ValueError("axis must be finite")
+        a, n = _checked_axis(axis)
         k = _cross_matrix(a / n)
         m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
         return cls(m)
@@ -266,6 +261,22 @@ class Rotation3:
 
     def transpose(self) -> "Rotation3":
         return Rotation3(self.entries.T)
+
+
+def _checked_axis(w, unit=False):
+    """(w as a float array, its norm) for an axis argument w.  ValueError:
+    "zero-length axis" for a norm below 1e-12; then, with `unit`, "axis
+    must be a unit vector" for a norm off 1 by more than 1e-9, and else
+    "axis must be finite" for a non-finite norm (NaN fails both)."""
+    w = np.asarray(w, dtype=float)
+    n = np.linalg.norm(w)
+    if n < 1e-12:
+        raise ValueError("zero-length axis")
+    if unit and not abs(n - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError("axis must be a unit vector")
+    if not n < math.inf:  # NaN fails too
+        raise ValueError("axis must be finite")
+    return w, n
 
 
 def _cross_matrix(a):
@@ -471,12 +482,7 @@ def transport_rotation(w) -> Rotation3:
     Near the antipode the geodesic degenerates; there the transport is the
     fixed half-turn about x composed with the stable geodesic to -w.
     """
-    w = np.asarray(w, dtype=float)
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        raise ValueError("zero-length axis")
-    if not n < math.inf:  # NaN fails too
-        raise ValueError("axis must be finite")
+    w, _ = _checked_axis(w)
     return Rotation3(_transport_matrices(w[None])[0])
 
 
@@ -495,12 +501,7 @@ def axis_decompose(h: HarmonicCubic, w) -> AxisDecomposition:
     the minimal geodesic rotation; the transport choice affects only the
     phases of c1..c3, never their magnitudes.
     """
-    w = np.asarray(w, dtype=float)
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        raise ValueError("zero-length axis")
-    if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-        raise ValueError("axis must be a unit vector")
+    w, _ = _checked_axis(w, unit=True)
     v = _components(h.coeffs[None], _transport_matrices(w[None]))[0]
     return AxisDecomposition(axis=w, c0=v[0], c1=complex(v[1], -v[2]),
                              c2=complex(v[3], -v[4]), c3=complex(v[5], -v[6]))

@@ -5,6 +5,11 @@ where convenient and finite differences of the analytic jacobian elsewhere),
 a parameter domain that keeps clear of the family's singular loci, and the
 stabilizer type its fundamental cubic must have on the whole default grid.
 
+Each family is written once, in C³: its maps take the (n, 3) stack of
+parameter points to complex F (n, 3), ∂F (n, 3, 3) and ∂²F (n, 3, 3, 3),
+the C³ index first, and `_patch` alone makes them real in the layout of
+`from_complex`, real parts over imaginary parts along that index.
+
 The cone-with-twist construction builds Lagrangian 3-folds over a minimal
 Legendrian surface x: Σ → S⁵ and a linear height b = <a, x>: the R⁶-valued
 1-form β = x·★db − b·★dx is closed precisely because b is a first-order
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import apply_j, from_complex, upsilon0
+from .ambient import apply_j, from_complex, to_complex, upsilon0
 from .cubics import StabilizerType
 from .geometry import ImmersionPatch, grid_axes
 
@@ -58,15 +63,17 @@ class GalleryEntry:
 
 
 def _patch(name, params, domain, ev, jc, hs=None):
-    """ImmersionPatch whose maps each run on the (n, 3) stack of their
-    points and reshape back, so a bare point (3,) rounds as a one-row
-    stack: numpy's complex arithmetic on 0-d operands is not its array
-    loop."""
+    """ImmersionPatch from maps ev, jc, hs that take the (n, 3) stack of
+    their points to F (n, 3), ∂F (n, 3, 3) and ∂²F (n, 3, 3, 3) in C³.  Each
+    patch map puts real parts over imaginary parts along the C³ index and
+    reshapes back, so a bare point (3,) rounds as a one-row stack: numpy's
+    complex arithmetic on 0-d operands is not its array loop."""
 
     def stacked(fn):
         def mapped(u):
             u = np.asarray(u, dtype=float)
-            out = fn(u.reshape(-1, 3))
+            z = fn(u.reshape(-1, 3))
+            out = np.concatenate([z.real, z.imag], axis=1)
             return out.reshape(u.shape[:-1] + out.shape[1:])
         return None if fn is None else mapped
 
@@ -78,15 +85,10 @@ def _patch(name, params, domain, ev, jc, hs=None):
 
 def plane() -> ImmersionPatch:
     """The real 3-plane R³ ⊂ C³; totally geodesic, cubic identically zero."""
-
-    def ev(u):
-        return np.concatenate([u, np.zeros_like(u)], axis=-1)
-
-    def jc(u):
-        return np.broadcast_to(np.eye(6, 3), (len(u), 6, 3)).copy()
-
     return _patch("plane", {}, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-                  ev, jc, lambda u: np.zeros((len(u), 6, 3, 3)))
+                  lambda u: u.astype(complex),
+                  lambda u: np.tile(np.eye(3, dtype=complex), (len(u), 1, 1)),
+                  lambda u: np.zeros((len(u), 3, 3, 3), complex))
 
 
 # --- the rotationally invariant family over S² -------------------------------
@@ -94,7 +96,6 @@ def plane() -> ImmersionPatch:
 def _circle_profile(c3, gamma):
     """w = ρ(γ)·e^{iγ} and its first two γ-derivatives at each γ of an array,
     where ρ³·(-sin 3γ) = c3 on the branch -sign(c3)·sin 3γ > 0."""
-    gamma = np.asarray(gamma, dtype=float)
     third = math.pi / 3.0
     in_branch = (((-third < gamma) & (gamma < 0.0)) if c3 > 0.0
                  else ((0.0 < gamma) & (gamma < third)))
@@ -112,53 +113,50 @@ def _circle_profile(c3, gamma):
     return rho * e, (d1 + 1j * rho) * e, (d2 + 2j * d1 - rho) * e
 
 
-def _sphere_chart(phi, psi):
-    """The unit-sphere chart n(φ, ψ) and its first and second derivatives
-    n_φ, n_ψ, n_φφ, n_φψ, n_ψψ, each (..., 3) for arrays φ, ψ."""
-    sp, cp = np.sin(phi), np.cos(phi)
-    ss, cs = np.sin(psi), np.cos(psi)
-    zero = np.zeros_like(sp)
-    n = np.stack([cp, sp * cs, sp * ss], axis=-1)
-    n_phi = np.stack([-sp, cp * cs, cp * ss], axis=-1)
-    n_psi = np.stack([zero, -sp * ss, sp * cs], axis=-1)
-    n_phipsi = np.stack([zero, -cp * ss, cp * cs], axis=-1)
-    n_psipsi = np.stack([zero, -sp * cs, -sp * ss], axis=-1)
-    return n, n_phi, n_psi, -n, n_phipsi, n_psipsi
-
-
-def _columns(cols):
-    """Real (..., 6, k) jacobian from its k complex columns (..., 3)."""
-    return np.swapaxes(from_complex(np.stack(cols, axis=-2)), -1, -2)
-
-
-def _second(rows):
-    """Real (..., 6, 3, 3) hessian from its 3 x 3 complex entries (..., 3)."""
-    return np.moveaxis(
-        from_complex(np.stack([np.stack(r, axis=-2) for r in rows], axis=-3)),
-        -1, -3)
-
-
 def _sphere(theta):
-    """The unit-sphere chart n(θ) (..., 3) and its tangent map (..., 3, 2)."""
-    theta = np.moveaxis(np.asarray(theta, dtype=float), -1, 0)
-    n, n_phi, n_psi = _sphere_chart(*theta)[:3]
-    return n, np.stack([n_phi, n_psi], axis=-1)
+    """The unit-sphere chart n(φ, ψ) (..., 3) at θ = (φ, ψ) (..., 2), its
+    tangent map (..., 3, 2) and its second derivatives (..., 3, 2, 2)."""
+    theta = np.asarray(theta, dtype=float)
+    sp, cp = np.sin(theta[..., 0]), np.cos(theta[..., 0])
+    ss, cs = np.sin(theta[..., 1]), np.cos(theta[..., 1])
+    n = np.empty(sp.shape + (3,))
+    n[..., 0], n[..., 1], n[..., 2] = cp, sp * cs, sp * ss
+    dn = np.zeros(sp.shape + (3, 2))
+    dn[..., 0, 0], dn[..., 1, 0], dn[..., 2, 0] = -sp, cp * cs, cp * ss
+    dn[..., 1, 1], dn[..., 2, 1] = -sp * ss, sp * cs
+    ddn = np.zeros(sp.shape + (3, 2, 2))
+    ddn[..., 0, 0] = -n
+    ddn[..., 1, 0, 1] = ddn[..., 1, 1, 0] = -cp * ss
+    ddn[..., 2, 0, 1] = ddn[..., 2, 1, 0] = cp * cs
+    ddn[..., 1, 1, 1], ddn[..., 2, 1, 1] = -sp * cs, -sp * ss
+    return n, dn, ddn
 
 
-def _profile_patch(name, params, c3, domain, x, dx, hess=None):
+def _profile_patch(name, params, c3, domain, chart, second=False):
     """F(γ, θ) = ρ(γ)·e^{iγ}·x(θ) with ρ³·(-sin 3γ) = c3, over a surface
-    x (..., 3) with tangent map dx (..., 3, 2)."""
+    chart θ (n, 2) ↦ (x (n, 3), dx (n, 3, 2), ...), read once per call.
+    With `second` the chart's third output is d²x (n, 3, 2, 2) and the
+    patch has an analytic hessian."""
 
     def ev(u):
-        return from_complex(_circle_profile(c3, u[..., 0])[0][..., None]
-                            * x(u[..., 1:]))
+        return _circle_profile(c3, u[:, 0])[0][:, None] * chart(u[:, 1:])[0]
 
     def jc(u):
-        w, wg, _ = (p[..., None] for p in _circle_profile(c3, u[..., 0]))
-        t = dx(u[..., 1:])
-        return _columns([wg * x(u[..., 1:]), w * t[..., 0], w * t[..., 1]])
+        w, wg, _ = _circle_profile(c3, u[:, 0])
+        x, dx = chart(u[:, 1:])[:2]
+        return np.concatenate([(wg[:, None] * x)[..., None],
+                               w[:, None, None] * dx], axis=-1)
 
-    return _patch(name, params, domain, ev, jc, hess)
+    def hs(u):
+        w, wg, wgg = _circle_profile(c3, u[:, 0])
+        x, dx, ddx = chart(u[:, 1:])
+        out = np.empty(x.shape + (3, 3), complex)
+        out[..., 0, 0] = wgg[:, None] * x
+        out[..., 0, 1:] = out[..., 1:, 0] = wg[:, None, None] * dx
+        out[..., 1:, 1:] = w[:, None, None, None] * ddx
+        return out
+
+    return _patch(name, params, domain, ev, jc, hs if second else None)
 
 
 def harvey_lawson_so3(c: float) -> ImmersionPatch:
@@ -170,19 +168,11 @@ def harvey_lawson_so3(c: float) -> ImmersionPatch:
     c = float(c)
     if not 0.0 < c < math.inf:  # NaN fails too
         raise ValueError("the waist radius c must be finite and positive")
-
-    def hs(u):
-        w, wg, wgg = (x[..., None] for x in _circle_profile(c ** 3, u[..., 0]))
-        n, n_phi, n_psi, n_pp, n_pq, n_qq = _sphere_chart(u[..., 1], u[..., 2])
-        return _second([[wgg * n, wg * n_phi, wg * n_psi],
-                        [wg * n_phi, w * n_pp, w * n_pq],
-                        [wg * n_psi, w * n_pq, w * n_qq]])
-
     third = math.pi / 3.0
     return _profile_patch(
         "harvey_lawson_so3", {"c": c}, c ** 3,
         ((-0.95 * third, -0.05 * third), (0.4, math.pi - 0.4), (0.0, _TWO_PI)),
-        lambda th: _sphere(th)[0], lambda th: _sphere(th)[1], hs)
+        _sphere, second=True)
 
 
 # --- products of a line with a plane holomorphic curve -----------------------
@@ -195,31 +185,36 @@ _PRODUCT_PRESETS = {
 
 
 def _product(name, params, domain, curve, second):
-    """Patch (x₁, Re w, -Im w, 0, Re v, Im v) for a holomorphic ζ ↦ (w, v),
-    ζ = u₂ + i·u₃: curve(ζ) gives (w, v, w', v') and second(ζ) gives
-    (v'', w''), w'' None for the graph w = ζ."""
+    """Patch F = (x₁, Re w + i·Re v, -Im w + i·Im v) in C³ for a holomorphic
+    ζ ↦ (w, v), ζ = u₂ + i·u₃: curve(ζ) gives (w, v, w', v') and second(ζ)
+    gives (w'', v'')."""
 
-    def real(w, v):   # (..., 6) image of the complex pair (w, v)
-        return np.stack([np.zeros_like(w.real), w.real, -w.imag,
-                         np.zeros_like(w.real), v.real, v.imag], axis=-1)
+    def put(out, w, v):   # out[:, 1:] = the last two coordinates for (w, v)
+        out.real[:, 1], out.real[:, 2] = w.real, -w.imag
+        out.imag[:, 1], out.imag[:, 2] = v.real, v.imag
 
     def ev(u):
-        out = real(*curve(u[..., 1] + 1j * u[..., 2])[:2])
-        out[..., 0] = u[..., 0]
+        out = np.zeros((len(u), 3), complex)
+        out.real[:, 0] = u[:, 0]
+        put(out, *curve(u[:, 1] + 1j * u[:, 2])[:2])
         return out
 
     def jc(u):
-        _, _, dw, dv = curve(u[..., 1] + 1j * u[..., 2])
-        return np.stack([np.broadcast_to(np.eye(6)[0], dw.shape + (6,)),
-                         real(dw, dv), real(1j * dw, 1j * dv)], axis=-1)
+        _, _, dw, dv = curve(u[:, 1] + 1j * u[:, 2])
+        out = np.zeros((len(u), 3, 3), complex)
+        out[:, 0, 0] = 1.0
+        put(out[..., 1], dw, dv)
+        put(out[..., 2], 1j * dw, 1j * dv)
+        return out
 
     def hs(u):
-        v, w = second(u[..., 1] + 1j * u[..., 2])
-        w = np.zeros_like(v) if w is None else w
-        paa, pab = real(w, v), real(1j * w, 1j * v)
-        z = np.zeros_like(paa)
-        return np.stack([np.stack(row, axis=-1) for row in (
-            [z, z, z], [z, paa, pab], [z, pab, -paa])], axis=-2)
+        w, v = second(u[:, 1] + 1j * u[:, 2])
+        out = np.zeros((len(u), 3, 3, 3), complex)
+        put(out[..., 1, 1], w, v)
+        put(out[..., 1, 2], 1j * w, 1j * v)
+        out[..., 2, 1] = out[..., 1, 2]
+        out[..., 2, 2] = -out[..., 1, 1]
+        return out
 
     return _patch(name, params, domain, ev, jc, hs)
 
@@ -228,13 +223,18 @@ def product_curve(kind="square", c=1.0, f=None, df=None,
                   d2f=None) -> ImmersionPatch:
     """Product of a real line with a plane curve, F = (x₁, Re w, -Im w, 0, Re v, Im v).
 
-    kind "zero" or "square" (or callables f, df, d2f) take v = f(w) on the
-    graph w = u₂ + i·u₃; kind "hyperbolic" takes the curve w = c·cosh ζ,
-    v = c·sinh ζ parametrized by ζ = u₂ + i·u₃.  Holomorphic v(w) makes the
-    product special Lagrangian; f ≡ 0 gives the flat real plane.  Custom
-    callables map complex arrays elementwise, like the patch maps.
+    kind "zero" or "square" (or callables f, df, d2f, giving the patch
+    "product_custom" of kind "custom") take v = f(w) on the graph
+    w = u₂ + i·u₃; kind "hyperbolic" takes no callables and the curve
+    w = c·cosh ζ, v = c·sinh ζ parametrized by ζ = u₂ + i·u₃.  Holomorphic
+    v(w) makes the product special Lagrangian; f ≡ 0 gives the flat real
+    plane.  Custom callables map complex arrays elementwise, like the patch
+    maps.
     """
+    custom = any(g is not None for g in (f, df, d2f))
     if kind == "hyperbolic":
+        if custom:
+            raise ValueError("the hyperbolic curve takes no f, df or d2f")
         c = float(c)
         if not 0.0 < c < math.inf:  # NaN fails too
             raise ValueError(
@@ -246,18 +246,20 @@ def product_curve(kind="square", c=1.0, f=None, df=None,
 
         return _product("product_hyperbolic", {"kind": kind, "c": c},
                         ((-1.0, 1.0), (-0.6, 0.6), (-0.6, 0.6)),
-                        curve, lambda z: curve(z)[1::-1])  # (v'', w'')
-    if f is None:
+                        curve, lambda z: curve(z)[:2])  # w'' = w, v'' = v
+    if custom:
+        if f is None or df is None or d2f is None:
+            raise ValueError("a custom curve needs f, df and d2f")
+        kind = "custom"
+    else:
         try:
             f, df, d2f = _PRODUCT_PRESETS[kind]
         except KeyError:
             raise ValueError(f"unknown product preset {kind!r}") from None
-    elif df is None or d2f is None:
-        raise ValueError("a custom curve needs f, df and d2f")
     return _product(f"product_{kind}", {"kind": kind},
                     ((-1.0, 1.0), (0.2, 1.2), (0.15, 1.15)),
                     lambda z: (z, f(z), np.ones_like(z), df(z)),
-                    lambda z: (d2f(z), None))
+                    lambda z: (np.zeros_like(z), d2f(z)))
 
 
 # --- torus cones and closed-orbit tori ---------------------------------------
@@ -265,33 +267,36 @@ def product_curve(kind="square", c=1.0, f=None, df=None,
 _TORUS_LEGS = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # ∂θ₁, ∂θ₂ phases
 
 
+def _torus_phase(theta):
+    """e^{i(θ₁, θ₂, -(θ₁+θ₂))} (..., 3) at θ (..., 2)."""
+    return np.exp(1j * np.concatenate(
+        [theta, -theta.sum(axis=-1, keepdims=True)], axis=-1))
+
+
 def hl_cone() -> ImmersionPatch:
     """Cone over the minimal Legendrian torus, F = (ρ/√3)(e^{iθ₁}, e^{iθ₂}, e^{-i(θ₁+θ₂)})."""
 
-    def _z(u):
-        rho = u[..., 0]
+    def ev(u):
+        rho = u[:, 0]
         if np.any(rho <= 0.0):
             raise ValueError("the cone radius must be positive")
-        t1, t2 = u[..., 1], u[..., 2]
-        return (rho / math.sqrt(3.0))[..., None] * np.exp(
-            1j * np.stack([t1, t2, -(t1 + t2)], axis=-1))
-
-    def ev(u):
-        return from_complex(_z(u))
+        return (rho / math.sqrt(3.0))[:, None] * _torus_phase(u[:, 1:])
 
     def jc(u):
-        z = _z(u)
-        d1, d2 = _TORUS_LEGS
-        return _columns([z / u[..., :1], 1j * z * d1, 1j * z * d2])
+        z = ev(u)
+        return np.concatenate([(z / u[:, :1])[..., None],
+                               (1j * z)[..., None] * _TORUS_LEGS.T], axis=-1)
 
     def hs(u):
-        z = _z(u)
-        rho = u[..., :1]
+        z = ev(u)
         d1, d2 = _TORUS_LEGS
-        return _second([
-            [np.zeros_like(z), 1j * z * d1 / rho, 1j * z * d2 / rho],
-            [1j * z * d1 / rho, -z * d1 * d1, -z * d1 * d2],
-            [1j * z * d2 / rho, -z * d1 * d2, -z * d2 * d2]])
+        out = np.zeros((len(u), 3, 3, 3), complex)
+        out[..., 0, 1:] = out[..., 1:, 0] = (
+            (1j * z)[..., None] * _TORUS_LEGS.T / u[:, :1, None])
+        out[..., 1, 1] = -z * d1 * d1
+        out[..., 1, 2] = out[..., 2, 1] = -z * d1 * d2
+        out[..., 2, 2] = -z * d2 * d2
+        return out
 
     return _patch("hl_cone", {},
                   ((0.4, 1.6), (0.0, _TWO_PI), (0.0, _TWO_PI)), ev, jc, hs)
@@ -312,38 +317,33 @@ def l_lambda(l1: float, l2: float, l3: float) -> ImmersionPatch:
         raise ValueError("the weights must satisfy λ1 ≥ λ2 > 0 > λ3")
 
     def _parts(u):
-        """z (..., 3), ∂z/∂r_a (..., 2, 3) and ∂²z/∂r_a∂r_b (..., 2, 2, 3),
+        """z (n, 3), its jacobian (n, 3, 3) and ∂²z₃/∂r_a∂r_b (n, 2, 2),
         where r₃ is a function of (r₁, r₂)."""
-        t, r1, r2 = u[..., 0], u[..., 1], u[..., 2]
+        t, r1, r2 = u[:, 0], u[:, 1], u[:, 2]
         r3 = np.sqrt((lam[0] * r1 ** 2 + lam[1] * r2 ** 2) / (-lam[2]))
-        g = lam[:2] * np.stack([r1, r2], -1) / (-lam[2] * r3)[..., None]
+        g = lam[:2] * u[:, 1:] / (-lam[2] * r3)[:, None]
         h3 = (np.diag([lam[0], lam[1]]) / (-lam[2])
-              - g[..., :, None] * g[..., None, :]) / r3[..., None, None]
-        radii = np.stack([r1, r2, r3], axis=-1)
-        z = radii * np.exp(1j * (math.pi / 6.0 + lam * t[..., None]))
+              - g[:, :, None] * g[:, None, :]) / r3[:, None, None]
+        radii = np.concatenate([u[:, 1:], r3[:, None]], axis=1)
+        z = radii * np.exp(1j * (math.pi / 6.0 + lam * t[:, None]))
         phase = z / radii
-        dr = np.concatenate([np.eye(2) * phase[..., None, :2],
-                             (g * phase[..., 2:])[..., None]], axis=-1)
-        drr = np.concatenate([np.zeros(h3.shape + (2,)), (
-            h3 * phase[..., None, 2:])[..., None]], axis=-1)
-        return z, dr, drr
-
-    def ev(u):
-        return from_complex(_parts(u)[0])
-
-    def jc(u):
-        z, dr, _ = _parts(u)
-        return _columns([1j * lam * z, dr[..., 0, :], dr[..., 1, :]])
+        jac = np.empty((len(u), 3, 3), complex)
+        jac[..., 0] = 1j * lam * z
+        jac[:, :2, 1:] = np.eye(2) * phase[:, :2, None]
+        jac[:, 2, 1:] = g * phase[:, 2:]
+        return z, jac, h3 * phase[:, 2, None, None]
 
     def hs(u):
-        z, dr, drr = _parts(u)
-        d1, d2 = 1j * lam * dr[..., 0, :], 1j * lam * dr[..., 1, :]
-        return _second([[-lam * lam * z, d1, d2],
-                        [d1, drr[..., 0, 0, :], drr[..., 0, 1, :]],
-                        [d2, drr[..., 1, 0, :], drr[..., 1, 1, :]]])
+        z, jac, z3_rr = _parts(u)
+        out = np.zeros((len(u), 3, 3, 3), complex)
+        out[..., 0, 0] = -lam * lam * z
+        out[..., 0, 1:] = out[..., 1:, 0] = 1j * lam[:, None] * jac[..., 1:]
+        out[:, 2, 1:, 1:] = z3_rr
+        return out
 
     return _patch("l_lambda", {"l1": lam[0], "l2": lam[1], "l3": lam[2]},
-                  ((0.0, 0.6), (0.6, 1.4), (0.6, 1.4)), ev, jc, hs)
+                  ((0.0, 0.6), (0.6, 1.4), (0.6, 1.4)),
+                  lambda u: _parts(u)[0], lambda u: _parts(u)[1], hs)
 
 
 # --- minimal Legendrian surfaces in S⁵ and their cones -----------------------
@@ -371,10 +371,8 @@ def _torus(name, weights):
     """The surface weights · (e^{iθ₁}, e^{iθ₂}, e^{-i(θ₁+θ₂)})."""
 
     def parts(theta):  # the points (..., 3) and tangent maps (..., 3, 2)
-        theta = np.asarray(theta, dtype=float)
-        t1, t2 = theta[..., 0], theta[..., 1]
-        z = weights * np.exp(1j * np.stack([t1, t2, -(t1 + t2)], axis=-1))
-        return z, 1j * np.stack([z * _TORUS_LEGS[0], z * _TORUS_LEGS[1]], -1)
+        z = weights * _torus_phase(np.asarray(theta, dtype=float))
+        return z, 1j * (z[..., None] * _TORUS_LEGS.T)
 
     return LegendrianSurface(name=name, eval=lambda th: parts(th)[0],
                              jac=lambda th: parts(th)[1])
@@ -539,15 +537,16 @@ def twisted_cone(s: LegendrianSurface, avec,
 
     def ev(u):
         theta, at = distinct(u)
-        return (_bvec(theta)[at]
-                + u[:, :1] * from_complex(s.eval(theta))[at])
+        return to_complex(_bvec(theta)[at]
+                          + u[:, :1] * from_complex(s.eval(theta))[at])
 
     def jc(u):
         theta, at = distinct(u)
         frames = _surface_frames(s, theta)
-        legs = (np.swapaxes(_betas(avec, frames), 1, 2)[at]
-                + u[:, :1, None] * frames[1][at])
-        return np.concatenate([frames[0][at][:, :, None], legs], axis=2)
+        legs = (_betas(avec, frames)[at]
+                + u[:, :1, None] * np.swapaxes(frames[1], 1, 2)[at])
+        cols = np.concatenate([frames[0][at][:, None], legs], axis=1)
+        return np.swapaxes(to_complex(cols), 1, 2)
 
     dom = (tuple(float(v) for v in t_range), s.domain[0], s.domain[1])
     return _patch("twisted_cone", {"surface": s.name,
@@ -571,7 +570,7 @@ def z3_family(s: LegendrianSurface, c: float) -> ImmersionPatch:
         dom_gamma = (0.05 * third, 0.95 * third)
     return _profile_patch("z3_family", {"surface": s.name, "c": c}, c,
                           (dom_gamma, s.domain[0], s.domain[1]),
-                          s.eval, s.jac)
+                          lambda th: (s.eval(th), s.jac(th)))
 
 
 def default_gallery() -> dict:

@@ -125,10 +125,11 @@ class ImmersionPatch:
     that fallback only: frames, cubics and the Codazzi–Gauss audit read
     ``jac`` and ``hess`` alone.  This module calls each map with one (n, 3)
     stack (a point is a stack of one), so a map that raises fails every
-    node of that call.  The gallery's maps compute on the (n, 3) stack of
-    their points, so a bare point (3,) rounds as a one-row stack (1, 3);
-    a map that computes on 0-d operands may not, since numpy's complex
-    arithmetic there is not its array loop.
+    node of that call.  The gallery's maps compute in C³ on the (n, 3)
+    stack of their points, and `gallery._patch` alone makes their outputs
+    real, so a bare point (3,) rounds as a one-row stack (1, 3); a map that
+    computes on 0-d operands may not, since numpy's complex arithmetic
+    there is not its array loop.
     """
 
     name: str
@@ -242,7 +243,7 @@ def _central(fn, u, h):
     return np.moveaxis((f[:, 0] - f[:, 1]) / two_h, 1, -1)
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+_PAIRS = np.triu_indices(3, 1)  # the pairs i < j of three indices: (i's, j's)
 
 
 def _second_differences(fn, u, s):
@@ -251,7 +252,7 @@ def _second_differences(fn, u, s):
     u ± s·e_a ± s·e_b (a < b)."""
     d = s[:, None, None] * np.eye(3)
     plus, minus = u[:, None] + d, u[:, None] - d
-    mixed = [x[:, a] + sign * d[:, b] for a, b in _PAIRS
+    mixed = [x[:, a] + sign * d[:, b] for a, b in zip(*_PAIRS)
              for x in (plus, minus) for sign in (1.0, -1.0)]
     x = np.concatenate([u[:, None], plus, minus, np.stack(mixed, 1)], 1)
     f = np.asarray(fn(x.reshape(-1, 3)), dtype=float)
@@ -261,7 +262,7 @@ def _second_differences(fn, u, s):
     second = np.empty((f.shape[0], 3, 3) + f.shape[2:])
     for a in range(3):
         second[:, a, a] = (fp[:, a] - 2.0 * f0 + fm[:, a]) / s**2
-    for k, (a, b) in enumerate(_PAIRS):
+    for k, (a, b) in enumerate(zip(*_PAIRS)):
         pp, pm, mp, mm = (f[:, 7 + 4 * k + j] for j in range(4))
         second[:, a, b] = second[:, b, a] = (pp - pm - mp + mm) / (4.0 * s**2)
     return second
@@ -328,9 +329,6 @@ def _checked_jacobian(patch, nodes):
     return t
 
 
-_UPPER = np.triu_indices(3, 1)
-
-
 def _norm(x, axis=None):
     """np.linalg.norm(x, axis=axis) of a real array, computed as that
     function computes it, without its argument handling: along an axis,
@@ -350,7 +348,7 @@ def _pairing_residual(t):
     t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(1, 2)))[1][:, None, None])
     pair = apply_j(np.swapaxes(t, 1, 2)) @ t   # pair[a, b] = ω₀(t_a, t_b)
     norms = _norm(t, axis=1)
-    a, b = _UPPER
+    a, b = _PAIRS
     return np.max(np.abs(pair[:, a, b]) / (norms[:, a] * norms[:, b]), axis=1)
 
 

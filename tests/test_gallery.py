@@ -60,6 +60,28 @@ class TestDerivativeContracts:
         entry = gal.default_gallery()[name]
         assert geo.validate_derivatives(entry.patch, n=20, seed=2) <= 1e-6
 
+    @pytest.mark.parametrize("name", sorted(
+        name for name, entry in gal.default_gallery().items()
+        if entry.patch.hess is not None))
+    def test_analytic_hessians_match_differences_of_the_jacobian(self, name):
+        """The whole of D²F, normal part included, against central
+        differences of the analytic jacobian, Richardson-extrapolated
+        (4·D(h/2) − D(h))/3, at random interior points."""
+        patch = gal.default_gallery()[name].patch
+        lo, hi = np.array(patch.domain).T
+        u = lo + (hi - lo) * (0.05 + 0.9 * np.random.default_rng(4)
+                              .random((8, 3)))
+
+        def central(steps):   # [n, i, a, b] = ∂_b of jac[n, i, a]
+            return np.stack([(patch.jac(u + d) - patch.jac(u - d)) / (2 * h)
+                             for h, d in zip(steps, np.diag(steps))], -1)
+
+        steps = 2.5e-4 * (hi - lo)
+        richardson = (4.0 * central(steps / 2) - central(steps)) / 3.0
+        hess = patch.hess(u)
+        assert hess.shape == (8, 6, 3, 3)
+        assert np.max(np.abs(hess - richardson)) <= 1e-9 * np.max(np.abs(hess))
+
 
 def moved(patch, seed):
     """The patch under a seeded SU(3) motion and translation."""
@@ -191,12 +213,20 @@ class TestProducts:
                                   d2f=lambda w: 6 * w)
         assert geo.validate_derivatives(patch, n=10, seed=3) <= 1e-6
         assert classify_at(patch, probe(patch)).type == StabilizerType.S3
+        assert patch.name == "product_custom"
+        assert patch.params == {"kind": "custom"}
 
     def test_incomplete_custom_curve_rejected(self):
         with pytest.raises(ValueError):
             gal.product_curve(f=lambda w: w)
         with pytest.raises(ValueError):
+            gal.product_curve(d2f=lambda w: w)
+        with pytest.raises(ValueError):
             gal.product_curve("no_such_preset")
+        with pytest.raises(ValueError, match="hyperbolic"):
+            gal.product_curve("hyperbolic", f=lambda w: w * w,
+                              df=lambda w: 2.0 * w,
+                              d2f=lambda w: np.full_like(w, 2.0))
 
 
 class TestHlCone:
