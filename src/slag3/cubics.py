@@ -79,6 +79,9 @@ _AXIS_CHUNK = 64     # cubics whose axis searches run together; bounds their
                      # 49.3 at 128, 50.7 in one chunk
 _CONE_SIGMA = 1e-12  # sigma_3 / sigma_1 of the slice matrix of an exact cone
 _OVERFLOW = "cubic norm overflows: its squared norm is not finite"
+_NON_FINITE = "non-finite cubic coefficients"
+_TRACEFUL = ("coefficients violate the trace condition; route raw tensors "
+             "through project_traceless")
 
 # cumulative wall seconds of classify's two stages, read by geometry.sweep
 _SECONDS = {"axis_search": 0.0, "fit": 0.0}
@@ -101,6 +104,11 @@ _IDX10, _IDX27 = np.unique(_SYM3.min(0), return_inverse=True)
 MULTIPLICITY = np.bincount(_IDX27).astype(float)
 LEX_TRIPLES = tuple(map(tuple, (np.column_stack(
     np.unravel_index(_IDX10, (3, 3, 3))) + 1).tolist()))
+
+
+# _IDX27 with each flat position (i, j, k) read as (j, k, i): the entries of
+# a full tensor's (9, 3) matrix that contracts its first leg
+_JKI = _IDX27.reshape(3, 9).T.ravel()
 
 
 def _full(c):
@@ -135,14 +143,15 @@ def _pullback(cs, ms):
 
     Each leg is contracted as one stacked (9, 3) @ (3, 3) product of a
     contiguous operand, the BLAS call a tensordot makes for one cubic, so a
-    row's result does not depend on the others.
+    row's result does not depend on the others.  The first operand is
+    gathered from cs in its (j, k, i) order (_JKI).
     """
-    t = _full(cs)
+    t = (cs[..., _JKI] + 0.0).reshape(-1, 9, 3)  # -0 entries as +0
     # legs (i, j, k) -> (j, k, i') -> (k, i', j') -> (i', j', k')
-    for _ in range(3):
-        t = np.matmul(np.ascontiguousarray(
-            t.reshape(-1, 3, 9).transpose(0, 2, 1)), ms)
-    return t.reshape(-1, 27)[:, _IDX10]
+    for _ in range(2):
+        t = np.ascontiguousarray(
+            np.matmul(t, ms).reshape(-1, 3, 9).transpose(0, 2, 1))
+    return np.matmul(t, ms).reshape(-1, 27)[:, _IDX10]
 
 
 def _rowdot(a, b):
@@ -159,10 +168,22 @@ def _rowdot(a, b):
 def _cubic_errors(cs):
     """Per row of the stack cs (n, ...): None for an admissible cubic (10
     finite coefficients whose trace vector is within _TAU_TRACE of its
-    norm), else the ValueError that HarmonicCubic raises for it."""
+    norm), else the ValueError that HarmonicCubic raises for it.
+
+    A stack of one row, the constructor's, takes the same two products and
+    compares their Python floats: a finite squared norm needs no finiteness
+    check, since a NaN or infinite coefficient makes it NaN or inf."""
     if cs.shape[1:] != (10,):
         return [ValueError("expected 10 independent coefficients")
                 for _ in range(len(cs))]
+    if len(cs) == 1:
+        with np.errstate(over="ignore"):  # inf, which classify rejects
+            sq = float(_rowdot(MULTIPLICITY * cs, cs)[0])
+        if not (sq < math.inf or np.isfinite(cs).all()):
+            return [ValueError(_NON_FINITE)]
+        trace = max(map(abs, _trace_vectors(cs)[0].tolist()))
+        return [ValueError(_TRACEFUL)
+                if trace > _TAU_TRACE * math.sqrt(sq) + 1e-13 else None]
     finite = np.isfinite(cs).all(axis=1)
     if not finite.all():
         cs = np.where(finite[:, None], cs, 0.0)
@@ -172,10 +193,8 @@ def _cubic_errors(cs):
     # nearly equal admissible cubics stay admissible
     traceful = (np.abs(_trace_vectors(cs)).max(axis=1)
                 > _TAU_TRACE * np.sqrt(sq) + 1e-13)
-    return [ValueError("non-finite cubic coefficients") if not ok
-            else ValueError("coefficients violate the trace condition; "
-                            "route raw tensors through project_traceless")
-            if bad else None
+    return [ValueError(_NON_FINITE) if not ok
+            else ValueError(_TRACEFUL) if bad else None
             for ok, bad in zip(finite.tolist(), traceful.tolist())]
 
 
@@ -279,6 +298,9 @@ def _checked_axis(w, unit=False):
     return w, n
 
 
+_EYE3 = np.eye(3)
+
+
 def _cross_matrix(a):
     """Matrix of w -> a x w."""
     return np.array([[0.0, -a[2], a[1]],
@@ -292,14 +314,15 @@ def _rotation_errors(ms):
     ValueError that Rotation3 raises for it."""
     finite = np.isfinite(ms).all(axis=(1, 2))
     ms = np.where(finite[:, None, None], ms, 0.0)
-    gram = (np.matmul(ms.transpose(0, 2, 1), ms) - np.eye(3)).reshape(-1, 9)
+    gram = (np.matmul(ms.transpose(0, 2, 1), ms) - _EYE3).reshape(-1, 9)
     ortho = np.sqrt(_rowdot(gram, gram))
     det = np.linalg.det(ms)
     return [ValueError("rotation must be a finite 3x3 matrix") if not ok
             else ValueError(f"matrix is not a proper rotation (orthogonality "
                             f"residual {o:.3e})")
             if o > 1e-9 or abs(d - 1.0) > 1e-9 else None
-            for ok, o, d in zip(finite, ortho, det)]
+            for ok, o, d in zip(finite.tolist(), ortho.tolist(),
+                                det.tolist())]
 
 
 class StabilizerType(Enum):
@@ -521,10 +544,23 @@ _SEXTIC = np.stack([
 
 
 # the 15 pairs (_PAIR_I, _PAIR_J), i < j, of six points in the order of
-# their flat index 6 i + j; _CLASH[p] flags the pairs sharing a point with p
+# their flat index 6 i + j; _ON[p] (6,) flags the two points of pair p and
+# _CLASH[p] (15,) the pairs sharing a point with p.  _THIRD[p, q] is the
+# pair of the two points that the disjoint pairs p and q leave (0 where
+# they share one), and _ENDS[p, q] (2, 3) the points i and j of the pairs
+# p, q and _THIRD[p, q]
 _PAIR_I, _PAIR_J = np.triu_indices(6, 1)
-_CLASH = (np.c_[_PAIR_I, _PAIR_J][:, None, :, None]
-          == np.c_[_PAIR_I, _PAIR_J][None, :, None, :]).any(axis=(2, 3))
+_ON = np.eye(6, dtype=bool)[np.c_[_PAIR_I, _PAIR_J]].any(axis=1)
+_CLASH = (_ON[:, None] & _ON[None]).any(axis=2)
+_THIRD = (_ON == ~(_ON[:, None, None] | _ON[None, :, None])
+          ).all(axis=3).argmax(axis=2)
+_ENDS = np.stack([*np.indices((15, 15)), _THIRD], axis=-1)  # pair indices
+_ENDS = np.stack([_PAIR_I[_ENDS], _PAIR_J[_ENDS]], axis=2)  # their points
+# the shift part (1, k - 1, k - 1) of a companion matrix of a polynomial of
+# trimmed length k (2..7): ones on the subdiagonal
+_SHIFTS = {k: np.eye(k - 1, k=-1, dtype=complex)[None] for k in range(2, 8)}
+_SIX = np.arange(6)  # root slots; a sextic of degree 6 - l has l poles last
+_POLE = np.array([0.0, 0.0, -1.0])  # the root at infinity, the point -z
 
 
 def _maxwell_directions(cs):
@@ -541,41 +577,42 @@ def _maxwell_directions(cs):
     The roots are those of np.roots: the sextics of equal trimmed degree
     share one eigvals call on their stacked companion matrices, and vanishing
     trailing coefficients are roots at zero.  The points p_i are paired
-    closest first: each of three rounds takes the free pair (i, j), i < j,
+    closest first: each of two rounds takes the free pair (i, j), i < j,
     of least gap |p_i + p_j|, ties to the lowest flat index 6 i + j, and
-    the pair's vector is p_i - p_j.
+    the third pair is the two points left (_ENDS); the pair's vector is
+    p_i - p_j.
     """
     n = len(cs)
-    at = np.arange(n)[:, None]
     # descending powers; a (7, 10) @ (10, 1) product per cubic, as
     # (n, 10) @ (10, 7) rounds differently
     poly = np.matmul(_SEXTIC, cs[:, :, None])[:, ::-1, 0]
     live = poly != 0
-    lead = np.argmax(live, axis=1)
-    size = 7 - lead - np.argmax(live[:, ::-1], axis=1)  # trimmed length
+    lead = live.argmax(1)
+    size = 7 - lead - live[:, ::-1].argmax(1)  # trimmed length
     roots = np.zeros((n, 6), dtype=complex)  # then zeros, then poles
-    for k in set(size[size > 1].tolist()):
-        rows = np.flatnonzero(size == k)
+    for k in set(size.tolist()) - {0, 1}:
+        rows = (size == k).nonzero()[0]
         p = poly[rows[:, None], lead[rows, None] + np.arange(k)]
-        comp = np.repeat(np.eye(k - 1, k=-1, dtype=complex)[None], len(rows),
-                         axis=0)
+        comp = _SHIFTS[k].repeat(len(rows), 0)
         comp[:, 0] = -p[:, 1:] / p[:, :1]
         roots[rows, :k - 1] = np.linalg.eigvals(comp)
     far = np.abs(roots) > 1.0
     z = roots.copy()
-    z[far] = 1.0 / roots[far]
+    np.divide(1.0, roots, out=z, where=far)
     sign = np.where(far, -1.0, 1.0)
     d = 1.0 + np.abs(z) ** 2
-    pts = np.stack([-2.0 * z.real / d, -2.0 * sign * z.imag / d,
-                    sign * (2.0 / d - 1.0)], axis=2)
-    pts[np.arange(6) >= 6 - lead[:, None]] = [0.0, 0.0, -1.0]
-    gap = np.linalg.norm(pts[:, _PAIR_I] + pts[:, _PAIR_J], axis=2)
-    pairs = np.empty((n, 3), dtype=int)
-    for v in range(3):
-        pairs[:, v] = np.argmin(gap, axis=1)
-        gap[_CLASH[pairs[:, v]]] = np.inf
-    out = pts[at, _PAIR_I[pairs]] - pts[at, _PAIR_J[pairs]]
-    return out / np.linalg.norm(out, axis=2, keepdims=True)
+    pts = np.empty((n, 6, 3))
+    pts[..., 0] = -2.0 * z.real / d
+    pts[..., 1] = -2.0 * sign * z.imag / d
+    pts[..., 2] = sign * (2.0 / d - 1.0)
+    pts[_SIX + lead[:, None] >= 6] = _POLE
+    gap = pts[:, _PAIR_I] + pts[:, _PAIR_J]
+    gap = np.sqrt((gap * gap).sum(2))  # as np.linalg.norm
+    first = gap.argmin(1)
+    gap[_CLASH[first]] = np.inf
+    ends = pts[np.arange(n)[:, None, None], _ENDS[first, gap.argmin(1)]]
+    out = ends[:, 0] - ends[:, 1]
+    return out / np.sqrt((out * out).sum(2, keepdims=True))
 
 
 # 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2, Re/Im c3)
@@ -602,6 +639,12 @@ _SEED_KIND = np.repeat(np.arange(3), [3, 12, 10])  # row of _CONDITION_MASKS
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
+def _cross(a, b):
+    """Cross products of the last axes of a and b (..., 3), computed as
+    np.cross does, without its per-call set-up."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
 # the squared components |c0|^2, |c1|^2, |c2|^2, |c3|^2 of a unit cubic about
 # a unit axis w as rows of weights of (1, A^2, |g|^2, ||M||^2), where
 # M = h(w, ., .), g = M w and A = g.w; |c3|^2 is the rest of the unit norm
@@ -610,6 +653,9 @@ _SCREEN_PARTS = np.array([[0, 2.5, 0, 0], [0, -3.75, 3.75, 0],
 # the weights of the functional of each seed row: its condition's masked sum
 _SCREEN_COEF = (_CONDITION_MASKS[:, [0, 1, 3, 5]] @ _SCREEN_PARTS)[_SEED_KIND]
 _SCREEN_SLACK = 1e-6  # relative and absolute slack of the screen's cut
+# the column of a weight row (1, A^2, |g|^2, ||M||^2) that weighs each of
+# the nine entries of M and the three of g
+_QUAD_COLS = np.repeat([3, 2], (9, 3))
 
 
 def _screen(units, axes, coef):
@@ -629,8 +675,7 @@ def _screen(units, axes, coef):
     g = np.einsum("nmjk,nmj->nmk", mw.reshape(n, m, 3, 3), axes)
     a = np.einsum("nmi,nmi->nm", g, axes)
     z = np.concatenate([mw, g], axis=-1)
-    quad = np.einsum("nmi,nmi,mi->nm", z, z,
-                     np.repeat(coef[:, :1:-1], (9, 3), axis=1))
+    quad = np.einsum("nmi,nmi,mi->nm", z, z, coef[:, _QUAD_COLS])
     return coef[:, 0] + coef[:, 1] * (a * a) + quad
 
 
@@ -640,14 +685,12 @@ def _axis_seeds(v, units):
     symmetry conditions from the Maxwell directions v (n, 3, 3) of the
     cubics with unit-norm coefficient rows units (n, 10), cubic by
     cubic."""
-    w = v[:, _NEXT]  # the normals v_i x v_(i+1), computed as np.cross does
     cands = np.concatenate([np.matmul(_SEED_SUMS, v),
-                            v[..., _NEXT] * w[..., _PREV]
-                            - v[..., _PREV] * w[..., _NEXT]], axis=1)
+                            _cross(v, v[:, _NEXT])], axis=1)  # v_i x v_(i+1)
     seeds = np.ascontiguousarray(cands[:, _SEED_ROWS])
     n = np.sqrt((seeds * seeds).sum(2))  # as np.linalg.norm
     keep = n > 1e-12
-    owner, row = np.nonzero(keep)
+    owner, row = keep.nonzero()
     seeds = seeds / np.where(keep, n, 1.0)[..., None]
     screened = _screen(units, seeds, _SCREEN_COEF)
     return seeds[keep], _SEED_KIND[row], owner, screened[keep]
@@ -686,11 +729,11 @@ def _reach(tol):
     return 100.0 * (tol * tol) ** (1.0 / 3.0)
 
 
-def _functional(c, basis, mask):
-    """Masked squared components of the coefficient rows c (..., 10), each
-    row projected onto the rows of basis (k, 10) as its own (k, 10) @ (10, 1)
-    product, as in _components."""
-    comps = np.matmul(basis, c[..., :, None])[..., 0]
+def _functional(c, mask):
+    """Squared components of the coefficient rows c (..., 10) summed under
+    the 0/1 masks (..., 7), each row projected onto all of _BASIS7 as its
+    own (7, 10) @ (10, 1) product, as in _components."""
+    comps = np.matmul(_BASIS7, c[..., :, None])[..., 0]
     return ((comps * mask) ** 2).sum(-1)
 
 
@@ -715,20 +758,16 @@ def _refine_axes(units, seeds, mask, reach):
     evaluated.  Basins that stop descending are retired early.  Every
     functional the search compares or returns is _functional's, so a seed
     returns at most its starting functional, exactly.
-    Only the union of the masked rows is projected; a masked-out row adds
-    exact zeros, so every seed's sums are those of its own components.
+    Every seed projects onto all seven rows of _BASIS7 (and of each slice
+    of _REFINE_OP), whatever its mask; a masked-out row adds exact zeros,
+    so every seed's sums are those of its own components.
     Returns (axes (n, 3), functional (n,) of the unit-norm rows).
     """
-    cols = np.flatnonzero(np.any(mask, axis=0))
-    mask = mask[:, cols]
-    basis = _BASIS7[cols]
-    op = _REFINE_OP[:, cols]
-    n = len(seeds)
     base = _transport_matrices(seeds)
     cloc = _pullback(units, base)
-    fval = _functional(cloc, basis, mask)
+    fval = _functional(cloc, mask)
     f0 = fval.copy()
-    active = np.flatnonzero(fval <= reach)
+    active = (fval <= reach).nonzero()[0]
     for it in range(_REFINE_ITERS):
         fa = fval[active]
         keep = fa > _REFINE_FLOOR
@@ -737,14 +776,12 @@ def _refine_axes(units, seeds, mask, reach):
         active = active[keep]
         if not len(active):
             break
-        comps = (np.einsum("smi,ni->nsm", op, cloc[active])
+        comps = (np.einsum("smi,ni->nsm", _REFINE_OP, cloc[active])
                  * mask[active, None])
-        fvec, j1, j2 = comps[:, 0], comps[:, 1], comps[:, 2]
-        a11 = (j1 * j1).sum(1)
-        a12 = (j1 * j2).sum(1)
-        a22 = (j2 * j2).sum(1)
-        b1 = (j1 * fvec).sum(1)
-        b2 = (j2 * fvec).sum(1)
+        # slices (f, j1, j2): j1.j1, j1.j2, j2.j2, j1.f, j2.f, each summed
+        # over its own row of seven
+        a11, a12, a22, b1, b2 = (comps[:, [1, 1, 2, 1, 2]]
+                                 * comps[:, [1, 2, 2, 0, 0]]).sum(2).T
         det = a11 * a22 - a12 * a12
         good = np.isfinite(det) & (det > 1e-200 * np.maximum(a11 * a22,
                                                              1e-300))
@@ -763,8 +800,8 @@ def _refine_axes(units, seeds, mask, reach):
         pts[:, :2] = delta
         rmat = _transport_matrices(pts)
         trial = _pullback(cloc[active], rmat)
-        tval = _functional(trial, basis, mask[active])
-        sel = np.flatnonzero(tval < fval[active])
+        tval = _functional(trial, mask[active])
+        sel = (tval < fval[active]).nonzero()[0]
         if len(sel):
             ai = active[sel]
             base[ai] = base[ai] @ rmat[sel]
@@ -777,13 +814,15 @@ def _refine_axes(units, seeds, mask, reach):
 _LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
 
 
-def _near(a, b):
-    """Whether the lines spanned by the axes a (..., m, 3) and b (..., p, 3)
-    are within _MERGE_ANGLE, (..., m, p), from one Gram product: the
-    distance min(|a - b|, |a + b|) squared is |a|^2 + |b|^2 - 2 |a.b|."""
+def _near(a, pick=slice(None)):
+    """Whether the lines spanned by the axes a (..., m, 3) and by the axes
+    b = a[..., pick, :] (..., p, 3) are within _MERGE_ANGLE, (..., m, p),
+    from one Gram product: the distance min(|a - b|, |a + b|) squared is
+    |a|^2 + |b|^2 - 2 |a.b|."""
+    b = a[..., pick, :]
     gram = np.matmul(a, np.swapaxes(b, -1, -2))
-    sa, sb = (a * a).sum(-1), (b * b).sum(-1)
-    return (sa[..., :, None] + sb[..., None, :] - 2.0 * np.abs(gram)
+    sa = (a * a).sum(-1)
+    return (sa[..., :, None] + sa[..., None, pick] - 2.0 * np.abs(gram)
             < _MERGE_ANGLE * _MERGE_ANGLE)
 
 
@@ -811,16 +850,20 @@ def _dedupe(axes, res, groups=None):
     groups = np.zeros(n, dtype=int) if groups is None else groups
     order = np.lexsort((res, groups))
     g = groups[order]
-    pos = np.arange(n) - np.searchsorted(g, g)  # place within the group
+    pos = np.arange(n) - g.searchsorted(g)  # place within the group
     held = np.zeros((g[-1] + 1, pos.max() + 1, 3))
     held[g, pos] = axes[order]
     valid = np.zeros(held.shape[:2], dtype=bool)
     valid[g, pos] = True
-    close = (_near(held, held) & valid[:, None]
-             & np.tri(held.shape[1], k=-1, dtype=bool))
-    keep = valid
+    # an earlier slot j < i of the group within _MERGE_ANGLE; an empty slot
+    # is never kept, so it needs no mask
+    slot = np.arange(held.shape[1])
+    close = _near(held) & (slot[:, None] > slot)
+    # the first pass from keep = valid; an axis without a close earlier one
+    # stays in every pass
+    keep = valid & ~close.any(2)
     while True:
-        nxt = valid & ~(close & keep[:, None]).any(axis=2)
+        nxt = valid & ~(close & keep[:, None]).any(2)
         if (nxt == keep).all():
             break
         keep = nxt
@@ -890,15 +933,16 @@ def _census(sq, tol, seeds, kind, owner, axes, final):
         for i in np.flatnonzero(~hit):
             log.debug("axis seed %s rejected: functional %.3e above %.3e",
                       np.round(seeds[i], 4), final[i], threshold[i])
-    hit = np.flatnonzero(hit)
+    hit = hit.nonzero()[0]
     groups = owner[hit] * 3 + kind[hit]  # kinds: circle, order-2, order-3
-    kept, ws = _dedupe(axes[hit], final[hit], groups)
-    ws, res, groups = ws[kept], final[hit][kept], groups[kept]
+    res = final[hit]
+    kept, ws = _dedupe(axes[hit], res, groups)
+    ws, res, groups = ws[kept], res[kept], groups[kept]
     circle = groups % 3 == 0
     if circle.any():
-        near = (_near(ws, ws[circle])
-                & (groups[:, None] // 3 == groups[circle] // 3))
-        stay = circle | ~near.any(axis=1)
+        cubic = groups // 3
+        near = _near(ws, circle) & (cubic[:, None] == cubic[circle])
+        stay = circle | ~near.any(1)
         ws, res, groups = ws[stay], res[stay], groups[stay]
     found = [([], [], []) for _ in sq]
     for g, w, r in zip(groups.tolist(), ws, res.tolist()):
@@ -934,7 +978,7 @@ def _symmetry_axes(cs, sq, tol):
         units = c / np.sqrt(q)[:, None]
         seeds, kind, owner, final = _axis_seeds(_maxwell_directions(c), units)
         axes = seeds.copy()
-        live = np.flatnonzero(final <= cut)
+        live = (final <= cut).nonzero()[0]
         if len(live):
             axes[live], final[live] = _refine_axes(
                 units[owner[live]], seeds[live],
@@ -1029,10 +1073,9 @@ def _fit(tag, cs, frames):
     if k:
         re, im = comps[:, 2 * k - 1], -comps[:, 2 * k]
         alpha = ((target - np.arctan2(im, re)) / k).tolist()
-        sin = np.array([math.sin(a) for a in alpha])[:, None, None]
-        cos = np.array([math.cos(a) for a in alpha])[:, None, None]
-        frames = np.matmul(frames, np.eye(3) + sin * _TURN_K
-                           + (1.0 - cos) * _TURN_K2)
+        turn = np.array([(math.sin(a), 1.0 - math.cos(a)) for a in alpha])
+        frames = np.matmul(frames, _EYE3 + turn[:, :1, None] * _TURN_K
+                           + turn[:, 1:, None] * _TURN_K2)
         s = np.hypot(re, im) / per_s
     d = _pullback(cs, frames) - _normal_coeffs(tag, r, s)
     return frames, r, s, np.sqrt(_rowdot(MULTIPLICITY * d, d))
@@ -1043,7 +1086,8 @@ def _a4_frames(w1, w2):
     orthogonalized, and their cross product."""
     w2 = w2 - _rowdot(w1, w2)[:, None] * w1
     w2 = w2 / np.sqrt(_rowdot(w2, w2))[:, None]
-    return np.stack([w1, w2, np.cross(w1, w2)], axis=2)
+    return np.ascontiguousarray(
+        np.array([w1, w2, _cross(w1, w2)]).transpose(1, 2, 0))
 
 
 def _classify_axes(cs, found):
@@ -1078,7 +1122,7 @@ def _classify_axes(cs, found):
         idx, axis = (list(x) for x in zip(*plan))
         if tag is StabilizerType.TRIVIAL:
             zero = np.zeros(len(idx))
-            fit = np.tile(np.eye(3), (len(idx), 1, 1)), zero, zero, zero
+            fit = _EYE3[None].repeat(len(idx), 0), zero, zero, zero
         else:
             frames = (_a4_frames(np.array([w for w, _ in axis]),
                                  np.array([w for _, w in axis]))
@@ -1128,7 +1172,7 @@ def classify(h, tol: float = TAU_AXIS):
     with np.errstate(over="ignore"):  # an overflowing cubic is reported
         sq = _rowdot(MULTIPLICITY * cs, cs)  # each as HarmonicCubic.inner
     norms = np.sqrt(sq)
-    live = np.flatnonzero((norms > TAU_ZERO) & (sq < math.inf))
+    live = ((norms > TAU_ZERO) & (sq < math.inf)).nonzero()[0]
     out = [ValueError(_OVERFLOW) if norm == math.inf
            else None if norm > TAU_ZERO else NormalFormResult(
                StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)

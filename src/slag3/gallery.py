@@ -362,9 +362,17 @@ class LegendrianSurface:
     domain: tuple = ((0.0, _TWO_PI), (0.0, _TWO_PI))
 
     def metric(self, theta):
-        """Induced 2x2 metric(s) from the real inner product of tangents."""
-        t = from_complex(np.swapaxes(np.asarray(self.jac(theta)), -1, -2))
-        return t @ np.swapaxes(t, -1, -2)
+        """Induced 2x2 metric(s) from the real inner product of tangents;
+        unlike _surface_frames, it does not check the unit sphere."""
+        return _tangent_rows(self, theta)[1]
+
+
+def _tangent_rows(s: LegendrianSurface, theta):
+    """Real tangent rows (..., 2, 6) of the surface s at theta (..., 2), from
+    one call of its jac, and their Gram products (..., 2, 2): the induced
+    metrics."""
+    tt = from_complex(np.swapaxes(np.asarray(s.jac(theta)), -1, -2))
+    return tt, tt @ np.swapaxes(tt, -1, -2)
 
 
 def _torus(name, weights):
@@ -401,10 +409,10 @@ def _surface_frames(s: LegendrianSurface, thetas):
     form, at the rows of thetas (n, 2), from one call of each surface map;
     points off the unit sphere by more than 1e-12, or NaN, are rejected."""
     x = from_complex(np.asarray(s.eval(thetas)))
-    tt = from_complex(np.swapaxes(np.asarray(s.jac(thetas)), -1, -2))
+    tt, metrics = _tangent_rows(s, thetas)
     if not np.all(np.abs(np.linalg.norm(x, axis=-1) - 1.0) <= 1e-12):
         raise ValueError(f"{s.name!r} does not map into the unit sphere")
-    return x, np.swapaxes(tt, -1, -2), tt @ np.swapaxes(tt, -1, -2)
+    return x, np.swapaxes(tt, -1, -2), metrics
 
 
 def legendrian_residual(s: LegendrianSurface):
