@@ -636,7 +636,7 @@ _SEED_SUMS = np.vstack([np.eye(3),
                         [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]])
 _SEED_ROWS = np.r_[0:3, 0:9, 13:16, 0:3, 9:16]
 _SEED_KIND = np.repeat(np.arange(3), [3, 12, 10])  # row of _CONDITION_MASKS
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _cross(a, b):
@@ -714,6 +714,9 @@ _REFINE_OP = np.stack([_BASIS7] + [_BASIS7 @ _generator(_cross_matrix(a))
                                    for a in ([0.0, 1.0, 0.0],
                                              [-1.0, 0.0, 0.0])])
 _REFINE_ITERS = 60
+# the slices of _REFINE_OP's (f, j1, j2) whose products give the normal
+# equations' entries j1.j1, j1.j2, j2.j2, j1.f, j2.f
+_GN_LEFT, _GN_RIGHT = np.array([1, 1, 2, 1, 2]), np.array([1, 2, 2, 0, 0])
 _REFINE_FLOOR = 1e-30  # a seed retires at this functional of a unit cubic
 
 
@@ -780,8 +783,8 @@ def _refine_axes(units, seeds, mask, reach):
                  * mask[active, None])
         # slices (f, j1, j2): j1.j1, j1.j2, j2.j2, j1.f, j2.f, each summed
         # over its own row of seven
-        a11, a12, a22, b1, b2 = (comps[:, [1, 1, 2, 1, 2]]
-                                 * comps[:, [1, 2, 2, 0, 0]]).sum(2).T
+        a11, a12, a22, b1, b2 = (comps[:, _GN_LEFT]
+                                 * comps[:, _GN_RIGHT]).sum(2).T
         det = a11 * a22 - a12 * a12
         good = np.isfinite(det) & (det > 1e-200 * np.maximum(a11 * a22,
                                                              1e-300))
