@@ -561,6 +561,48 @@ _ENDS = np.stack([_PAIR_I[_ENDS], _PAIR_J[_ENDS]], axis=2)  # their points
 _SHIFTS = {k: np.eye(k - 1, k=-1, dtype=complex)[None] for k in range(2, 8)}
 _SIX = np.arange(6)  # root slots; a sextic of degree 6 - l has l poles last
 _POLE = np.array([0.0, 0.0, -1.0])  # the root at infinity, the point -z
+_END_ROUNDING = 8.0 * np.finfo(float).eps  # see _sextic_roots
+
+
+def _sextic_roots(poly):
+    """Roots (n, 6) of the sextics with descending coefficient rows poly
+    (n, 7), and the number (n,) of each row's roots at infinity.
+
+    A leading or trailing coefficient of modulus at most _END_ROUNDING
+    = 8 eps times the row's largest counts as zero, and the rule is applied
+    from each end inwards: l leading zeros are l roots at infinity, which
+    fill the last l slots with 0, and trailing zeros are roots at 0, placed
+    after the finite roots.  The finite roots are the eigenvalues of the
+    companion matrix of the trimmed row, as np.roots forms it, and the rows
+    trimmed to the same slice share one eigvals call on their stacked
+    companion matrices.  Where the rule trims exact zeros only, the first
+    6 - l roots of a row are np.roots' of it, bit for bit.
+
+    8 eps is a rounding level, six times the largest measured: over 2000
+    Haar round trips R, R^T each of z^3 - 3zy^2, xyz and the Circle and Z2
+    normal forms, whose Maxwell points lie on +-z, the end coefficients of
+    the Maxwell sextic stayed within 1.3 eps of the largest (0.47 eps for
+    z^3 - 3zy^2), and within 0.19 eps at the adapted frames of the
+    product_square and product_hyperbolic sweeps.  Left in, such
+    coefficients put the Maxwell directions of z^3 - 3zy^2 up to 1.4e-6 off
+    (median 7.5e-8 over 20 round trips).  A root trimmed by the rule lies
+    within about 16 eps * max|p| / |p_1| rad of its pole, p_1 being the
+    coefficient next to the end.
+    """
+    mag = np.abs(poly)
+    live = mag > _END_ROUNDING * mag.max(1, keepdims=True)
+    lead = live.argmax(1)
+    span = 8 * lead + 7 - live[:, ::-1].argmax(1)  # 8 a + b: slice a:b
+    roots = np.zeros((len(poly), 6), dtype=complex)
+    for key in set(span.tolist()):
+        a, b = divmod(key, 8)
+        if b - a > 1:
+            rows = (span == key).nonzero()[0]
+            p = poly[rows, a:b]
+            comp = _SHIFTS[b - a].repeat(len(rows), 0)
+            np.divide(p[:, 1:], -p[:, :1], out=comp[:, 0])
+            roots[rows, :b - a - 1] = np.linalg.eigvals(comp)
+    return roots, lead
 
 
 def _maxwell_directions(cs):
@@ -571,31 +613,25 @@ def _maxwell_directions(cs):
     S^2 = CP^1, are three antipodal pairs +-v_i, and every rotation fixing
     the cubic permutes them.  The root zeta is the point
     (-2 Re zeta, -2 Im zeta, 1 - |zeta|^2) / (1 + |zeta|^2), read through
-    1/zeta when |zeta| > 1; a degree lost to vanishing leading coefficients
-    is a root at infinity, the pole -z.
+    1/zeta when |zeta| > 1; a root at infinity is the pole -z.
 
-    The roots are those of np.roots: the sextics of equal trimmed degree
-    share one eigvals call on their stacked companion matrices, and vanishing
-    trailing coefficients are roots at zero.  The points p_i are paired
-    closest first: each of two rounds takes the free pair (i, j), i < j,
-    of least gap |p_i + p_j|, ties to the lowest flat index 6 i + j, and
-    the third pair is the two points left (_ENDS); the pair's vector is
-    p_i - p_j.
+    The roots are _sextic_roots': an end coefficient at rounding level is
+    a root exactly at 0 or infinity, so a Maxwell point on +-z, which the
+    sweep's adapted frames produce, comes out exact.  The points p_i are
+    paired closest first: each of two rounds takes the free pair (i, j),
+    i < j, of least gap |p_i + p_j|, ties to the lowest flat index
+    6 i + j, and the third pair is the two points left (_ENDS); the pair's
+    vector is p_i - p_j.  Directions of one cubic within _MERGE_ANGLE of
+    each other (_near) are one multiple root that eigvals split, by about
+    eps^(1/3) for a triple one.  So where two are, each direction of the
+    cubic is replaced by the normalized sum of those within _MERGE_ANGLE
+    of it, every term signed to agree with it, which is exact to rounding.
     """
     n = len(cs)
     # descending powers; a (7, 10) @ (10, 1) product per cubic, as
     # (n, 10) @ (10, 7) rounds differently
-    poly = np.matmul(_SEXTIC, cs[:, :, None])[:, ::-1, 0]
-    live = poly != 0
-    lead = live.argmax(1)
-    size = 7 - lead - live[:, ::-1].argmax(1)  # trimmed length
-    roots = np.zeros((n, 6), dtype=complex)  # then zeros, then poles
-    for k in set(size.tolist()) - {0, 1}:
-        rows = (size == k).nonzero()[0]
-        p = poly[rows[:, None], lead[rows, None] + np.arange(k)]
-        comp = _SHIFTS[k].repeat(len(rows), 0)
-        comp[:, 0] = -p[:, 1:] / p[:, :1]
-        roots[rows, :k - 1] = np.linalg.eigvals(comp)
+    roots, lead = _sextic_roots(
+        np.matmul(_SEXTIC, cs[:, :, None])[:, ::-1, 0])
     far = np.abs(roots) > 1.0
     z = roots.copy()
     np.divide(1.0, roots, out=z, where=far)
@@ -612,7 +648,15 @@ def _maxwell_directions(cs):
     gap[_CLASH[first]] = np.inf
     ends = pts[np.arange(n)[:, None, None], _ENDS[first, gap.argmin(1)]]
     out = ends[:, 0] - ends[:, 1]
-    return out / np.sqrt((out * out).sum(2, keepdims=True))
+    v = out / np.sqrt((out * out).sum(2, keepdims=True))
+    close = _near(v)
+    split = (close.sum((1, 2)) > 3).nonzero()[0]  # a pair off the diagonal
+    if len(split):
+        vs = v[split]
+        sign = np.where(np.matmul(vs, vs.transpose(0, 2, 1)) < 0, -1.0, 1.0)
+        out = ((sign * close[split])[..., None] * vs[:, None]).sum(2)
+        v[split] = out / np.sqrt((out * out).sum(2, keepdims=True))
+    return v
 
 
 # 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2, Re/Im c3)
@@ -726,7 +770,12 @@ def _reach(tol):
 
     Within tol * ||h|| of Circle the triple Maxwell root splits by about
     tol^(1/3) rad, so the best seed of the axis starts at a functional near
-    tol^(2/3).  The best seed of every accepted axis started at most
+    tol^(2/3).  On an exact Circle the split is eigvals' rounding, about
+    eps^(1/3) ~ 1e-5 rad, below _MERGE_ANGLE, and _maxwell_directions
+    merges it away: those seeds start at the axis to rounding.  Only a
+    cubic within about 1e-13 * ||h|| of Circle splits by less than the
+    merge angle (measured: at most 8.2e-5 rad at 1e-13, 1.5e-4 at 1e-12).
+    The best seed of every accepted axis started at most
     7 * tol^(2/3) (tol = 1e-6, 1e-4, 1e-2; near-Circle, near-collapse, exact
     and Gaussian cubics, the worst Circle plus a c3 term)."""
     return 100.0 * (tol * tol) ** (1.0 / 3.0)
@@ -850,14 +899,18 @@ def _dedupe(axes, res, groups=None):
     # the sign of the first coordinate above 1e-8 outweighs the other two
     lead = (np.sign(axes) * (np.abs(axes) > 1e-8)) @ _LEAD_WEIGHTS
     axes = np.where(lead[:, None] < 0, -axes, axes)
-    groups = np.zeros(n, dtype=int) if groups is None else groups
-    order = np.lexsort((res, groups))
-    g = groups[order]
-    pos = np.arange(n) - g.searchsorted(g)  # place within the group
-    held = np.zeros((g[-1] + 1, pos.max() + 1, 3))
-    held[g, pos] = axes[order]
-    valid = np.zeros(held.shape[:2], dtype=bool)
-    valid[g, pos] = True
+    if groups is None:  # one group: its axes by residual fill every slot
+        order = res.argsort(kind="stable")
+        held, valid, place = axes[order][None], True, 0
+    else:
+        order = np.lexsort((res, groups))
+        g = groups[order]
+        pos = np.arange(n) - g.searchsorted(g)  # place within the group
+        held = np.zeros((g[-1] + 1, pos.max() + 1, 3))
+        held[g, pos] = axes[order]
+        valid = np.zeros(held.shape[:2], dtype=bool)
+        valid[g, pos] = True
+        place = g, pos
     # an earlier slot j < i of the group within _MERGE_ANGLE; an empty slot
     # is never kept, so it needs no mask
     slot = np.arange(held.shape[1])
@@ -870,9 +923,10 @@ def _dedupe(axes, res, groups=None):
         if (nxt == keep).all():
             break
         keep = nxt
-    kept = order[keep[g, pos]]
+    kept = order[keep[place]]
     x, y, z = axes[kept].round(9).T
-    return kept[np.lexsort((z, y, x, groups[kept]))], axes
+    keys = (z, y, x) if groups is None else (z, y, x, groups[kept])
+    return kept[np.lexsort(keys)], axes
 
 
 # orthonormal basis (5, 9) of the traceless symmetric 3x3 matrices
@@ -880,6 +934,12 @@ _TRACELESS = np.array([
     [1, 0, 0, 0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, -2],
     [0, 1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 1, 0, 0],
     [0, 0, 0, 0, 0, 1, 0, 1, 0.0]]) / np.sqrt([[2], [6], [2], [2], [2]])
+# the pencil's seven samples theta = j pi / 7, as (7, 1, 1) factors, and the
+# slots of np.fft.fft's output holding the harmonics exp(2ik theta) of the
+# sampled sextic, k = 3 .. -3: its coefficients in descending powers
+_PENCIL_COS = np.cos(np.arange(7) * math.pi / 7.0)[:, None, None]
+_PENCIL_SIN = np.sin(np.arange(7) * math.pi / 7.0)[:, None, None]
+_HARMONICS = np.array([3, 2, 1, 0, 6, 5, 4])
 
 
 def _singular_seeds(t):
@@ -893,29 +953,29 @@ def _singular_seeds(t):
     a (w w^T - I/3) are those with a repeated eigenvalue: the zeros of the
     binary sextic tr(Y^2)^3 - 54 det(Y)^2 in (cos theta, sin theta).  Seven
     samples give the sextic's harmonics exp(2ik theta), |k| <= 3, exactly;
-    each root yields the eigenvector of the simple (largest in modulus)
-    eigenvalue of Y.  A cone cubic adds the kernel of c -> t(c, ., .).  An
-    exact cone (sigma_3 <= _CONE_SIGMA * sigma_1) is a harmonic binary cubic
-    in the plane orthogonal to that kernel, whose gradient vanishes only on
-    the kernel, so its vertex is returned alone.
+    its roots in exp(2i theta) are _sextic_roots' of the harmonics, those
+    at infinity dropped, and each yields the eigenvector of the simple
+    (largest in modulus) eigenvalue of Y.  A cone cubic adds the kernel of
+    c -> t(c, ., .).  An exact cone (sigma_3 <= _CONE_SIGMA * sigma_1) is a
+    harmonic binary cubic in the plane orthogonal to that kernel, whose
+    gradient vanishes only on the kernel, so its vertex is returned alone.
     """
     u, sv, vh = np.linalg.svd(t.reshape(3, 9) @ _TRACELESS.T)
     if sv[2] <= _CONE_SIGMA * sv[0]:
         return u[:, 2][None]
     y1, y2 = (vh[3:] @ _TRACELESS).reshape(2, 3, 3)
-
-    def pencil(theta):
-        return (np.cos(theta)[:, None, None] * y1
-                + np.sin(theta)[:, None, None] * y2)
-
-    ys = pencil(np.arange(7) * math.pi / 7.0)
-    disc = (np.trace(ys @ ys, axis1=1, axis2=2) ** 3
+    ys = _PENCIL_COS * y1 + _PENCIL_SIN * y2
+    disc = ((ys @ ys).trace(axis1=1, axis2=2) ** 3
             - 54.0 * np.linalg.det(ys) ** 2)
-    harm = np.fft.fft(disc)  # 7 x (harmonic k mod 7)
-    roots = np.roots(harm[[3, 2, 1, 0, 6, 5, 4]])
-    vals, vecs = np.linalg.eigh(pencil(np.angle(roots) / 2.0))
-    pick = np.argmax(np.abs(vals), axis=1)
-    return np.vstack([vecs[np.arange(len(roots)), :, pick], u[:, 2]])
+    roots, poles = _sextic_roots(np.fft.fft(disc)[None, _HARMONICS])
+    roots = roots[0, :6 - poles[0]]
+    theta = np.arctan2(roots.imag, roots.real) / 2.0  # as np.angle
+    vals, vecs = np.linalg.eigh(np.cos(theta)[:, None, None] * y1
+                                + np.sin(theta)[:, None, None] * y2)
+    seeds = np.empty((len(theta) + 1, 3))
+    seeds[:-1] = vecs[_SIX[:len(theta)], :, np.abs(vals).argmax(1)]
+    seeds[-1] = u[:, 2]
+    return seeds
 
 
 def _census(sq, tol, seeds, kind, owner, axes, final):
@@ -1207,17 +1267,20 @@ def singular_directions(h: HarmonicCubic):
     axis refiner polishes those zeros from the seeds within _reach(1e-6)
     = 1e-2.  The pencil seeds are nearly exact (every direction of 3455
     cubics had one starting at most 2.3e-13), so this retires only seeds far
-    from any zero.  A zero or overflowing norm raises ValueError.
+    from any zero.  The sextic's roots come from the same companion-matrix
+    solve as the Maxwell directions' (_sextic_roots).  A zero or
+    overflowing norm raises ValueError.
     """
     norm = _checked_norm(h)
     t = h.tensor
     seeds = _singular_seeds(t)
     n = len(seeds)
-    axes, _ = _refine_axes(np.broadcast_to(h.coeffs / norm, (n, 10)), seeds,
-                           np.broadcast_to(_GRADIENT, (n, 7)),
-                           _reach(_TAU_GRAD))
+    axes, _ = _refine_axes((h.coeffs / norm)[None].repeat(n, 0), seeds,
+                           _GRADIENT[None].repeat(n, 0), _reach(_TAU_GRAD))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
-    res = np.linalg.norm(grads, axis=1)
-    hit = res <= _TAU_GRAD * norm
+    res = np.sqrt((grads * grads).sum(1))  # as np.linalg.norm
+    hit = (res <= _TAU_GRAD * norm).nonzero()[0]
+    if not len(hit):
+        return []
     kept, ws = _dedupe(axes[hit], res[hit])
     return list(ws[kept[:3]])

@@ -66,10 +66,13 @@ def so2_closed_form(c, theta):
     """Closed-form (r, t) of the circle-symmetric profile at angle theta.
 
     r = c^-1 (cos 3theta)^{4/3}, t = c^-1 (cos 3theta)^{1/3} sin 3theta,
-    valid for |theta| < pi/6 (cos 3theta > 0), else ValueError; the bound
-    is tested on theta itself, since cos 3theta rounds to 6e-17 > 0 at
-    theta = pi/6.  Conserves K = r^{3/2} + r^{-1/2} t^2 = c^{-3/2}.
+    valid for a finite c > 0 and |theta| < pi/6 (cos 3theta > 0), else
+    ValueError; the bound is tested on theta itself, since cos 3theta
+    rounds to 6e-17 > 0 at theta = pi/6.  Conserves
+    K = r^{3/2} + r^{-1/2} t^2 = c^{-3/2}.
     """
+    if not 0.0 < c < math.inf:  # NaN fails too
+        raise ValueError("profile constant c must be finite and positive")
     if not abs(theta) < SO2_BRANCH_HALFWIDTH:  # NaN fails too
         raise ValueError("theta outside the open branch (|theta| < pi/6)")
     c3 = math.cos(3.0 * theta)

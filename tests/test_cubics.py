@@ -501,10 +501,20 @@ def axis_set(entries):
 
 
 def maxwell_reference(c):
-    """Maxwell directions of one cubic, computed one at a time: np.roots and
+    """Maxwell directions of one cubic, computed one at a time: np.roots of
+    the sextic whose end coefficients at rounding level are set to zero,
     a greedy walk over the pairs i < j in stable sorted order of their
-    gaps."""
-    roots = np.roots((cubics._SEXTIC @ c)[::-1])
+    gaps, and, when two directions are within the merge angle, each
+    direction replaced by the normalized sum of those within the merge
+    angle of it, each signed to agree with it."""
+    p = (cubics._SEXTIC @ c)[::-1]
+    small = np.abs(p) <= cubics._END_ROUNDING * np.abs(p).max()
+    for ends in (range(7), range(6, -1, -1)):
+        for i in ends:
+            if not small[i]:
+                break
+            p[i] = 0.0
+    roots = np.roots(p)
     far = np.abs(roots) > 1.0
     z = roots.copy()
     z[far] = 1.0 / roots[far]
@@ -522,13 +532,25 @@ def maxwell_reference(c):
             free[i] = free[j] = False
             out.append(pts[i] - pts[j])
     out = np.array(out)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    out = out / np.linalg.norm(out, axis=1, keepdims=True)
+    tol = cubics._MERGE_ANGLE ** 2
+    close = [[b for b in out if min(((a - b) ** 2).sum(), ((a + b) ** 2).sum())
+              < tol] for a in out]
+    if all(len(near) == 1 for near in close):
+        return out
+    merged = []
+    for a, near in zip(out, close):
+        w = sum((-b if a @ b < 0 else b) for b in near)
+        merged.append(w / np.sqrt((w * w).sum()))
+    return np.array(merged)
 
 
 class TestFindSymmetryAxes:
     def test_stacked_maxwell_directions_equal_one_at_a_time(self):
         # exact forms lose sextic degree (the Circle sextic is one monomial);
-        # every vector must match bit for bit, signs included
+        # round trips R, R^T leave their end coefficients at rounding level,
+        # and rotated Circle forms split their triple roots; every vector
+        # must match bit for bit, signs included
         rng = np.random.default_rng(5)
         hs = [h.scaled(lam) for _, h, kind, _, _ in CORPUS
               if kind is not ST.FULL for lam in (1.0, -3.0, 1e-7)]
@@ -536,9 +558,62 @@ class TestFindSymmetryAxes:
                       random_rotation(rng)) for _ in range(40)]
         hs += [rotate(h, random_rotation(rng)) for _, h, kind, _, _ in CORPUS
                if kind is not ST.FULL]
+        for _, h, kind, _, _ in CORPUS:
+            if kind is not ST.FULL:
+                R = random_rotation(rng)
+                hs.append(rotate(rotate(h, R), R.transpose()))
         stacked = cubics._maxwell_directions(np.array([h.coeffs for h in hs]))
         for h, v in zip(hs, stacked):
             assert v.tobytes() == maxwell_reference(h.coeffs).tobytes()
+
+    def test_stacked_sextic_roots_equal_np_roots_of_the_trimmed_rows(self):
+        # rows with exact and rounding-level zeros at either end, stacked:
+        # each row's finite roots, then its roots at zero, are np.roots' of
+        # the row with those ends set to zero, bit for bit, and its l roots
+        # at infinity leave the last l slots 0
+        rng = np.random.default_rng(47)
+        cases = [(lo, hi, tiny) for lo in range(3) for hi in range(3)
+                 for tiny in (0.0, 1e-17)]
+        rows = rng.normal(size=(len(cases), 7)) * (1.0 + 0j)
+        rows += 1j * rng.normal(size=rows.shape)
+        for p, (lo, hi, tiny) in zip(rows, cases):
+            p[:lo] *= tiny
+            p[7 - hi:] *= tiny
+        roots, poles = cubics._sextic_roots(rows)
+        for p, r, l, (lo, hi, _) in zip(rows, roots, poles, cases):
+            assert l == lo
+            trimmed = p.copy()
+            trimmed[:lo] = trimmed[7 - hi:] = 0.0
+            assert r[:6 - lo].tobytes() == np.roots(trimmed).tobytes()
+            assert not r[6 - lo:].any()
+
+    def test_maxwell_points_on_the_poles_are_exact(self):
+        # z^3 - 3zy^2 has Maxwell directions z and (0, -+sqrt(3)/2, 1/2); a
+        # round trip R, R^T leaves its sextic's end coefficients at rounding
+        # level, which eigvals alone turned into errors up to 1.4e-6
+        h = HarmonicCubic(np.array([0, 0, 0, 0, 0, 0, 0, -1.0, 0, 1.0]))
+        r = math.sqrt(3.0) / 2.0
+        expected = np.array([[0.0, 0.0, 1.0], [0.0, -r, 0.5], [0.0, r, 0.5]])
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            R = random_rotation(rng)
+            moved = rotate(rotate(h, R), R.transpose())
+            v = cubics._maxwell_directions(moved.coeffs[None])[0]
+            for w in expected:
+                assert min(np.abs(v - w).max(1).min(),
+                           np.abs(v + w).max(1).min()) <= 1e-14
+
+    def test_circle_directions_are_its_axis(self):
+        # the Circle sextic's triple roots split by about eps^(1/3) under
+        # eigvals (up to 8.5e-6); the merged directions are the axis
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            R = random_rotation(rng)
+            axis = R.entries[2]  # h(R x) has its axis at x = R^T z
+            moved = rotate(P0.scaled(rng.uniform(0.1, 10.0)), R)
+            v = cubics._maxwell_directions(moved.coeffs[None])[0]
+            assert np.minimum(np.abs(v - axis).max(1),
+                              np.abs(v + axis).max(1)).max() <= 1e-13
 
     def test_xyz_has_cube_axes(self):
         axes = find_symmetry_axes(XYZ6)
@@ -1153,6 +1228,10 @@ class TestDedupe:
             expected += dedupe_reference(axes[groups == g], res[groups == g])
         assert [(out[i].tobytes(), res[i]) for i in kept] == [
             (w.tobytes(), r) for w, r in expected]
+        # without groups, all candidates are one group
+        kept, out = cubics._dedupe(axes, res)
+        assert [(out[i].tobytes(), res[i]) for i in kept] == [
+            (w.tobytes(), r) for w, r in dedupe_reference(axes, res)]
 
 
 def dedupe_reference(axes, res):

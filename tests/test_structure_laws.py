@@ -52,3 +52,11 @@ def test_so2_closed_form_rejects_theta_off_the_branch(theta):
     # 2 pi / 3 it is 1: the bound is on theta
     with pytest.raises(ValueError, match="open branch"):
         so2_closed_form(1.0, theta)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_so2_closed_form_rejects_c_that_is_not_finite_and_positive(c):
+    # unchecked, c = 0 divided by zero, c = -1 gave r < 0, NaN gave
+    # (nan, nan) and inf gave (0, 0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        so2_closed_form(c, 0.1)
