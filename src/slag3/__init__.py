@@ -15,9 +15,10 @@ Subpackage map:
                                curvature-compatibility checks.
 * ``slag3.gallery``         -- explicit special Lagrangian families as
                                ready-made patches with analytic derivatives.
-* ``slag3.integrate``       -- reconstruction of immersions from closed
-                               moving-frame systems (circle-symmetric profile
-                               and the six-function order-2-symmetric system).
+* ``slag3.integrate``       -- reconstruction of immersions from the closed
+                               six-function order-2-symmetric frame system.
+* ``slag3.structure_laws``  -- coefficient laws of the closed frame systems
+                               (circle-symmetric profile, order-2-symmetric).
 """
 
 __version__ = "0.1.0"

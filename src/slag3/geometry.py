@@ -741,10 +741,24 @@ def codazzi_gauss_residual(patch: ImmersionPatch, u, step=1e-3):
 
 def transform_patch(patch: ImmersionPatch, rot6, translation=None):
     """Compose a patch with a rigid motion x -> rot6 @ x + translation; each
-    row is moved by matrix products of its own rows alone."""
+    row is moved by matrix products of its own rows alone.  ValueError
+    unless rot6 is a finite real 6x6 matrix with orthogonality residual
+    ||rot6^T rot6 - I|| within 1e-9, as Rotation3, and translation a finite
+    real 6-vector."""
+    if np.iscomplexobj(rot6) or np.iscomplexobj(translation):
+        raise ValueError("rot6 and translation must be real")
     r = np.asarray(rot6, dtype=float)
     tau = np.zeros(6) if translation is None else np.asarray(translation,
                                                              dtype=float)
+    if r.shape != (6, 6) or not np.isfinite(r).all():
+        raise ValueError("rot6 must be a finite 6x6 matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail
+        ortho = np.linalg.norm(r.T @ r - np.eye(6))
+    if not ortho <= 1e-9:  # NaN fails too
+        raise ValueError(f"rot6 is not a rigid motion (orthogonality "
+                         f"residual {ortho:.3e})")
+    if tau.shape != (6,) or not np.isfinite(tau).all():
+        raise ValueError("translation must be a finite 6-vector")
 
     def hs(u):
         h = np.asarray(patch.hess(u))
@@ -758,8 +772,12 @@ def transform_patch(patch: ImmersionPatch, rot6, translation=None):
 
 
 def scale_patch(patch: ImmersionPatch, factor: float):
-    """Dilate a patch about the origin; the cubic scales by 1/factor."""
+    """Dilate a patch about the origin; the cubic scales by 1/factor.
+    ValueError unless factor is finite and nonzero (a negative one also
+    reflects through the origin)."""
     lam = float(factor)
+    if not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"factor must be finite and nonzero, got {lam!r}")
     jac = None if patch.jac is None else (lambda u: lam * patch.jac(u))
     hess = None if patch.hess is None else (lambda u: lam * patch.hess(u))
     return ImmersionPatch(name=f"{patch.name}|x{lam:g}", params=patch.params,

@@ -1,14 +1,8 @@
-"""Reconstruction of immersions from closed moving-frame systems.
+"""Reconstruction of immersions from a closed moving-frame system.
 
-Two exactly-solvable systems are integrated here against the coefficient
-laws in :mod:`slag3.structure_laws`:
-
-* the circle-symmetric profile — two scalars (r, t) driven by one 1-form,
-  with a closed-form solution and a conserved quantity, and
-* the six-function order-2-symmetric system — scalars (r, s, t1, t2, t3, u1)
-  coupled to a position/frame pair (x, e1, e2, e3) in C^3.
-
-The second system is integrated over a chart box by the canonical-path
+The six-function order-2-symmetric system of :mod:`slag3.structure_laws`,
+scalars (r, s, t1, t2, t3, u1) coupled to a position/frame pair
+(x, e1, e2, e3) in C^3, is integrated over a chart box by the canonical-path
 construction: the state is carried by RK4 from the origin along axis 1,
 then axis 2, then axis 3.  Because the tautological coframe w is not
 closed, the chart's coordinate directions are not the frame directions
@@ -30,10 +24,6 @@ from __future__ import annotations
 __all__ = [
     "IntegrationError",
     "FlatnessError",
-    "SO2Profile",
-    "so2_profile",
-    "so2_theta_rates",
-    "so2_march",
     "StructureStateZ2",
     "Z2Field",
     "IntegrationReport",
@@ -54,10 +44,7 @@ import numpy as np
 
 from .ambient import apply_j, to_complex, from_complex
 from .structure_laws import (
-    SO2_BRANCH_HALFWIDTH,
     Z2_STATE_NAMES,
-    so2_closed_form,
-    so2_rates,
     z2_auxiliary,
     z2_scalar_rates,
     z2_coframe_rates,
@@ -73,87 +60,6 @@ class IntegrationError(ValueError):
 
 class FlatnessError(IntegrationError):
     """Path-independence audit exceeded its threshold."""
-
-
-# ---------------------------------------------------------------------------
-# Circle-symmetric profile.
-
-_SO2_STEPS = 4000  # RK4 steps of so2_march
-
-
-@dataclass(frozen=True)
-class SO2Profile:
-    """Closed-form point of the circle-symmetric profile at angle theta."""
-
-    c: float
-    theta: float
-    r: float
-    t: float
-
-    def conserved(self) -> float:
-        """The invariant r^(3/2) + r^(-1/2) t^2 (equal to c^(-3/2))."""
-        return self.r ** 1.5 + self.t ** 2 / math.sqrt(self.r)
-
-
-def so2_profile(c: float, theta: float) -> SO2Profile:
-    """Profile point (r, t) at ``theta``; requires a finite c > 0 and
-    |theta| < pi/6, else raises IntegrationError."""
-    c = float(c)
-    theta = float(theta)
-    if not 0.0 < c < math.inf:  # NaN fails too
-        raise IntegrationError("profile constant c must be finite and "
-                               "positive")
-    if not abs(theta) < SO2_BRANCH_HALFWIDTH:
-        raise IntegrationError("theta outside the open branch "
-                               "(|theta| < pi/6)")
-    r, t = so2_closed_form(c, theta)
-    return SO2Profile(c=c, theta=theta, r=r, t=t)
-
-
-def _so2_weight(c, theta):
-    """d(arc length)/d(theta) along the profile: c / (cos 3 theta)^(4/3)."""
-    return c / math.cos(3.0 * theta) ** (4.0 / 3.0)
-
-
-def so2_theta_rates(c: float, theta: float):
-    """(dr/dtheta, dt/dtheta) of the closed-form profile at ``theta``."""
-    p = so2_profile(c, theta)
-    dr, dt = so2_rates(p.r, p.t)
-    w = _so2_weight(c, theta)
-    return dr * w, dt * w
-
-
-def _rk4(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y) from (t, y) with step h."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def so2_march(c: float, theta0: float, theta1: float):
-    """RK4 re-integration of the (r, t) pair from theta0 to theta1.
-
-    Starts from the closed form at ``theta0`` and returns the integrated
-    (r, t) at ``theta1`` after 4000 equal steps; used to check the rate laws
-    against the closed form independently of how either was derived.
-    """
-    p0 = so2_profile(c, theta0)
-    so2_profile(c, theta1)  # validate the whole span sits inside the branch
-    y = np.array([p0.r, p0.t])
-    h = (theta1 - theta0) / _SO2_STEPS
-
-    def rhs(theta, y):
-        dr, dt = so2_rates(y[0], y[1])
-        w = _so2_weight(c, theta)
-        return np.array([dr * w, dt * w])
-
-    theta = theta0
-    for _ in range(_SO2_STEPS):
-        y = _rk4(rhs, theta, y, h)
-        theta += h
-    return float(y[0]), float(y[1])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +158,15 @@ def _renormalize(y):
 _RENORM_EVERY = 10
 
 
+def _rk4(f, y, h):
+    """One classical RK4 step of the autonomous y' = f(y) from y, step h."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _march(y, axis, h, n, counter):
     """March ``n`` RK4 steps of size ``h``; yields each stored step.
 
@@ -260,7 +175,7 @@ def _march(y, axis, h, n, counter):
     """
     out = []
     for _ in range(n):
-        y = _rk4(lambda _, z: _z2_rhs(z, axis), 0.0, y, h)
+        y = _rk4(lambda z: _z2_rhs(z, axis), y, h)
         counter[0] += 1
         if counter[0] % _RENORM_EVERY == 0:
             y, drift = _renormalize(y)
@@ -428,14 +343,17 @@ def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
     def node(u, axis=0, off=0):
         """Index arrays of the stored nodes at the points u (..., 3), moved
         by `off` nodes along `axis`."""
-        k = np.asarray(u, dtype=float) / fld.step
-        idx = np.rint(k).astype(int) + fld.center
-        stored = ((np.abs(k - np.rint(k)) <= _NODE_TOL) & (idx >= 2)
-                  & (idx <= shape - 3)).all(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            k = np.asarray(u, dtype=float) / fld.step
+            near = np.rint(k)
+            idx = near + fld.center
+            stored = (np.isfinite(k) & (np.abs(k - near) <= _NODE_TOL)
+                      & (idx >= 2) & (idx <= shape - 3)).all(axis=-1)
         if not stored.all():
             raise IntegrationError(
                 "%s is not a stored node two or more in from every face"
                 % (np.asarray(u)[~stored][0],))
+        idx = idx.astype(int)  # finite and in range: no warning
         idx[..., axis] += off
         return tuple(np.moveaxis(idx, -1, 0))
 
@@ -650,6 +568,7 @@ def z2_foliation_check(fld: Z2Field) -> FoliationResult:
             xi[:, 0] ** 2, xi[:, 1] ** 2, xi[:, 2] ** 2,
             xi[:, 0] * xi[:, 1], xi[:, 0] * xi[:, 2], xi[:, 1] * xi[:, 2]])
         sigma = np.linalg.svd(design, compute_uv=False)
-        quad_res = max(quad_res, sigma[-1] / math.sqrt(len(xi)), off_res)
+        quad_res = max(quad_res, float(sigma[-1]) / math.sqrt(len(xi)),
+                       off_res)
     return FoliationResult(plane_variation=plane_var,
                            quadric_residual=quad_res)

@@ -1,8 +1,10 @@
 """Coefficient laws of the closed frame systems used by the integrator.
 
 Two exactly-solvable moving-frame systems live here, written as plain
-arithmetic so the same functions serve float evaluation (RK4 stepping) and
-symbolic auditing (the closure tests pass sympy symbols through them).
+arithmetic.  The circle-symmetric (SO(2)) profile is its rate law and its
+closed-form solution.  The order-2-symmetric laws serve both float
+evaluation (the RK4 stepping of :mod:`slag3.integrate`) and symbolic
+auditing (the closure tests pass sympy symbols through them).
 
 Conventions
 -----------

@@ -979,6 +979,35 @@ class TestInvariance:
                                             np.array([-math.pi / 6, 1.1, 0.7]))
         assert classify(cubic).r == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("rot6,translation,match", [
+        (np.eye(3), None, "finite 6x6"),
+        (np.full((6, 6), np.nan), None, "finite 6x6"),
+        (np.where(np.eye(6) > 0, np.inf, 0.0), None, "finite 6x6"),
+        (2.0 * np.eye(6), None, "rigid motion"),
+        (1e200 * np.eye(6), None, "rigid motion"),  # its gram overflows
+        (np.eye(6) + 1e-6, None, "rigid motion"),
+        (np.eye(6, dtype=complex), None, "real"),
+        (np.eye(6), np.full(6, np.nan), "translation"),
+        (np.eye(6), np.r_[np.inf, np.zeros(5)], "translation"),
+        (np.eye(6), np.zeros(3), "translation")])
+    def test_transform_patch_rejects_a_malformed_motion_up_front(
+            self, rot6, translation, match):
+        # unchecked, each one failed later at every node, with a matmul
+        # shape error or "non-finite entries", or 2 I was accepted
+        with pytest.raises(ValueError, match=match):
+            geo.transform_patch(hl_cone(), rot6, translation)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_scale_patch_rejects_a_factor_not_finite_and_nonzero(self, factor):
+        # unchecked, 0 failed every node with RankDeficientError and NaN or
+        # inf with "non-finite entries"; a negative factor stays a dilation
+        # composed with the point reflection
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            geo.scale_patch(hl_cone(), factor)
+        u = np.array([1.1, 1.3, 2.2])
+        assert geo.lagrangian_residual(geo.scale_patch(hl_cone(), -2.0),
+                                       u) <= 1e-14
+
     def test_parameter_gauge_independence(self):
         # re-parametrizing the patch rotates the cubic but not its class
         patch = hl_cone()

@@ -27,9 +27,11 @@ def test_so2_closed_form_conserves_its_invariant(c):
 
 @pytest.mark.parametrize("c", [0.7, 1.0, 2.5])
 def test_so2_closed_form_moves_along_its_rates(c):
-    # the closed form's theta-tangent, by central differences at step 1e-6,
-    # is parallel to the arc-length rates (dr/dl, dt/dl) at its point: the
-    # normalized cross product measured at most 1e-10, the differences'
+    # the closed form solves the rate law pointwise: its theta-tangent, by
+    # central differences at step 1e-6, is the arc-length rates
+    # (dr/dl, dt/dl) at its point times dl/dtheta = w1/dtheta
+    # = c / (cos 3theta)^{4/3}.  The normalized cross product measured at
+    # most 1e-10 and the relative error at most 2.6e-10, the differences'
     # rounding and truncation
     h = 1e-6
     for theta in THETAS:
@@ -42,6 +44,9 @@ def test_so2_closed_form_moves_along_its_rates(c):
                 <= 1e-9)
         # same orientation as well: w1 = c dtheta / (cos 3theta)^{4/3} > 0
         assert tangent @ rates > 0.0
+        want = rates * c / math.cos(3.0 * theta) ** (4.0 / 3.0)
+        assert (np.linalg.norm(tangent - want) / np.linalg.norm(want)
+                <= 1e-9)
 
 
 @pytest.mark.parametrize("theta", [SO2_BRANCH_HALFWIDTH,
