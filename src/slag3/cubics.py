@@ -420,7 +420,8 @@ def normal_form(tag: StabilizerType, r: float, s: float) -> HarmonicCubic:
 
     Circle: r * z(2z^2-3x^2-3y^2); A4: 6s * xyz; S3: s * (x^3-3xy^2);
     Z2: Circle part + 6s * xyz; Z3: Circle part + s * (x^3-3xy^2);
-    Full and Trivial have no normal form and map to the zero cubic.
+    Full and Trivial have no normal form and map to the zero cubic.  A4 is
+    Z2 at r = 0, and is fitted as Z2 is, about one of its order-2 axes.
     """
     return HarmonicCubic(_normal_coeffs(tag, np.array([r]), np.array([s]))[0])
 
@@ -1091,8 +1092,9 @@ _FLIP_Z = np.diag([1.0, -1.0, -1.0])  # half-turn about x
 _TURN_K = _cross_matrix([0.0, 0.0, 1.0])
 _TURN_K2 = _TURN_K @ _TURN_K
 
-# per type: (axial part r, phase order k (0: none), target phase of c_k,
-# |c_k| per unit s)
+# per type: (axial part r, phase order k, target phase of c_k, |c_k| per
+# unit s); k also names the axis list _AXIS_LISTS[k] the normal form is
+# about: circle (k = 0), order2 (Z2, and A4 = Z2 at r = 0) or order3 (S3, Z3)
 _FITS = {
     StabilizerType.CIRCLE: (True, 0, 0.0, 1.0),
     StabilizerType.S3: (False, 3, 0.0, 2.0),
@@ -1100,26 +1102,28 @@ _FITS = {
     StabilizerType.Z2: (True, 2, -math.pi / 2.0, math.sqrt(6.0)),
     StabilizerType.Z3: (True, 3, 0.0, 2.0),
 }
+_AXIS_LISTS = ("circle", None, "order2", "order3")
 # per type with a collapse line s = slope * r: (NormalFormResult field, slope)
 _COLLAPSE = {StabilizerType.Z2: ("dist_s_minus_r", 1.0),
              StabilizerType.Z3: ("dist_s_minus_rsqrt2", math.sqrt(2.0))}
-# axis census (order-2, order-3) of the types with one distinguished axis
-_CENSUS = {(3, 1): StabilizerType.S3, (1, 0): StabilizerType.Z2,
+# axis census (order-2, order-3) of every type without a circle axis
+_CENSUS = {(0, 0): StabilizerType.TRIVIAL, (3, 4): StabilizerType.A4,
+           (3, 1): StabilizerType.S3, (1, 0): StabilizerType.Z2,
            (0, 1): StabilizerType.Z3}
 
 
 def _fit(tag, cs, frames):
     """Normal forms of type `tag` of the cubics cs (n, 10) from frames
-    (n, 3, 3) whose z-columns are the type's distinguished axes: flip z so
-    that r >= 0 (types with an axial part), then turn about z, which
-    multiplies c_k by exp(i k alpha), until c_k has its target phase (types
-    with one).  The target phase -pi/2 of c2 makes the xyz component
-    positive and the (x^2-y^2)z component zero.  The components are taken
-    once, and again for the rows whose z flipped (negating them by the
-    flip's sign pattern would differ in the sign of exact zeros, and so
-    turn the phase of an exact normal form by pi).  The residual is taken
-    on raw coefficients, so no absolute trace floor applies to the
-    difference.
+    (n, 3, 3) whose z-columns are axes of the type's list _AXIS_LISTS[k]:
+    flip z so that r >= 0 (types with an axial part), then turn about z,
+    which multiplies c_k by exp(i k alpha), until c_k has its target phase
+    (types with one).  The target phase -pi/2 of c2 makes the xyz component
+    positive and the (x^2-y^2)z component zero, so for A4 it turns the
+    other two order-2 axes onto x and y.  The components are taken once,
+    and again for the rows whose z flipped (negating them by the flip's
+    sign pattern would differ in the sign of exact zeros, and so turn the
+    phase of an exact normal form by pi).  The residual is taken on raw
+    coefficients, so no absolute trace floor applies to the difference.
     Returns (rotations (n, 3, 3), r, s, residual (n,)), each row with the
     rounding of its cubic alone."""
     axial, k, target, per_s = _FITS[tag]
@@ -1144,54 +1148,35 @@ def _fit(tag, cs, frames):
     return frames, r, s, np.sqrt(_rowdot(MULTIPLICITY * d, d))
 
 
-def _a4_frames(w1, w2):
-    """Frames (n, 3, 3) of two order-2 axes (n, 3) each, the second
-    orthogonalized, and their cross product."""
-    w2 = w2 - _rowdot(w1, w2)[:, None] * w1
-    w2 = w2 / np.sqrt(_rowdot(w2, w2))[:, None]
-    return np.ascontiguousarray(
-        np.array([w1, w2, _cross(w1, w2)]).transpose(1, 2, 0))
-
-
 def _classify_axes(cs, found):
     """NormalFormResult of each nonzero cubic, with coefficient rows cs
     (n, 10), from its axis census found[i], or in its place the ValueError
     of its fit (a CensusError when the census matches no stabilizer
-    pattern).  The cubics of one type are fitted together, and their
-    rotations are checked in one pass."""
+    pattern).  The type is Circle at a circle axis, else _CENSUS's entry;
+    a fit is about the first axis of the list its phase order k names.  The
+    cubics of one type are fitted together, their rotations checked once."""
     out = [None] * len(found)
-    plans = {}  # type -> (cubic indices, distinguished axis or A4 axis pair)
+    plans = {}  # type -> cubic indices
     for i, axes in enumerate(found):
         n2, n3 = len(axes.order2), len(axes.order3)
-        if axes.circle:
-            tag, axis = StabilizerType.CIRCLE, axes.circle[0][0]
-        elif (n2, n3) == (0, 0):
-            tag, axis = StabilizerType.TRIVIAL, None
-        elif (n2, n3) == (3, 4):
-            tag, axis = StabilizerType.A4, (axes.order2[0][0],
-                                            axes.order2[1][0])
-        elif (n2, n3) in _CENSUS:
-            # the distinguished axis is the order-3 one where there is one
-            tag, axis = _CENSUS[n2, n3], (axes.order3 or axes.order2)[0][0]
-        else:
+        tag = (StabilizerType.CIRCLE if axes.circle
+               else _CENSUS.get((n2, n3)))
+        if tag is None:
             out[i] = CensusError(
                 f"axis census ({n2} order-2, {n3} order-3) matches no "
                 f"stabilizer pattern",
                 census={"order2": axes.order2, "order3": axes.order3,
                         "circle": axes.circle})
-            continue
-        plans.setdefault(tag, []).append((i, axis))
-    for tag, plan in plans.items():
-        idx, axis = (list(x) for x in zip(*plan))
+        else:
+            plans.setdefault(tag, []).append(i)
+    for tag, idx in plans.items():
         if tag is StabilizerType.TRIVIAL:
             zero = np.zeros(len(idx))
             fit = _EYE3[None].repeat(len(idx), 0), zero, zero, zero
         else:
-            frames = (_a4_frames(np.array([w for w, _ in axis]),
-                                 np.array([w for _, w in axis]))
-                      if tag is StabilizerType.A4
-                      else _transport_matrices(axis))
-            fit = _fit(tag, cs[idx], frames)
+            about = _AXIS_LISTS[_FITS[tag][1]]
+            fit = _fit(tag, cs[idx], _transport_matrices(
+                [getattr(found[i], about)[0][0] for i in idx]))
         collapse = _COLLAPSE.get(tag)
         for i, m, fail, r, s, res in zip(idx, fit[0], _rotation_errors(fit[0]),
                                          *(a.tolist() for a in fit[1:])):
@@ -1210,14 +1195,16 @@ def classify(h, tol: float = TAU_AXIS):
     """Stabilizer type and normal form of a cubic under rotations.
 
     Decision tree: zero norm -> Full; a circle axis -> Circle; otherwise the
-    census of order-2/order-3 axes selects the type (3+4 -> A4, 3+1 -> S3,
-    0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  `tol` is the one symmetry
-    tolerance: an axis counts when its components that the symmetry forbids
-    have norm at most tol * ||h||, so a cubic within that distance of a
-    collapse line (Z2 with s = r, Z3 with s = r*sqrt(2)) has the larger
-    census of S3 / A4 and is classified so.  Z2 and Z3 fits report their
-    distance to the collapse line.  A tol that is not finite and positive
-    raises ValueError, for a sequence too.
+    census of order-2/order-3 axes selects the type from one table (3+4 ->
+    A4, 3+1 -> S3, 0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  The type's
+    phase order k names the axis its normal form is about: the circle axis
+    (k = 0), an order-2 (k = 2: Z2, A4) or an order-3 axis (k = 3: S3, Z3).
+    `tol` is the one symmetry tolerance: an axis counts when its components
+    that the symmetry forbids have norm at most tol * ||h||, so a cubic
+    within that distance of a collapse line (Z2 with s = r, Z3 with
+    s = r*sqrt(2)) has the larger census of S3 / A4 and is classified so.
+    Z2 and Z3 fits report their distance to the collapse line.  A tol that
+    is not finite and positive raises ValueError, for a sequence too.
 
     `h` is one HarmonicCubic or a sequence of them.  A sequence gives a
     list, one entry per cubic, equal to classify on that cubic alone: its

@@ -179,12 +179,15 @@ class PointReport:
 class _Nodes:
     """A stack of parameter points (n, 3) and its open rows.  A failed row
     is closed, its exception kept in ``errors``; per-row results are arrays
-    over all n rows, filled at the open ones."""
+    over all n rows, filled at the open ones.  A row with a non-finite
+    coordinate is closed before any map runs."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float).reshape(-1, 3)
         self.open = np.arange(len(self.u))
         self.errors = [None] * len(self.u)
+        self.fail(~np.isfinite(self.u).all(1), lambda i: GeometryError(
+            f"parameter point {self.u[i]} is not finite"))
 
     def fail(self, bad, error):
         """Close the open rows set in the mask `bad`, row i with error(i);

@@ -327,9 +327,10 @@ _NODE_TOL = 1e-9            # off-node distance admitted, in steps
 def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
     """Immersion patch of the stored nodes two or more in from every face:
     ``eval`` the stored position, ``jac`` ee.T @ [V1 V2 W3], ``hess`` the
-    symmetrized `_d4` of that jac along each chart axis.  The maps look a
-    stack of points (..., 3) up as one index array; any other point of the
-    domain (the chart box) raises :class:`IntegrationError`."""
+    symmetrized `_d4` of that jac along each chart axis, taken once over
+    those nodes.  The maps look a stack of points (..., 3) up as one index
+    array; any other point of the domain (the chart box) raises
+    :class:`IntegrationError`."""
     shape = np.array(fld.shape)
     if shape.min() < 5:
         raise IntegrationError("the patch needs at least 5 nodes along "
@@ -339,10 +340,13 @@ def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
     v = np.stack([data[..., _V1], data[..., _V2],
                   np.broadcast_to(_W3, fld.shape + (3,))], axis=-1)
     jacs = np.swapaxes(ee, -1, -2) @ v  # ee.T @ [V1 V2 W3] at every node
+    # last index: stencil axis; node (2, 2, 2) is the first entry of hs
+    hs = np.stack([_interior(_interior(_d4(jacs, a, fld.step), (a + 1) % 3),
+                             (a + 2) % 3) for a in range(3)], axis=-1)
+    hs = 0.5 * (hs + np.swapaxes(hs, -1, -2))
 
-    def node(u, axis=0, off=0):
-        """Index arrays of the stored nodes at the points u (..., 3), moved
-        by `off` nodes along `axis`."""
+    def node(u):
+        """Index arrays of the stored nodes at the points u (..., 3)."""
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
             k = np.asarray(u, dtype=float) / fld.step
             near = np.rint(k)
@@ -353,22 +357,14 @@ def _field_patch(fld: Z2Field) -> geometry.ImmersionPatch:
             raise IntegrationError(
                 "%s is not a stored node two or more in from every face"
                 % (np.asarray(u)[~stored][0],))
-        idx = idx.astype(int)  # finite and in range: no warning
-        idx[..., axis] += off
-        return tuple(np.moveaxis(idx, -1, 0))
-
-    def hess(u):
-        h = np.stack([_d4(np.stack([jacs[node(u, a, off)]
-                                    for off in range(-2, 3)]), 0, fld.step)[0]
-                      for a in range(3)], axis=-1)  # last index: stencil slot
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        return tuple(np.moveaxis(idx.astype(int), -1, 0))  # in range: exact
 
     return geometry.ImmersionPatch(
         name="z2_reconstruction",
         params={"init": fld.init, "step": fld.step},
         domain=tuple((ax[0], ax[-1]) for ax in fld.axes),
         eval=lambda u: data[node(u)][..., _X], jac=lambda u: jacs[node(u)],
-        hess=hess)
+        hess=lambda u: hs[tuple(i - 2 for i in node(u))])
 
 
 def z2_integrate(init, extents=(0.2, 0.2, 0.2), step=1e-2):

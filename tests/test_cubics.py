@@ -1003,6 +1003,29 @@ class TestClassifyProperties:
         assert abs(fit.r - lam * r) <= bound, name
         assert abs(fit.s - lam * s) <= bound, name
 
+    @pytest.mark.parametrize("name", ["xyz", "m1r2"])
+    def test_a4_is_fitted_as_z2_at_r_zero_about_an_order2_axis(self, name):
+        # A4's normal form is Z2's at r = 0, and the fit takes Z2's turn
+        # about z: the first order-2 axis goes to z, the other two to x, y
+        _, h, _, _, s = next(c for c in CORPUS if c[0] == name)
+        rng = np.random.default_rng(29)
+        moved = [rotate(h.scaled(rng.choice((-1.0, 1.0))
+                                 * 10.0 ** rng.uniform(-3.0, 3.0)),
+                        random_rotation(rng)) for _ in range(24)]
+        for g, seq in zip(moved, classify(moved)):
+            fit, norm = classify(g), g.norm()
+            assert same_fit(seq, fit)
+            assert fit.type is ST.A4 and fit.r == 0.0
+            assert fit.s == pytest.approx(s * norm / h.norm(), rel=1e-12)
+            assert fit.residual <= 1e-12 * norm
+            # raw coefficients: the difference need not pass the trace check
+            d = (rotate(g, fit.rotation).coeffs
+                 - normal_form(ST.A4, 0.0, fit.s).coeffs)
+            assert math.sqrt(cubics.MULTIPLICITY @ (d * d)) <= 1e-12 * norm
+            z = fit.rotation.entries[:, 2]
+            assert min(np.linalg.norm(z - w)
+                       for w, _ in find_symmetry_axes(g).order2) <= 1e-12
+
     def test_scale_equivariance(self):
         for lam in (0.37, 5.0):
             for name, h, expected, _, _ in CORPUS:

@@ -537,6 +537,42 @@ class TestBatchSweep:
         assert cone["axis_search_s"] > 0.0
         assert "hl_cone" in records[0].getMessage()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("name", list(default_gallery()))
+    def test_a_non_finite_point_fails_before_any_map_runs(self, name, axis,
+                                                          value):
+        # at such a point a map warns (sin, multiply) or, on plane and
+        # product_square, returns values that look like residuals
+        calls = []
+
+        def counted(fn):
+            if fn is None:
+                return None
+
+            def call(u):
+                calls.append(u)
+                return fn(u)
+            return call
+
+        patch = default_gallery()[name].patch
+        patch = dataclasses.replace(
+            patch, eval=counted(patch.eval), jac=counted(patch.jac),
+            hess=counted(patch.hess))
+        u = np.array([0.5 * (lo + hi) for lo, hi in patch.domain])
+        u[axis] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = geo.point_report(patch, u)
+            assert report.error.startswith("GeometryError: parameter point")
+            assert report.error.endswith("is not finite")
+            for audit in (geo.codazzi_gauss_residual, geo.lagrangian_residual,
+                          geo.special_residual):
+                with pytest.raises(geo.GeometryError, match="is not finite"):
+                    audit(patch, u)
+        assert calls == []
+
 
 def permutation_symmetrize(t, table):
     """Reference for geo._symmetrize: the mean of the slot transposes of t
