@@ -22,6 +22,9 @@ Conventions (load-bearing, used across the package):
   form (``_screen``), and only the seeds within reach of an acceptable
   axis, a starting functional of at most 100 * tol^(2/3) on the unit-norm
   rows (``_reach``), go to the refiner and are polished.
+  ``singular_directions`` screens its gradient seeds the same way, from the
+  gradients at them, and refines only those above ``_REFINE_FLOOR``, the
+  rounding level of a functional on unit-norm rows, and within reach.
 * Every pullback of a cubic by a rotation goes through ``_pullback``.
 * Every index table derives from ``_slot_permutations``: the orbits of its
   degree-3 table ``_SYM3`` give ``LEX_TRIPLES``, ``MULTIPLICITY`` and the
@@ -698,6 +701,9 @@ _SCREEN_PARTS = np.array([[0, 2.5, 0, 0], [0, -3.75, 3.75, 0],
 # the weights of the functional of each seed row: its condition's masked sum
 _SCREEN_COEF = (_CONDITION_MASKS[:, [0, 1, 3, 5]] @ _SCREEN_PARTS)[_SEED_KIND]
 _SCREEN_SLACK = 1e-6  # relative and absolute slack of the screen's cut
+# the weights of (1, A^2, |g|^2, ||M||^2) in the gradient's |c0|^2 + |c1|^2:
+# (0, -1.25, 3.75, 0), relative-accurate since A^2 <= |g|^2
+_GRADIENT_SCREEN = _GRADIENT[[0, 1, 3, 5]] @ _SCREEN_PARTS
 # the column of a weight row (1, A^2, |g|^2, ||M||^2) that weighs each of
 # the nine entries of M and the three of g
 _QUAD_COLS = np.repeat([3, 2], (9, 3))
@@ -762,7 +768,14 @@ _REFINE_ITERS = 60
 # the slices of _REFINE_OP's (f, j1, j2) whose products give the normal
 # equations' entries j1.j1, j1.j2, j2.j2, j1.f, j2.f
 _GN_LEFT, _GN_RIGHT = np.array([1, 1, 2, 1, 2]), np.array([1, 2, 2, 0, 0])
-_REFINE_FLOOR = 1e-30  # a seed retires at this functional of a unit cubic
+# a seed retires at this functional of a unit cubic: the rounding level
+# _functional reaches there, at most 1.7e-30 at the exact axes and gradient
+# zeros of Haar-rotated normal forms of every type (2000 rotations each,
+# scales 10^[-3, 3]), and 16 decades below the acceptance level
+# (TAU_AXIS * ||h||)^2.  At 1e-30 some 7000 seeds of the seed-1 classify and
+# sweep pools started above it and took a Gauss-Newton iteration to retire,
+# none of them moving; at 1e-27 three seed-2 Z2 fits changed
+_REFINE_FLOOR = 1e-28
 
 
 def _reach(tol):
@@ -795,10 +808,13 @@ def _refine_axes(units, seeds, mask, reach):
     sphere, of the components each seed's row of mask (n, 7) selects.
 
     Seed i searches the cubic with unit-norm coefficient rows units[i]
-    (n, 10) and retires once its functional is at most _REFINE_FLOOR, so
-    the search is scale-free and the seeds of many cubics march together,
-    each with the arithmetic it has alone.  The axis search passes only the
-    seeds its closed-form screen (_screen) puts in reach.  A seed starting
+    (n, 10) and retires once its functional is at most _REFINE_FLOOR
+    (rounding on unit rows), so the search is scale-free and the seeds of
+    many cubics march together, each with the arithmetic it has alone; a
+    seed starting at or below the floor comes back bit for bit.  The axis
+    search passes only the seeds its closed-form screen (_screen) puts in
+    reach, and singular_directions only those its gradient screen puts
+    between the floor and the reach.  A seed starting
     above `reach` (_reach: an acceptable axis has a seed within about
     tol^(2/3)) retires before the first step with its starting functional,
     which the census rejects.  Each seed carries its own chart, recentred
@@ -1245,27 +1261,51 @@ def classify(h, tol: float = TAU_AXIS):
 def singular_directions(h: HarmonicCubic):
     """Projective directions in which the cubic's gradient vanishes.
 
-    Returns at most three unit vectors w (first nonzero coordinate positive)
-    with ||grad h(w)|| <= 1e-6 * ||h||.  The seeds are algebraic (see
+    Returns at most three unit vectors w (each signed so that its first
+    coordinate above 1e-8 in modulus is positive, as _dedupe does) with
+    ||grad h(w)|| <= 1e-6 * ||h||.  The seeds are algebraic (see
     _singular_seeds): the members with a repeated eigenvalue of the pencil
     orthogonal to the cubic's traceless slices, at the roots of a binary
-    sextic, plus the kernel direction of a cone.  The gradient vanishes at
-    w exactly when the components c0 and c1 about w do, and the lockstep
-    axis refiner polishes those zeros from the seeds within _reach(1e-6)
-    = 1e-2.  The pencil seeds are nearly exact (every direction of 3455
-    cubics had one starting at most 2.3e-13), so this retires only seeds far
-    from any zero.  The sextic's roots come from the same companion-matrix
-    solve as the Maxwell directions' (_sextic_roots).  A zero or
-    overflowing norm raises ValueError.
+    sextic, plus the kernel direction of a cone.  The sextic's roots come
+    from the same companion-matrix solve as the Maxwell directions'
+    (_sextic_roots).
+
+    The gradient vanishes at w exactly when the components c0 and c1 about
+    w do, and the lockstep axis refiner polishes those zeros.  The seeds
+    are screened first, from the gradients at them, which the answer needs
+    anyway: each seed w, normalized as _transport_matrices normalizes it,
+    starts at |c0|^2 + |c1|^2 = 3.75 |g|^2 - 1.25 A^2 on the unit-norm
+    cubic, g = grad h(w) / (3 ||h||) and A = g.w (_GRADIENT_SCREEN), which
+    is relative-accurate since A^2 <= |g|^2.  Only the seeds above
+    _REFINE_FLOOR and within _reach(1e-6) = 1e-2 go to the refiner, and the
+    gradients are taken again only at the seeds it had; the others are the
+    seeds that it would retire before their first step, so the answer is
+    that of refining every seed.  The pencil seeds are nearly exact
+    (every direction of 3455 cubics had one starting at most 2.3e-13), so
+    on the seed-1 to seed-8 `singular` benchmark pools 0.16 refiner calls
+    run per call, and none on an exact Circle, S3 or A4 normal form.  A zero
+    or overflowing norm raises ValueError.
     """
     norm = _checked_norm(h)
     t = h.tensor
     seeds = _singular_seeds(t)
-    n = len(seeds)
-    axes, _ = _refine_axes((h.coeffs / norm)[None].repeat(n, 0), seeds,
-                           _GRADIENT[None].repeat(n, 0), _reach(_TAU_GRAD))
+    axes = seeds / np.sqrt((seeds * seeds).sum(1, keepdims=True))
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
-    res = np.sqrt((grads * grads).sum(1))  # as np.linalg.norm
+    sq = (grads * grads).sum(1)
+    a = (grads * axes).sum(1)
+    k = 1.0 / (3.0 * norm)  # g = k grad h(w) on the unit-norm cubic
+    start = (_GRADIENT_SCREEN[2] * sq
+             + _GRADIENT_SCREEN[1] * (a * a)) * (k * k)
+    reach = _reach(_TAU_GRAD)
+    live = ((start > _REFINE_FLOOR) & (start <= reach)).nonzero()[0]
+    if len(live):
+        n = len(live)
+        axes[live], _ = _refine_axes((h.coeffs / norm)[None].repeat(n, 0),
+                                     seeds[live], _GRADIENT[None].repeat(n, 0),
+                                     reach)
+        grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes[live], axes[live])
+        sq[live] = (grads * grads).sum(1)
+    res = np.sqrt(sq)  # as np.linalg.norm
     hit = (res <= _TAU_GRAD * norm).nonzero()[0]
     if not len(hit):
         return []

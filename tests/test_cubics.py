@@ -669,6 +669,7 @@ class TestFindSymmetryAxes:
         # each search polishes its seeds in at most one call of the
         # refiner: the circle, order-2 and order-3 seeds the screen puts in
         # reach together (none when no seed is), or the gradient seeds
+        # between the floor and the reach (none when no seed is)
         calls = []
         refine = cubics._refine_axes
 
@@ -681,16 +682,24 @@ class TestFindSymmetryAxes:
                    Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
         find_symmetry_axes(h)
         assert len(calls) == 1
+        # the screen leaves no gradient seed of this Z3 cubic, whose
+        # gradient vanishes nowhere, between the floor and the reach
         singular_directions(h)
-        assert len(calls) == 2
+        assert len(calls) == 1
         # classify decides from the one census of its single search, also
         # for cubics near a collapse line
         assert classify(h).type is ST.Z3
-        assert len(calls) == 3
+        assert len(calls) == 2
         near = rotate(n_family(1.0, 1.0 + 1e-7),
                       Rotation3.about_axis([1.0, 2.0, -1.0], 0.8))
         assert classify(near).type is ST.S3
-        assert len(calls) == 4
+        assert len(calls) == 3
+        rng = np.random.default_rng(41)
+        for g in [c[1] for c in CORPUS if c[2] is not ST.FULL] + [
+                random_cubic(rng) for _ in range(20)]:
+            before = len(calls)
+            singular_directions(g)
+            assert len(calls) - before <= 1
 
     def test_the_reach_changes_no_census(self, monkeypatch):
         # retiring the seeds beyond the reach before the first step keeps
@@ -833,6 +842,50 @@ class TestFindSymmetryAxes:
         assert np.array_equal(axes, cubics._transport_matrices(seed)[:, :, 2])
         assert final[0] == start[0]
         assert 0.4 < start[0] < 0.5
+
+    def test_exact_normal_forms_start_at_the_floor_and_stay(self):
+        # every axis of a Haar-rotated exact normal form, and every zero of
+        # its gradient, under its own mask, at scales 10^[-3, 3]: the
+        # functional of the unit-norm rows is rounding there (at most
+        # 1.7e-30 over 2000 rotations of each), at or below _REFINE_FLOOR,
+        # so the refiner hands every such seed back bit for bit with its
+        # starting functional.  The floor stays 16 decades below the
+        # acceptance level (TAU_AXIS * ||h||)^2
+        assert cubics._REFINE_FLOOR <= 1e-16 * cubics.TAU_AXIS ** 2
+        e = np.eye(3)
+        cond, grad = cubics._CONDITION_MASKS, cubics._GRADIENT
+        corners = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
+        tetra = np.c_[corners, np.ones(4)] / math.sqrt(3.0)
+        third = np.array([[math.cos(a), math.sin(a), 0.0]
+                          for a in (0.0, 2.0 * math.pi / 3.0,
+                                    4.0 * math.pi / 3.0)])
+        lines = np.array([[math.cos(a), math.sin(a), 0.0]
+                          for a in (math.pi / 12.0, 5.0 * math.pi / 12.0)])
+        forms = [  # (cubic, [(axes, mask)])
+            (P0, [(e[2:], cond[0])]),
+            (XYZ6, [(e, cond[1]), (tetra, cond[2]), (e, grad)]),
+            (CUBE3, [(third, cond[1]), (e[2:], cond[2]), (e[2:], grad)]),
+            (n_family(1.0, 2.0), [(e[2:], cond[1]), (lines, grad)]),
+            (m_family(1.0, 3.0), [(e[2:], cond[2])]),
+        ]
+        rng = np.random.default_rng(43)
+        units, seeds, masks = [], [], []
+        for h, axes in forms:
+            for _ in range(40):
+                R = random_rotation(rng)
+                g = rotate(h.scaled(rng.choice((1.0, -1.0))
+                                    * 10.0 ** rng.uniform(-3.0, 3.0)), R)
+                for ws, mask in axes:
+                    seeds += list(ws @ R.entries)  # R^T w: axes of h(R x)
+                    units += [g.coeffs / g.norm()] * len(ws)
+                    masks += [mask] * len(ws)
+        units, seeds, masks = map(np.array, (units, seeds, masks))
+        _, start = cubics._refine_axes(units, seeds, masks, -1.0)
+        assert start.max() <= cubics._REFINE_FLOOR
+        axes, final = cubics._refine_axes(units, seeds, masks, math.inf)
+        assert axes.tobytes() == cubics._transport_matrices(
+            seeds)[:, :, 2].tobytes()
+        assert final.tobytes() == start.tobytes()
 
     def test_census_logs_each_rejected_seed_at_debug(self, caplog):
         # 6xyz has cube axes only: its circle seeds all fail, and each
@@ -1275,7 +1328,72 @@ def dedupe_reference(axes, res):
 # singular_directions
 
 
+def singular_reference(h):
+    """singular_directions with every seed sent through the refiner."""
+    norm = h.norm()
+    t = h.tensor
+    seeds = cubics._singular_seeds(t)
+    n = len(seeds)
+    axes, _ = cubics._refine_axes(
+        (h.coeffs / norm)[None].repeat(n, 0), seeds,
+        cubics._GRADIENT[None].repeat(n, 0), cubics._reach(cubics._TAU_GRAD))
+    grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
+    res = np.sqrt((grads * grads).sum(1))
+    hit = (res <= cubics._TAU_GRAD * norm).nonzero()[0]
+    if not len(hit):
+        return []
+    kept, ws = cubics._dedupe(axes[hit], res[hit])
+    return list(ws[kept[:3]])
+
+
 class TestSingularDirections:
+    def test_screen_equals_refining_every_seed(self):
+        # the closed-form screen hands the refiner only the seeds between
+        # _REFINE_FLOOR and the reach; the others it would retire before
+        # their first step.  Bit for bit on the corpus, its Haar rotations
+        # and Gaussian cubics; near the collapse line n(1, 1 +- d) the
+        # counts agree, and a direction may move within the gradient
+        # tolerance (measured: at most 5e-12, and 4.3e-5 at d = 1e-9,
+        # where the two lines are 4.5e-5 apart and merge into one).  The
+        # rotated copies are scaled by 10^[-3, 3]
+        rng = np.random.default_rng(47)
+        hs = [h for _, h, kind, _, _ in CORPUS if kind is not ST.FULL]
+        hs += [rotate(h.scaled(10.0 ** rng.uniform(-3.0, 3.0)),
+                      random_rotation(rng)) for h in hs for _ in range(3)]
+        hs += [random_cubic(rng) for _ in range(300)]
+        for h in hs:
+            got, want = singular_directions(h), singular_reference(h)
+            assert len(got) == len(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        for k in range(4, 10):
+            for sign in (1.0, -1.0):
+                for _ in range(3):
+                    h = rotate(n_family(1.0, 1.0 + sign * 10.0 ** -k),
+                               random_rotation(rng))
+                    got, want = singular_directions(h), singular_reference(h)
+                    assert len(got) == len(want)
+                    for w in got:
+                        assert min(min(np.linalg.norm(w - v),
+                                       np.linalg.norm(w + v))
+                                   for v in want) < 1e-4
+
+    @pytest.mark.parametrize("h,count", [(CUBE3, 1), (XYZ6, 3), (P0, 0)],
+                             ids=["cube", "xyz", "axial"])
+    def test_exact_forms_take_no_refine(self, monkeypatch, h, count):
+        # their pencil and kernel seeds start at rounding or beyond the
+        # reach; the Circle's sextic is constant, and its three identical
+        # theta = 0 seeds start far from any gradient zero
+        calls = []
+        refine = cubics._refine_axes
+
+        def counted(*args):
+            calls.append(1)
+            return refine(*args)
+
+        monkeypatch.setattr(cubics, "_refine_axes", counted)
+        assert len(singular_directions(h)) == count
+        assert not calls
+
     def test_xyz_coordinate_axes(self):
         dirs = singular_directions(XYZ6)
         got = {tuple(np.round(w, 6)) for w in dirs}

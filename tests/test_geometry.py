@@ -809,6 +809,41 @@ class TestCodazziGauss:
             with pytest.raises(ValueError, match="step must be finite"):
                 geo.codazzi_gauss_residual(hl_cone(), (1.0, 0.7, 1.9), step)
 
+    @pytest.mark.parametrize("lam", [1.0, 700.0, 1200.0, 1500.0])
+    def test_frames_turning_past_60_degrees_raise_frame_alignment(self, lam):
+        # harvey_lawson_so3 under u -> c + diag(1, lam, lam)(u - c): one
+        # audit step turns the tangent 3-plane by lam times as much.  The
+        # audit aligns each neighbour's frame to u's by the polar factor of
+        # their (3, 3) product, whose singular values are the cosines of the
+        # principal angles between the two tangent planes, and fails below
+        # cos 60° = 0.5 (cosines 1, 0.77, 0.36 and 0.07 here).  A frame that
+        # only turns within one tangent plane, as on a flat 3-plane, aligns
+        # by a rotation and never fails.
+        patch = harvey_lawson_so3(1.0)
+        c = np.mean(patch.domain, axis=1)
+        d = np.array([1.0, lam, lam])
+        moved = geo.ImmersionPatch(
+            name="stretched", domain=patch.domain,
+            eval=lambda u: patch.eval(c + d * (u - c)),
+            jac=lambda u: patch.jac(c + d * (u - c)) * d,
+            hess=lambda u: patch.hess(c + d * (u - c)) * d[:, None] * d)
+        step = 1e-3
+        # the neighbours u ± step·e_a in the audit's order, +e_1 first
+        around = c + step * np.stack([np.eye(3), -np.eye(3)], 1).reshape(6, 3)
+        q = np.linalg.qr(moved.jac(np.vstack([c, around])))[0]
+        cosines = np.array([np.linalg.svd(qn.T @ q[0], compute_uv=False).min()
+                            for qn in q[1:]])
+        if cosines.min() < 0.5:
+            first = around[int(np.argmax(cosines < 0.5))]
+            with pytest.raises(geo.FrameAlignmentError,
+                               match="rotate too far") as exc:
+                geo.codazzi_gauss_residual(moved, c, step)
+            assert str(first) in str(exc.value)
+        else:
+            assert cosines.min() > 0.7
+            cod, gau = geo.codazzi_gauss_residual(moved, c, step)
+            assert math.isfinite(cod) and math.isfinite(gau)
+
     def test_cancellation_regime_raises(self):
         # at step 1e-10 (half step 5e-11) the Codazzi roundoff floor
         # eps·‖h‖·‖v‖/step is 9.4e-6, above 1e-6·‖h‖² = 6.8e-6; at 1e-9 the

@@ -1,5 +1,6 @@
 """Tests for the moving-frame integrator's helpers."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from slag3 import geometry, integrate
 from slag3.ambient import from_complex
 from slag3.cubics import StabilizerType
-from slag3.structure_laws import z2_auxiliary
+from slag3.structure_laws import Z2_STATE_NAMES, z2_auxiliary
 
 
 def test_renormalize_snaps_frame_to_unitary_and_reports_drift():
@@ -132,6 +133,23 @@ def test_z2_leaves_are_quadrics_in_fixed_three_planes(z2_run):
     assert type(plane) is float and type(quadric) is float
     assert plane < 1e-6
     assert quadric < 1e-8
+
+
+def test_path_independence_is_the_reported_loop_residual(z2_run):
+    fld, _, report = z2_run
+    assert integrate.path_independence(fld) == report.loop_residual
+
+
+@pytest.mark.parametrize("name", Z2_STATE_NAMES)
+def test_a_corrupted_stored_scalar_leaves_an_order_one_defect(z2_run, name):
+    # one stored scalar shifted by 0.5 at every node keeps its stencil
+    # derivatives but not the law they must equal: the defect is O(1)
+    # (1.1 to 6.5 over the six), against 2.2e-5 on the integrated field
+    fld, _, report = z2_run
+    data = fld.data.copy()
+    data[..., integrate._Q.start + Z2_STATE_NAMES.index(name)] += 0.5
+    defect = integrate.path_independence(dataclasses.replace(fld, data=data))
+    assert defect > 0.5 > 1e4 * report.loop_residual
 
 
 def test_rk4_convergence_exponent_is_fourth_order():
