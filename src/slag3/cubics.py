@@ -21,10 +21,10 @@ Conventions (load-bearing, used across the package):
   (tol * ||h||)^2.  Each seed's starting functional is screened in closed
   form (``_screen``), and only the seeds within reach of an acceptable
   axis, a starting functional of at most 100 * tol^(2/3) on the unit-norm
-  rows (``_reach``), go to the refiner and are polished.
-  ``singular_directions`` screens its gradient seeds the same way, from the
-  gradients at them, and refines only those above ``_REFINE_FLOOR``, the
-  rounding level of a functional on unit-norm rows, and within reach.
+  rows (``_reach``), go to the refiner and are polished.  The refiner
+  serves the axis search alone: ``singular_directions`` takes its
+  directions in closed form, from the simple roots of the derivative of a
+  discriminant sextic (``_singular_seeds``), and searches nothing.
 * Every pullback of a cubic by a rotation goes through ``_pullback``.
 * Every index table derives from ``_slot_permutations``: the orbits of its
   degree-3 table ``_SYM3`` give ``LEX_TRIPLES``, ``MULTIPLICITY`` and the
@@ -273,8 +273,8 @@ class Rotation3:
     @classmethod
     def about_axis(cls, axis, angle: float) -> "Rotation3":
         """Right-handed rotation through `angle` about the unit vector `axis`."""
-        a, n = _checked_axis(axis)
-        k = _cross_matrix(a / n)
+        _, a = _checked_axis(axis)
+        k = _cross_matrix(a / np.linalg.norm(a))
         m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
         return cls(m)
 
@@ -286,19 +286,25 @@ class Rotation3:
 
 
 def _checked_axis(w, unit=False):
-    """(w as a float array, its norm) for an axis argument w.  ValueError:
-    "zero-length axis" for a norm below 1e-12; then, with `unit`, "axis
-    must be a unit vector" for a norm off 1 by more than 1e-9, and else
-    "axis must be finite" for a non-finite norm (NaN fails both)."""
+    """(w as a float array, w scaled by the power of two that brings its
+    largest entry into [0.5, 1)) for an axis argument w.  The scaling is
+    exact, so the scaled row points along w bit for bit and squares without
+    overflow at any finite size.  ValueError: "axis must be a 3-vector" for
+    another shape, "zero-length axis" for a norm below 1e-12; then, with
+    `unit`, "axis must be a unit vector" for a norm off 1 by more than
+    1e-9, and else "axis must be finite" for a non-finite entry (NaN fails
+    both)."""
     w = np.asarray(w, dtype=float)
-    n = np.linalg.norm(w)
+    if w.shape != (3,):
+        raise ValueError("axis must be a 3-vector")
+    n = math.hypot(*w)  # inf past the float range, and no warning
     if n < 1e-12:
         raise ValueError("zero-length axis")
     if unit and not abs(n - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("axis must be a unit vector")
-    if not n < math.inf:  # NaN fails too
+    if not np.isfinite(w).all():
         raise ValueError("axis must be finite")
-    return w, n
+    return w, np.ldexp(w, -np.frexp(np.abs(w).max())[1])
 
 
 _EYE3 = np.eye(3)
@@ -509,7 +515,7 @@ def transport_rotation(w) -> Rotation3:
     Near the antipode the geodesic degenerates; there the transport is the
     fixed half-turn about x composed with the stable geodesic to -w.
     """
-    w, _ = _checked_axis(w)
+    _, w = _checked_axis(w)
     return Rotation3(_transport_matrices(w[None])[0])
 
 
@@ -570,7 +576,9 @@ _END_ROUNDING = 8.0 * np.finfo(float).eps  # see _sextic_roots
 
 def _sextic_roots(poly):
     """Roots (n, 6) of the sextics with descending coefficient rows poly
-    (n, 7), and the number (n,) of each row's roots at infinity.
+    (n, 7), and the number (n,) of each row's roots at infinity.  A
+    quintic passes padded with a leading zero, which counts as one root at
+    infinity.
 
     A leading or trailing coefficient of modulus at most _END_ROUNDING
     = 8 eps times the row's largest counts as zero, and the rule is applied
@@ -664,10 +672,8 @@ def _maxwell_directions(cs):
 
 
 # 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2, Re/Im c3)
-# selecting the components whose joint zeros a search looks for: the
-# gradient (c0, c1), and (rows of _CONDITION_MASKS) the circle, order-2 and
-# order-3 conditions
-_GRADIENT = np.array([1, 1, 1, 0, 0, 0, 0.0])
+# selecting the components whose joint zeros the axis search looks for:
+# (rows of _CONDITION_MASKS) the circle, order-2 and order-3 conditions
 _CONDITION_MASKS = np.array([[0, 1, 1, 1, 1, 1, 1],
                              [0, 1, 1, 0, 0, 1, 1],
                              [0, 1, 1, 1, 1, 0, 0.0]])
@@ -701,9 +707,6 @@ _SCREEN_PARTS = np.array([[0, 2.5, 0, 0], [0, -3.75, 3.75, 0],
 # the weights of the functional of each seed row: its condition's masked sum
 _SCREEN_COEF = (_CONDITION_MASKS[:, [0, 1, 3, 5]] @ _SCREEN_PARTS)[_SEED_KIND]
 _SCREEN_SLACK = 1e-6  # relative and absolute slack of the screen's cut
-# the weights of (1, A^2, |g|^2, ||M||^2) in the gradient's |c0|^2 + |c1|^2:
-# (0, -1.25, 3.75, 0), relative-accurate since A^2 <= |g|^2
-_GRADIENT_SCREEN = _GRADIENT[[0, 1, 3, 5]] @ _SCREEN_PARTS
 # the column of a weight row (1, A^2, |g|^2, ||M||^2) that weighs each of
 # the nine entries of M and the three of g
 _QUAD_COLS = np.repeat([3, 2], (9, 3))
@@ -769,9 +772,9 @@ _REFINE_ITERS = 60
 # equations' entries j1.j1, j1.j2, j2.j2, j1.f, j2.f
 _GN_LEFT, _GN_RIGHT = np.array([1, 1, 2, 1, 2]), np.array([1, 2, 2, 0, 0])
 # a seed retires at this functional of a unit cubic: the rounding level
-# _functional reaches there, at most 1.7e-30 at the exact axes and gradient
-# zeros of Haar-rotated normal forms of every type (2000 rotations each,
-# scales 10^[-3, 3]), and 16 decades below the acceptance level
+# _functional reaches there, at most 1.7e-30 at the exact axes of
+# Haar-rotated normal forms of every type (2000 rotations each, scales
+# 10^[-3, 3]), and 16 decades below the acceptance level
 # (TAU_AXIS * ||h||)^2.  At 1e-30 some 7000 seeds of the seed-1 classify and
 # sweep pools started above it and took a Gauss-Newton iteration to retire,
 # none of them moving; at 1e-27 three seed-2 Z2 fits changed
@@ -781,6 +784,8 @@ _REFINE_FLOOR = 1e-28
 def _reach(tol):
     """Largest starting functional (unit-norm rows) of a seed that can reach
     an axis accepted at `tol`: 100 * tol^(2/3), 1 (no pruning) at 1e-3.
+    The axis search's cut, its only use: singular directions come in closed
+    form and are not refined.
 
     Within tol * ||h|| of Circle the triple Maxwell root splits by about
     tol^(1/3) rad, so the best seed of the axis starts at a functional near
@@ -811,10 +816,9 @@ def _refine_axes(units, seeds, mask, reach):
     (n, 10) and retires once its functional is at most _REFINE_FLOOR
     (rounding on unit rows), so the search is scale-free and the seeds of
     many cubics march together, each with the arithmetic it has alone; a
-    seed starting at or below the floor comes back bit for bit.  The axis
-    search passes only the seeds its closed-form screen (_screen) puts in
-    reach, and singular_directions only those its gradient screen puts
-    between the floor and the reach.  A seed starting
+    seed starting at or below the floor comes back bit for bit.  Its one
+    caller is the axis search (_symmetry_axes), which passes only the seeds
+    its closed-form screen (_screen) puts in reach.  A seed starting
     above `reach` (_reach: an acceptable axis has a seed within about
     tol^(2/3)) retires before the first step with its starting functional,
     which the census rejects.  Each seed carries its own chart, recentred
@@ -957,10 +961,11 @@ _TRACELESS = np.array([
 _PENCIL_COS = np.cos(np.arange(7) * math.pi / 7.0)[:, None, None]
 _PENCIL_SIN = np.sin(np.arange(7) * math.pi / 7.0)[:, None, None]
 _HARMONICS = np.array([3, 2, 1, 0, 6, 5, 4])
+_DERIVATIVE = np.arange(6.0, 0.0, -1.0)  # d/dzeta of descending powers 6..1
 
 
 def _singular_seeds(t):
-    """At most seven seed directions (n, 3) for the gradient zeros of the
+    """At most six seed directions (n, 3) for the gradient zeros of the
     cubic with full tensor t.
 
     The slices A_p = t[p] are traceless, so grad h(w)_p = 3 tr(A_p w w^T)
@@ -968,14 +973,22 @@ def _singular_seeds(t):
     is a cone, that orthogonal complement among the traceless symmetric
     matrices is a pencil Y(theta), and its members of the form
     a (w w^T - I/3) are those with a repeated eigenvalue: the zeros of the
-    binary sextic tr(Y^2)^3 - 54 det(Y)^2 in (cos theta, sin theta).  Seven
-    samples give the sextic's harmonics exp(2ik theta), |k| <= 3, exactly;
-    its roots in exp(2i theta) are _sextic_roots' of the harmonics, those
-    at infinity dropped, and each yields the eigenvector of the simple
-    (largest in modulus) eigenvalue of Y.  A cone cubic adds the kernel of
-    c -> t(c, ., .).  An exact cone (sigma_3 <= _CONE_SIGMA * sigma_1) is a
-    harmonic binary cubic in the plane orthogonal to that kernel, whose
-    gradient vanishes only on the kernel, so its vertex is returned alone.
+    binary sextic p = tr(Y^2)^3 - 54 det(Y)^2 in (cos theta, sin theta).
+    Seven samples give p's harmonics exp(2ik theta), |k| <= 3, exactly, and
+    read in zeta = exp(2i theta) they are the descending coefficients
+    c_0 .. c_6 of a polynomial in zeta.  p is twice the discriminant of Y's
+    characteristic cubic, so p >= 0 for every real theta, and each gradient
+    zero is a double root of p: a companion matrix splits it by about
+    sqrt(eps), while it is a simple root of p', which gives it to rounding.
+    So the seeds are at the roots of p', the row
+    (0, 6 c_0, 5 c_1, .., c_5), taken by _sextic_roots, those at infinity
+    dropped; each yields the eigenvector of the simple (largest in modulus)
+    eigenvalue of Y.  A root of p' that is no root of p yields a seed whose
+    gradient does not vanish, which singular_directions drops.  A cone
+    cubic adds the kernel of c -> t(c, ., .).  An exact cone
+    (sigma_3 <= _CONE_SIGMA * sigma_1) is a harmonic binary cubic in the
+    plane orthogonal to that kernel, whose gradient vanishes only on the
+    kernel, so its vertex is returned alone.
     """
     u, sv, vh = np.linalg.svd(t.reshape(3, 9) @ _TRACELESS.T)
     if sv[2] <= _CONE_SIGMA * sv[0]:
@@ -984,7 +997,8 @@ def _singular_seeds(t):
     ys = _PENCIL_COS * y1 + _PENCIL_SIN * y2
     disc = ((ys @ ys).trace(axis1=1, axis2=2) ** 3
             - 54.0 * np.linalg.det(ys) ** 2)
-    roots, poles = _sextic_roots(np.fft.fft(disc)[None, _HARMONICS])
+    c = np.fft.fft(disc)[_HARMONICS]
+    roots, poles = _sextic_roots(np.r_[0.0, _DERIVATIVE * c[:6]][None])
     roots = roots[0, :6 - poles[0]]
     theta = np.arctan2(roots.imag, roots.real) / 2.0  # as np.angle
     vals, vecs = np.linalg.eigh(np.cos(theta)[:, None, None] * y1
@@ -1263,49 +1277,21 @@ def singular_directions(h: HarmonicCubic):
 
     Returns at most three unit vectors w (each signed so that its first
     coordinate above 1e-8 in modulus is positive, as _dedupe does) with
-    ||grad h(w)|| <= 1e-6 * ||h||.  The seeds are algebraic (see
-    _singular_seeds): the members with a repeated eigenvalue of the pencil
-    orthogonal to the cubic's traceless slices, at the roots of a binary
-    sextic, plus the kernel direction of a cone.  The sextic's roots come
-    from the same companion-matrix solve as the Maxwell directions'
-    (_sextic_roots).
-
-    The gradient vanishes at w exactly when the components c0 and c1 about
-    w do, and the lockstep axis refiner polishes those zeros.  The seeds
-    are screened first, from the gradients at them, which the answer needs
-    anyway: each seed w, normalized as _transport_matrices normalizes it,
-    starts at |c0|^2 + |c1|^2 = 3.75 |g|^2 - 1.25 A^2 on the unit-norm
-    cubic, g = grad h(w) / (3 ||h||) and A = g.w (_GRADIENT_SCREEN), which
-    is relative-accurate since A^2 <= |g|^2.  Only the seeds above
-    _REFINE_FLOOR and within _reach(1e-6) = 1e-2 go to the refiner, and the
-    gradients are taken again only at the seeds it had; the others are the
-    seeds that it would retire before their first step, so the answer is
-    that of refining every seed.  The pencil seeds are nearly exact
-    (every direction of 3455 cubics had one starting at most 2.3e-13), so
-    on the seed-1 to seed-8 `singular` benchmark pools 0.16 refiner calls
-    run per call, and none on an exact Circle, S3 or A4 normal form.  A zero
-    or overflowing norm raises ValueError.
+    ||grad h(w)|| <= 1e-6 * ||h||.  The candidates are algebraic and need
+    no search (see _singular_seeds): the members with a repeated eigenvalue
+    of the pencil orthogonal to the cubic's traceless slices, at the simple
+    roots of the derivative of a binary sextic, plus the kernel direction
+    of a cone.  The roots come from the same companion-matrix solve as the
+    Maxwell directions' (_sextic_roots).  The gradient is taken once at
+    every candidate, the candidates within the tolerance are kept, and
+    those within _MERGE_ANGLE of each other are one (_dedupe).  A zero or
+    overflowing norm raises ValueError.
     """
     norm = _checked_norm(h)
     t = h.tensor
-    seeds = _singular_seeds(t)
-    axes = seeds / np.sqrt((seeds * seeds).sum(1, keepdims=True))
+    axes = _singular_seeds(t)
     grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes, axes)
-    sq = (grads * grads).sum(1)
-    a = (grads * axes).sum(1)
-    k = 1.0 / (3.0 * norm)  # g = k grad h(w) on the unit-norm cubic
-    start = (_GRADIENT_SCREEN[2] * sq
-             + _GRADIENT_SCREEN[1] * (a * a)) * (k * k)
-    reach = _reach(_TAU_GRAD)
-    live = ((start > _REFINE_FLOOR) & (start <= reach)).nonzero()[0]
-    if len(live):
-        n = len(live)
-        axes[live], _ = _refine_axes((h.coeffs / norm)[None].repeat(n, 0),
-                                     seeds[live], _GRADIENT[None].repeat(n, 0),
-                                     reach)
-        grads = 3.0 * np.einsum("pjk,nj,nk->np", t, axes[live], axes[live])
-        sq[live] = (grads * grads).sum(1)
-    res = np.sqrt(sq)  # as np.linalg.norm
+    res = np.sqrt((grads * grads).sum(1))  # as np.linalg.norm
     hit = (res <= _TAU_GRAD * norm).nonzero()[0]
     if not len(hit):
         return []
