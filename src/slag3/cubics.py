@@ -15,6 +15,13 @@ Conventions (load-bearing, used across the package):
   ``c0`` (axial), ``c1, c2, c3`` (complex); the complex structure is chosen
   so that pulling back by a rotation through ``alpha`` about ``w``
   multiplies ``c_k`` by ``exp(i k alpha)``.
+* ``classify`` decides a cubic in closed form where it can (``_certify``):
+  every symmetry axis is an eigenvector of M_pq = h_ijp h_ijq, and Circle,
+  S3, Z3 and Z2 are read off the components about M's well-separated
+  eigenvectors.  Only the cubics it declines reach the axis search: A4
+  (M = I / 3), Trivial, a cubic whose M has eigenvalues too close to read
+  the axes the decision needs, and one whose forbidden components lie in
+  the band around tol.  ``find_symmetry_axes`` always searches.
 * The axis search normalizes each cubic once and runs on its unit-norm
   rows, so its arithmetic does not depend on the cubic's scale; the
   residuals it reports in ``SymmetryAxes`` are scaled back, in the units of
@@ -86,8 +93,9 @@ _NON_FINITE = "non-finite cubic coefficients"
 _TRACEFUL = ("coefficients violate the trace condition; route raw tensors "
              "through project_traceless")
 
-# cumulative wall seconds of classify's two stages, read by geometry.sweep
-_SECONDS = {"axis_search": 0.0, "fit": 0.0}
+# cumulative wall seconds of classify's two stages and counts of the cubics
+# its certificate decided and searched, read by geometry.sweep
+_STATS = {"axis_search_s": 0.0, "fit_s": 0.0, "certified": 0, "searched": 0}
 
 
 def _slot_permutations(k):
@@ -887,6 +895,14 @@ def _refine_axes(units, seeds, mask, reach):
 _LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
 
 
+def _signed(axes):
+    """The axes (n, 3), each signed so that its first coordinate above 1e-8
+    in modulus is positive."""
+    # the sign of the first coordinate above 1e-8 outweighs the other two
+    lead = (np.sign(axes) * (np.abs(axes) > 1e-8)) @ _LEAD_WEIGHTS
+    return np.where(lead[:, None] < 0, -axes, axes)
+
+
 def _near(a, pick=slice(None)):
     """Whether the lines spanned by the axes a (..., m, 3) and by the axes
     b = a[..., pick, :] (..., p, 3) are within _MERGE_ANGLE, (..., m, p),
@@ -917,9 +933,7 @@ def _dedupe(axes, res, groups=None):
     n = len(axes)
     if not n:
         return np.zeros(0, dtype=int), axes
-    # the sign of the first coordinate above 1e-8 outweighs the other two
-    lead = (np.sign(axes) * (np.abs(axes) > 1e-8)) @ _LEAD_WEIGHTS
-    axes = np.where(lead[:, None] < 0, -axes, axes)
+    axes = _signed(axes)
     if groups is None:  # one group: its axes by residual fill every slot
         order = res.argsort(kind="stable")
         held, valid, place = axes[order][None], True, 0
@@ -1045,6 +1059,11 @@ def _census(sq, tol, seeds, kind, owner, axes, final):
                          circle=tuple(c)) for c, o2, o3 in found]
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _symmetry_axes(cs, sq, tol):
     """SymmetryAxes of each nonzero cubic with coefficient rows cs (n, 10)
     and squared norms sq (n,).
@@ -1062,8 +1081,7 @@ def _symmetry_axes(cs, sq, tol):
     ||h||^2 before the census, so the census and the residuals it reports
     keep the cubic's own units.
     """
-    if not 0.0 < tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     out = []
     reach = _reach(tol)
     cut = reach * (1.0 + _SCREEN_SLACK) + _SCREEN_SLACK
@@ -1178,35 +1196,50 @@ def _fit(tag, cs, frames):
     return frames, r, s, np.sqrt(_rowdot(MULTIPLICITY * d, d))
 
 
-def _classify_axes(cs, found):
-    """NormalFormResult of each nonzero cubic, with coefficient rows cs
-    (n, 10), from its axis census found[i], or in its place the ValueError
-    of its fit (a CensusError when the census matches no stabilizer
-    pattern).  The type is Circle at a circle axis, else _CENSUS's entry;
-    a fit is about the first axis of the list its phase order k names.  The
-    cubics of one type are fitted together, their rotations checked once."""
-    out = [None] * len(found)
-    plans = {}  # type -> cubic indices
-    for i, axes in enumerate(found):
+def _census_plans(found):
+    """(type, fit axis) of each cubic from its axis census found[i], or
+    (CensusError, None) when the census matches no stabilizer pattern.  The
+    type is Circle at a circle axis, else _CENSUS's entry; the fit axis is
+    the first of the list its phase order k names (None for Trivial)."""
+    plans = []
+    for axes in found:
         n2, n3 = len(axes.order2), len(axes.order3)
         tag = (StabilizerType.CIRCLE if axes.circle
                else _CENSUS.get((n2, n3)))
         if tag is None:
-            out[i] = CensusError(
+            plans.append((CensusError(
                 f"axis census ({n2} order-2, {n3} order-3) matches no "
                 f"stabilizer pattern",
                 census={"order2": axes.order2, "order3": axes.order3,
-                        "circle": axes.circle})
+                        "circle": axes.circle}), None))
+        elif tag is StabilizerType.TRIVIAL:
+            plans.append((tag, None))
         else:
-            plans.setdefault(tag, []).append(i)
-    for tag, idx in plans.items():
+            about = _AXIS_LISTS[_FITS[tag][1]]
+            plans.append((tag, getattr(axes, about)[0][0]))
+    return plans
+
+
+def _normal_forms(cs, plans):
+    """NormalFormResult of each nonzero cubic, with coefficient rows cs
+    (n, 10), from its plan (type, unit axis of the type's list
+    _AXIS_LISTS[k]), or in its place the plan's CensusError or the
+    ValueError of its fit.  The cubics of one type are fitted together
+    (_fit), their rotations checked once."""
+    out = [None] * len(plans)
+    groups = {}  # type -> cubic indices
+    for i, (tag, _) in enumerate(plans):
+        if isinstance(tag, ValueError):
+            out[i] = tag
+        else:
+            groups.setdefault(tag, []).append(i)
+    for tag, idx in groups.items():
         if tag is StabilizerType.TRIVIAL:
             zero = np.zeros(len(idx))
             fit = _EYE3[None].repeat(len(idx), 0), zero, zero, zero
         else:
-            about = _AXIS_LISTS[_FITS[tag][1]]
             fit = _fit(tag, cs[idx], _transport_matrices(
-                [getattr(found[i], about)[0][0] for i in idx]))
+                [plans[i][1] for i in idx]))
         collapse = _COLLAPSE.get(tag)
         for i, m, fail, r, s, res in zip(idx, fit[0], _rotation_errors(fit[0]),
                                          *(a.tolist() for a in fit[1:])):
@@ -1221,20 +1254,118 @@ def _classify_axes(cs, found):
     return out
 
 
+# ---------------------------------------------------------------------------
+# closed-form certificate: the symmetric strata from the eigenframe of M
+
+# A rotation fixing h fixes M_pq = h_ijp h_ijq, so every symmetry axis is an
+# eigenvector of M, and a stable one where its eigenvalue is simple.  The
+# strata the certificate reads, with the components each forbids about its
+# axis as 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2,
+# Re/Im c3).
+_STRATA = (StabilizerType.CIRCLE, StabilizerType.S3, StabilizerType.Z3,
+           StabilizerType.Z2, StabilizerType.A4)
+_CIRCLE, _S3, _Z3, _Z2, _A4 = range(5)
+_AXIAL = np.eye(7)[0]
+_FORBIDDEN = np.stack([_CONDITION_MASKS[0], _CONDITION_MASKS[2] + _AXIAL,
+                       _CONDITION_MASKS[2], _CONDITION_MASKS[1],
+                       _CONDITION_MASKS[1] + _AXIAL])
+# _BASIS7 components about the coordinate axes x, y, z, stacked (21, 10):
+# about axis a, those about z of the pullback by the cyclic turn that
+# carries z to axis a
+_AXIS_TABLE = np.concatenate([
+    _BASIS7 @ _pullback(np.eye(10), np.roll(_EYE3, a + 1, axis=0)).T
+    for a in range(3)])
+# An eigenvector is trusted when its eigenvalue is at least _GAP from the
+# other two (tr M = 1 on unit rows).  A functional f (unit rows) is a clear
+# pass at f <= tol^2 / _MARGIN and a clear fail at f >= _MARGIN * tol^2.
+# Within tol of h, M moves by at most 2 tol + tol^2 (spectral norm), so a
+# symmetry axis within tol lies within about 2 tol / _GAP rad of a trusted
+# eigenvector; the components of a unit cubic change by at most 3 per rad,
+# so its functional there is at most (tol (1 + 6 / _GAP))^2 = (61 tol)^2,
+# below the clear fail (100 tol)^2.  And a cubic within tol of A4
+# (M = I / 3) has no eigenvalue gap above 4 tol + 2 tol^2, under _GAP for
+# every tol the certificate runs at (_MARGIN tol^2 < 1, tol < 0.01).
+_GAP = 0.1
+_MARGIN = 1e4
+
+
+def _certify(units, tol):
+    """(index into _STRATA (n,), -1 where the certificate declines; the
+    unit fit axis (n, 3), signed as _dedupe signs) of the cubics with
+    unit-norm coefficient rows units (n, 10), in closed form.
+
+    One eigh of M per cubic gives the eigenframe E; the _BASIS7 components
+    of the pullback h(E x) about the coordinate axes (_AXIS_TABLE) are
+    those of h about the eigenvectors (E and -E give negated pullbacks, so
+    the squares do not depend on E's orientation), and their squares summed
+    under _FORBIDDEN give each stratum's functional about each eigenvector.
+    Only trusted eigenvectors are read, and the most symmetric stratum is
+    decided first:
+
+    * Circle: a clear pass;
+    * S3: a clear pass, Circle a clear fail about every trusted eigenvector;
+    * Z3: a clear pass, with S3, Circle and Z2 a clear fail about every
+      trusted eigenvector (an order-2 axis in the eigenplane orthogonal to
+      the Z3 axis would need |c0| small, which S3's clear fail excludes);
+    * Z2: all three eigenvectors trusted, exactly one clear pass, the other
+      two a clear fail, Z3 a clear fail about all three and A4 a clear fail
+      about the passing one.
+
+    Anything else (A4 and Trivial, an untrusted eigenvector the rule needs,
+    a functional between the two margins) is declined, and so is every
+    cubic when _MARGIN tol^2 >= 1, where no functional can fail clearly.
+    Every step is a row-wise array operation (the products as one small
+    matrix product per cubic), so each row's answer is that of its cubic
+    alone."""
+    n = len(units)
+    a = _full(units).reshape(n, 9, 3)
+    vals, vecs = np.linalg.eigh(np.matmul(a.transpose(0, 2, 1), a))
+    apart = vals[:, 1:] - vals[:, :-1] >= _GAP  # (n, 2): l1 - l0, l2 - l1
+    if _MARGIN * tol * tol >= 1.0 or not apart.any():  # nothing to decide
+        return np.full(n, -1), vecs[:, :, 0]
+    comps = np.matmul(_AXIS_TABLE, _pullback(units, vecs)[:, :, None])
+    # (n, eigenvector, stratum), one (3, 7) @ (7, 5) product per cubic
+    f = np.matmul((comps * comps).reshape(n, 3, 7), _FORBIDDEN.T)
+    trusted = (apart[:, [0, 0, 1]] & apart[:, [0, 1, 1]])[:, :, None]
+    clear = trusted & (f <= tol * tol / _MARGIN)
+    if not clear.any():  # every rule below needs a clear pass
+        return np.full(n, -1), vecs[:, :, 0]
+    fail = ~trusted | (f >= _MARGIN * tol * tol)  # what is not read fails
+    some, out = clear.any(1), fail.all(1)  # (n, stratum)
+    z2 = clear[:, :, _Z2]
+    rule = np.stack([
+        some[:, _CIRCLE],
+        out[:, _CIRCLE] & some[:, _S3],
+        out[:, _S3] & out[:, _Z2] & some[:, _Z3],  # Z2 out: Circle out
+        out[:, _Z3] & apart.all(1) & (z2.sum(1) == 1)  # Z3 out: S3 out
+        & (z2 | fail[:, :, _Z2]).all(1) & (z2 & fail[:, :, _A4]).any(1)],
+        axis=1)
+    kind = np.where(rule.any(1), rule.argmax(1), -1)
+    k = clear[np.arange(n), :, np.maximum(kind, 0)].argmax(1)
+    return kind, _signed(vecs[np.arange(n), :, k])
+
+
 def classify(h, tol: float = TAU_AXIS):
     """Stabilizer type and normal form of a cubic under rotations.
 
-    Decision tree: zero norm -> Full; a circle axis -> Circle; otherwise the
-    census of order-2/order-3 axes selects the type from one table (3+4 ->
-    A4, 3+1 -> S3, 0+1 -> Z3, 1+0 -> Z2, none -> Trivial).  The type's
-    phase order k names the axis its normal form is about: the circle axis
-    (k = 0), an order-2 (k = 2: Z2, A4) or an order-3 axis (k = 3: S3, Z3).
-    `tol` is the one symmetry tolerance: an axis counts when its components
-    that the symmetry forbids have norm at most tol * ||h||, so a cubic
-    within that distance of a collapse line (Z2 with s = r, Z3 with
-    s = r*sqrt(2)) has the larger census of S3 / A4 and is classified so.
-    Z2 and Z3 fits report their distance to the collapse line.  A tol that
-    is not finite and positive raises ValueError, for a sequence too.
+    Decision path: zero norm -> Full; then the closed-form certificate
+    (_certify), which reads the eigenframe of M_pq = h_ijp h_ijq and
+    decides Circle, S3, Z3 or Z2 about an eigenvector where the forbidden
+    components are clearly zero there and every competing stratum clearly
+    absent; every other cubic (A4, Trivial, a near-degenerate M, the band
+    around tol) goes to the axis search, where a circle axis -> Circle and
+    otherwise the census of order-2/order-3 axes selects the type from one
+    table (3+4 -> A4, 3+1 -> S3, 0+1 -> Z3, 1+0 -> Z2, none -> Trivial).
+    Where the certificate decides, the search would give the same type.
+    The type's phase order k names the axis its normal form is about: the
+    circle axis (k = 0), an order-2 (k = 2: Z2, A4) or an order-3 axis
+    (k = 3: S3, Z3).  `tol` is the one symmetry tolerance: an axis counts
+    when its components that the symmetry forbids have norm at most
+    tol * ||h||, so a cubic within that distance of a collapse line (Z2
+    with s = r, Z3 with s = r*sqrt(2)) has the larger census of S3 / A4 and
+    is classified so.  Z2 and Z3 fits report their distance to the collapse
+    line.  A tol that is not finite and positive raises ValueError, for a
+    sequence too.
 
     `h` is one HarmonicCubic or a sequence of them.  A sequence gives a
     list, one entry per cubic, equal to classify on that cubic alone: its
@@ -1242,11 +1373,13 @@ def classify(h, tol: float = TAU_AXIS):
     the census matches no stabilizer pattern), returned in its place so that
     one failed census leaves the other cubics classified; a cubic whose
     squared norm overflows gets a ValueError.  Every step runs on arrays:
-    the axis search in chunks of up to _AXIS_CHUNK cubics (see
-    _symmetry_axes), then the normal-form fit once per stabilizer type over
-    all cubics of that type, with one check of their rotations.  A single
-    cubic is a chunk of one.
+    the certificate over all cubics at once, the axis search of the cubics
+    it declines in chunks of up to _AXIS_CHUNK cubics (see _symmetry_axes),
+    then the normal-form fit once per stabilizer type over all cubics of
+    that type, with one check of their rotations.  A single cubic is a
+    chunk of one.
     """
+    _check_tol(tol)
     hs = [h] if isinstance(h, HarmonicCubic) else list(h)
     cs = np.array([g.coeffs for g in hs]).reshape(-1, 10)
     with np.errstate(over="ignore"):  # an overflowing cubic is reported
@@ -1257,14 +1390,23 @@ def classify(h, tol: float = TAU_AXIS):
            else None if norm > TAU_ZERO else NormalFormResult(
                StabilizerType.FULL, Rotation3.identity(), 0.0, 0.0, norm)
            for norm in norms.tolist()]
-    cs = cs[live]
+    cs, sq = cs[live], sq[live]
     t0 = time.perf_counter()
-    found = _symmetry_axes(cs, sq[live], tol)
+    kind, axes = _certify(cs / np.sqrt(sq)[:, None], tol)
+    plans = [(_STRATA[k], w) if k >= 0 else None
+             for k, w in zip(kind.tolist(), axes)]
+    open_ = (kind < 0).nonzero()[0]
+    if len(open_):
+        for i, plan in zip(open_, _census_plans(
+                _symmetry_axes(cs[open_], sq[open_], tol))):
+            plans[i] = plan
     t1 = time.perf_counter()
-    for i, fit in zip(live, _classify_axes(cs, found)):
+    for i, fit in zip(live, _normal_forms(cs, plans)):
         out[i] = fit
-    _SECONDS["axis_search"] += t1 - t0
-    _SECONDS["fit"] += time.perf_counter() - t1
+    _STATS["axis_search_s"] += t1 - t0
+    _STATS["fit_s"] += time.perf_counter() - t1
+    _STATS["searched"] += len(open_)
+    _STATS["certified"] += len(cs) - len(open_)
     if isinstance(h, HarmonicCubic):
         if isinstance(out[0], ValueError):
             raise out[0]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ambient import apply_j, upsilon0
 from .cubics import (
-    _SECONDS as _CLASSIFY_SECONDS,
+    _STATS as _CLASSIFY_STATS,
     _SYM3,
     HarmonicCubic,
     NormalFormResult,
@@ -545,25 +545,29 @@ def sweep(patch: ImmersionPatch, counts):
 
     Nodes where a precondition fails (rank, Lagrangian residual, trace
     residual, classification census) carry the error message instead of data.
-    The whole node stack goes to one `point_report` call, so the axis
-    searches of the node cubics run in chunks of up to
+    The whole node stack goes to one `point_report` call, so the node
+    cubics share one `classify` call: its closed-form certificate over all
+    of them, and the axis search of those it declines in chunks of up to
     `slag3.cubics._AXIS_CHUNK` cubics.  Each call emits one DEBUG record
     through the module logger, whose ``sweep`` attribute holds the node
     count, the seconds spent in derivatives and cubics (the rest of the
-    call), in the axis search and in the normal-form fit, and the error
-    counts by class.
+    call), in the certificate and axis search and in the normal-form fit,
+    the counts of node cubics the certificate decided and searched, and the
+    error counts by class.
     """
     nodes = np.array(list(itertools.product(*grid_axes(patch.domain, counts))),
                      dtype=float).reshape(-1, 3)
-    before = dict(_CLASSIFY_SECONDS)
+    before = dict(_CLASSIFY_STATS)
     t0 = time.perf_counter()
     reports = point_report(patch, nodes)
     total = time.perf_counter() - t0
     if log.isEnabledFor(logging.DEBUG):
-        search, fit = (_CLASSIFY_SECONDS[k] - before[k]
-                       for k in ("axis_search", "fit"))
+        search, fit, certified, searched = (
+            _CLASSIFY_STATS[k] - before[k]
+            for k in ("axis_search_s", "fit_s", "certified", "searched"))
         stats = {"nodes": len(nodes), "derivatives_s": total - search - fit,
                  "axis_search_s": search, "fit_s": fit,
+                 "certified": certified, "searched": searched,
                  "errors": dict(collections.Counter(
                      r.error.split(":", 1)[0] for r in reports if r.error))}
         log.debug("sweep of %s: %s", patch.name, stats,

@@ -413,9 +413,17 @@ class TestBatchSweep:
     def test_a_failing_node_leaves_the_others_classified(self, monkeypatch):
         patch = hl_cone()
         good = geo.sweep(patch, (2, 2, 2))
-        broken = rank_deficient_at(patch, good[1].u)
+        # a hessian 1e-7 off at node 5 puts its cubic in the certificate's
+        # band, so that node alone reaches the axis search, which finds S3
+        shaken = corrupted_at(patch, good[5].u, lambda t: t * (
+            1.0 + 1e-7 * np.arange(t.shape[-1])), name="hess")
+        before = dict(cubics._STATS)
+        assert geo.sweep(shaken, (2, 2, 2))[5].nf.type is StabilizerType.S3
+        assert [cubics._STATS[k] - before[k]
+                for k in ("certified", "searched")] == [7, 1]
+        broken = rank_deficient_at(shaken, good[1].u)
         real = cubics._symmetry_axes
-        census_cubic = good[5].cubic.coeffs
+        census_cubic = geo.point_report(shaken, good[5].u).cubic.coeffs
 
         def census_fails_at_node_5(cs, sq, tol):
             # two order-2 axes alone match no stabilizer pattern
@@ -536,6 +544,23 @@ class TestBatchSweep:
                 assert stats[key] >= 0.0
         assert cone["axis_search_s"] > 0.0
         assert "hl_cone" in records[0].getMessage()
+        # every node cubic of the cone is decided in closed form; the graph
+        # has none to classify
+        assert (cone["certified"], cone["searched"]) == (4, 0)
+        assert (graph["certified"], graph["searched"]) == (0, 0)
+
+    def test_sweep_record_counts_the_nodes_searched(self, caplog):
+        # a hessian 1e-7 off at one node puts its cubic in the certificate's
+        # band: that node goes to the axis search
+        patch = hl_cone()
+        nodes = geo.sweep(patch, (2, 1, 2))
+        shaken = corrupted_at(patch, nodes[2].u, lambda t: t * (
+            1.0 + 1e-7 * np.arange(t.shape[-1])), name="hess")
+        with caplog.at_level(logging.DEBUG, logger="slag3.geometry"):
+            reports = geo.sweep(shaken, (2, 1, 2))
+        (record,) = [r for r in caplog.records if r.name == "slag3.geometry"]
+        assert (record.sweep["certified"], record.sweep["searched"]) == (3, 1)
+        assert all(r.nf.type is StabilizerType.S3 for r in reports)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
