@@ -17,11 +17,13 @@ Conventions (load-bearing, used across the package):
   multiplies ``c_k`` by ``exp(i k alpha)``.
 * ``classify`` decides a cubic in closed form where it can (``_certify``):
   every symmetry axis is an eigenvector of M_pq = h_ijp h_ijq, and Circle,
-  S3, Z3 and Z2 are read off the components about M's well-separated
-  eigenvectors.  Only the cubics it declines reach the axis search: A4
-  (M = I / 3), Trivial, a cubic whose M has eigenvalues too close to read
-  the axes the decision needs, and one whose forbidden components lie in
-  the band around tol.  ``find_symmetry_axes`` always searches.
+  S3, Z3, Z2 and Trivial are read off the components about M's
+  well-separated eigenvectors.  A4 has M = I / 3, so its axes are read off
+  the fourth-order operator X -> sum_m H_m X H_m, H_m = h(., ., e_m),
+  instead.  Only the cubics it declines reach the axis search: a cubic
+  whose M has eigenvalues too close to read the axes the decision needs,
+  and one whose forbidden components lie in the band around tol.
+  ``find_symmetry_axes`` always searches.
 * The axis search normalizes each cubic once and runs on its unit-norm
   rows, so its arithmetic does not depend on the cubic's scale; the
   residuals it reports in ``SymmetryAxes`` are scaled back, in the units of
@@ -959,9 +961,16 @@ def _dedupe(axes, res, groups=None):
             break
         keep = nxt
     kept = order[keep[place]]
-    x, y, z = axes[kept].round(9).T
-    keys = (z, y, x) if groups is None else (z, y, x, groups[kept])
-    return kept[np.lexsort(keys)], axes
+    return kept[_listing(axes[kept], None if groups is None
+                         else groups[kept])], axes
+
+
+def _listing(axes, groups=None):
+    """The order (n,) in which the census lists the signed axes (n, 3): by
+    group (n,) when given, then by the coordinates rounded to 9 digits, x
+    first; a stable sort, so ties keep their input order."""
+    x, y, z = axes.round(9).T
+    return np.lexsort((z, y, x) if groups is None else (z, y, x, groups))
 
 
 # orthonormal basis (5, 9) of the traceless symmetric 3x3 matrices
@@ -1255,16 +1264,16 @@ def _normal_forms(cs, plans):
 
 
 # ---------------------------------------------------------------------------
-# closed-form certificate: the symmetric strata from the eigenframe of M
+# closed-form certificate: the strata from the eigenframe of M, A4 from Psi
 
 # A rotation fixing h fixes M_pq = h_ijp h_ijq, so every symmetry axis is an
 # eigenvector of M, and a stable one where its eigenvalue is simple.  The
-# strata the certificate reads, with the components each forbids about its
-# axis as 0/1 masks over the rows of _BASIS7 (c0, Re/Im c1, Re/Im c2,
-# Re/Im c3).
+# strata the certificate decides; the first five with the components each
+# forbids about its axis as 0/1 masks over the rows of _BASIS7 (c0, Re/Im
+# c1, Re/Im c2, Re/Im c3).
 _STRATA = (StabilizerType.CIRCLE, StabilizerType.S3, StabilizerType.Z3,
-           StabilizerType.Z2, StabilizerType.A4)
-_CIRCLE, _S3, _Z3, _Z2, _A4 = range(5)
+           StabilizerType.Z2, StabilizerType.A4, StabilizerType.TRIVIAL)
+_CIRCLE, _S3, _Z3, _Z2, _A4, _TRIVIAL = range(6)
 _AXIAL = np.eye(7)[0]
 _FORBIDDEN = np.stack([_CONDITION_MASKS[0], _CONDITION_MASKS[2] + _AXIAL,
                        _CONDITION_MASKS[2], _CONDITION_MASKS[1],
@@ -1275,6 +1284,15 @@ _FORBIDDEN = np.stack([_CONDITION_MASKS[0], _CONDITION_MASKS[2] + _AXIAL,
 _AXIS_TABLE = np.concatenate([
     _BASIS7 @ _pullback(np.eye(10), np.roll(_EYE3, a + 1, axis=0)).T
     for a in range(3)])
+# A4 acts irreducibly on R^3, so M = I / 3 on an A4 cubic and no covariant
+# matrix of h finds its axes.  The fourth-order operator Psi = sum_m
+# H_m (x) H_m, H_m = h(., ., e_m), acting on symmetric matrices as
+# X -> sum_m H_m X H_m, does.  With G = a a^T from the (9, 3) slice matrix
+# a (G[ij, kl] = sum_m h_ijm h_klm), Psi[ik, jl] = G[ij, lk], and its
+# (5, 5) matrix on the traceless symmetric basis T_a = _TRACELESS[a] is
+# sum T_a[i, l] G[ij, kl] T_b[j, k]: the row G.ravel() @ _PSI.
+_PSI = np.einsum("ail,bjk->ijklab", *[_TRACELESS.reshape(5, 3, 3)] * 2
+                 ).reshape(81, 25)
 # An eigenvector is trusted when its eigenvalue is at least _GAP from the
 # other two (tr M = 1 on unit rows).  A functional f (unit rows) is a clear
 # pass at f <= tol^2 / _MARGIN and a clear fail at f >= _MARGIN * tol^2.
@@ -1282,23 +1300,112 @@ _AXIS_TABLE = np.concatenate([
 # symmetry axis within tol lies within about 2 tol / _GAP rad of a trusted
 # eigenvector; the components of a unit cubic change by at most 3 per rad,
 # so its functional there is at most (tol (1 + 6 / _GAP))^2 = (61 tol)^2,
-# below the clear fail (100 tol)^2.  And a cubic within tol of A4
-# (M = I / 3) has no eigenvalue gap above 4 tol + 2 tol^2, under _GAP for
-# every tol the certificate runs at (_MARGIN tol^2 < 1, tol < 0.01).
+# below the clear fail (100 tol)^2.
+# A cubic within tol of Circle, S3, Z3 or A4 has M within 2 tol + tol^2 of
+# a matrix with a repeated eigenvalue (M = I / 3 for A4), so one of its
+# gaps is at most 4 tol + 2 tol^2, under _GAP for every tol the
+# certificate runs at (_MARGIN tol^2 < 1, tol < 0.01).  Hence:
+# * Trivial: where all three gaps are at least _GAP, only a Z2 axis can lie
+#   within tol, at a trusted eigenvector with functional at most
+#   (61 tol)^2; a clear Z2 fail about all three leaves the census (0, 0).
+# * A4 is read where lmax - lmin < _GAP.  On a unit A4 cubic Psi has
+#   eigenvalue -1/6 twice and +1/6 three times, a spectral gap of 1/3: the
+#   -1/6 eigenspace holds the traceless matrices diagonal in the A4 frame.
+#   Of two orthonormal ones, D1 and D2, one has its consecutive eigenvalues
+#   at least sqrt(2) sin(pi / 12) = 0.366 apart, in any frame, and its
+#   eigenvectors are the three order-2 axes.
 _GAP = 0.1
 _MARGIN = 1e4
+# _EXCLUDES[s, r]: the rule of stratum r (Circle, S3, Z3, Z2) needs stratum
+# s a clear fail about every eigenvector.  Circle needs nothing, S3 needs
+# Circle out, Z3 needs S3 and Z2 out (Z2 out: Circle out), Z2 needs Z3 out
+# (Z3 out: S3 out).
+_EXCLUDES = np.zeros((5, 4), dtype=bool)
+_EXCLUDES[[_CIRCLE, _S3, _Z2, _Z3], [_S3, _Z3, _Z3, _Z2]] = True
+# the gaps (l1 - l0, l2 - l1) on either side of each eigenvalue of M
+_NEIGHBOUR_GAPS = np.array([[0, 0], [0, 1], [1, 1]])
+
+
+def _frame_functionals(units, frames, masks):
+    """Squared _BASIS7 components of the cubics with unit-norm rows units
+    (n, 10) about each column of frames (n, 3, 3), summed under the 0/1
+    masks (7, k) or one mask (7,): (n, 3, k) or (n, 3).  The components of
+    the pullback h(E x) about the coordinate axes (_AXIS_TABLE) are those
+    of h about E's columns, and E and -E give negated pullbacks, so the
+    squares do not depend on E's orientation; one small matrix product per
+    cubic."""
+    comps = np.matmul(_AXIS_TABLE, _pullback(units, frames)[:, :, None])
+    return np.matmul((comps * comps).reshape(len(units), 3, 7), masks)
+
+
+def _psi_frames(a):
+    """The frames (m, 3, 3) that Psi reads off the cubics with slice
+    matrices a (m, 9, 3): the eigenframe of the one of Psi's two lowest
+    eigenvectors, as a 3 x 3 matrix, whose eigenvalues lie further apart.
+    On an A4 cubic its columns are the three order-2 axes.  Each product
+    is one small matrix product per cubic, so each row's answer is that of
+    its cubic alone."""
+    m = len(a)
+    g = np.matmul(a, a.transpose(0, 2, 1)).reshape(m, 1, 81)
+    _, vecs = np.linalg.eigh(np.matmul(g, _PSI).reshape(m, 5, 5))
+    d = np.matmul(vecs[:, :, :2].transpose(0, 2, 1), _TRACELESS)
+    vals, frames = np.linalg.eigh(d.reshape(m, 2, 3, 3))
+    # on unit traceless D with eigenvalues v0 <= v1 <= v2 the smaller gap,
+    # (sqrt(2 - 3 v1^2) - 3 |v1|) / 2, falls as |v1| grows
+    mid = np.abs(vals[:, :, 1])
+    return np.where((mid[:, 1] < mid[:, 0])[:, None, None], frames[:, 1],
+                    frames[:, 0])
+
+
+def _a4_axes(units, a, tol):
+    """(whether the A4 rule holds (m,), the fit axis (k, 3) of each of the k
+    cubics where it holds) of the cubics with unit-norm coefficient rows
+    units (m, 10) and slice matrices a (m, 9, 3): the A4 functional is a
+    clear pass about all three columns of the frame _psi_frames reads, and
+    the fit axis is the signed column listed first (_listing), the order-2
+    axis the axis search's census lists first."""
+    frame = _psi_frames(a)
+    f = _frame_functionals(units, frame, _FORBIDDEN[_A4])
+    ok = (f <= tol * tol / _MARGIN).all(1)
+    axes = _signed(frame[ok].transpose(0, 2, 1).reshape(-1, 3))
+    return ok, axes[_listing(axes, np.arange(len(axes)) // 3)[::3]]
+
+
+def _eigenframe_rules(units, vecs, apart, tol):
+    """(index into _STRATA, -1 where no rule holds; fit axis) of the cubics
+    with unit-norm rows units (n, 10) and eigenframes vecs (n, 3, 3) of M,
+    by the rules of _certify on M's trusted eigenvectors; apart (n, 2)
+    tells whether each gap l1 - l0, l2 - l1 is at least _GAP."""
+    n = len(units)
+    f = _frame_functionals(units, vecs, _FORBIDDEN.T)  # (n, 3, stratum)
+    trusted = apart[:, _NEIGHBOUR_GAPS].all(2)[:, :, None]
+    clear = trusted & (f <= tol * tol / _MARGIN)
+    fail = ~trusted | (f >= _MARGIN * tol * tol)  # what is not read fails
+    out, whole = fail.all(1), apart.all(1)  # (n, stratum), (n,)
+    kind = np.where(whole & out[:, _Z2], _TRIVIAL, -1)
+    if not clear.any():  # every other rule needs a clear pass
+        return kind, _signed(vecs[:, :, 0])
+    rule = clear[:, :, :_A4].any(1) & ~np.matmul(~out, _EXCLUDES)
+    # exactly one clear pass, which A4 fails clearly (pass and fail exclude
+    # each other), and the other two a clear fail
+    rule[:, _Z2] &= (whole & (fail[:, :, _Z2].sum(1) == 2)
+                     & ((clear[:, :, _Z2] & fail[:, :, _A4]).sum(1) == 1))
+    hit, first = rule.any(1), rule.argmax(1)
+    rows = np.arange(n)
+    k = clear[rows, :, first].argmax(1)  # 0 where no rule holds
+    return np.where(hit, first, kind), _signed(vecs[rows, :, k])
 
 
 def _certify(units, tol):
     """(index into _STRATA (n,), -1 where the certificate declines; the
-    unit fit axis (n, 3), signed as _dedupe signs) of the cubics with
-    unit-norm coefficient rows units (n, 10), in closed form.
+    unit fit axis (n, 3), signed as _dedupe signs, of no use on a Trivial
+    or declined row) of the cubics with unit-norm coefficient rows units
+    (n, 10), in closed form.
 
-    One eigh of M per cubic gives the eigenframe E; the _BASIS7 components
-    of the pullback h(E x) about the coordinate axes (_AXIS_TABLE) are
-    those of h about the eigenvectors (E and -E give negated pullbacks, so
-    the squares do not depend on E's orientation), and their squares summed
-    under _FORBIDDEN give each stratum's functional about each eigenvector.
+    One eigh of M per cubic gives the eigenframe E, and the squared
+    components about its columns summed under _FORBIDDEN
+    (_frame_functionals) give each stratum's functional about each
+    eigenvector.
     Only trusted eigenvectors are read, and the most symmetric stratum is
     decided first:
 
@@ -1309,40 +1416,32 @@ def _certify(units, tol):
       the Z3 axis would need |c0| small, which S3's clear fail excludes);
     * Z2: all three eigenvectors trusted, exactly one clear pass, the other
       two a clear fail, Z3 a clear fail about all three and A4 a clear fail
-      about the passing one.
+      about the passing one;
+    * Trivial: no rule above, all three eigenvectors trusted and Z2 a clear
+      fail about all three.
 
-    Anything else (A4 and Trivial, an untrusted eigenvector the rule needs,
-    a functional between the two margins) is declined, and so is every
-    cubic when _MARGIN tol^2 >= 1, where no functional can fail clearly.
-    Every step is a row-wise array operation (the products as one small
-    matrix product per cubic), so each row's answer is that of its cubic
-    alone."""
+    A cubic with lmax - lmin < _GAP goes to the A4 rule instead (_a4_axes):
+    the A4 functional a clear pass about all three axes of the frame read
+    off Psi.  Anything else (an untrusted eigenvector a rule needs, a
+    functional between the two margins) is declined, and so is every cubic
+    when _MARGIN tol^2 >= 1, where no functional can fail clearly.  Every
+    step is a row-wise array operation (the products as one small matrix
+    product per cubic), so each row's answer is that of its cubic alone."""
     n = len(units)
     a = _full(units).reshape(n, 9, 3)
     vals, vecs = np.linalg.eigh(np.matmul(a.transpose(0, 2, 1), a))
+    if _MARGIN * tol * tol >= 1.0:  # nothing to decide
+        return np.full(n, -1), vecs[:, :, 0]
     apart = vals[:, 1:] - vals[:, :-1] >= _GAP  # (n, 2): l1 - l0, l2 - l1
-    if _MARGIN * tol * tol >= 1.0 or not apart.any():  # nothing to decide
-        return np.full(n, -1), vecs[:, :, 0]
-    comps = np.matmul(_AXIS_TABLE, _pullback(units, vecs)[:, :, None])
-    # (n, eigenvector, stratum), one (3, 7) @ (7, 5) product per cubic
-    f = np.matmul((comps * comps).reshape(n, 3, 7), _FORBIDDEN.T)
-    trusted = (apart[:, [0, 0, 1]] & apart[:, [0, 1, 1]])[:, :, None]
-    clear = trusted & (f <= tol * tol / _MARGIN)
-    if not clear.any():  # every rule below needs a clear pass
-        return np.full(n, -1), vecs[:, :, 0]
-    fail = ~trusted | (f >= _MARGIN * tol * tol)  # what is not read fails
-    some, out = clear.any(1), fail.all(1)  # (n, stratum)
-    z2 = clear[:, :, _Z2]
-    rule = np.stack([
-        some[:, _CIRCLE],
-        out[:, _CIRCLE] & some[:, _S3],
-        out[:, _S3] & out[:, _Z2] & some[:, _Z3],  # Z2 out: Circle out
-        out[:, _Z3] & apart.all(1) & (z2.sum(1) == 1)  # Z3 out: S3 out
-        & (z2 | fail[:, :, _Z2]).all(1) & (z2 & fail[:, :, _A4]).any(1)],
-        axis=1)
-    kind = np.where(rule.any(1), rule.argmax(1), -1)
-    k = clear[np.arange(n), :, np.maximum(kind, 0)].argmax(1)
-    return kind, _signed(vecs[np.arange(n), :, k])
+    if apart.any():
+        kind, axes = _eigenframe_rules(units, vecs, apart, tol)
+    else:
+        kind, axes = np.full(n, -1), vecs[:, :, 0].copy()
+    near = (vals[:, 2] - vals[:, 0] < _GAP).nonzero()[0]
+    if len(near):  # the A4 rule's rows, none of them decided above
+        ok, w = _a4_axes(units[near], a[near], tol)
+        kind[near[ok]], axes[near[ok]] = _A4, w
+    return kind, axes
 
 
 def classify(h, tol: float = TAU_AXIS):
@@ -1352,11 +1451,15 @@ def classify(h, tol: float = TAU_AXIS):
     (_certify), which reads the eigenframe of M_pq = h_ijp h_ijq and
     decides Circle, S3, Z3 or Z2 about an eigenvector where the forbidden
     components are clearly zero there and every competing stratum clearly
-    absent; every other cubic (A4, Trivial, a near-degenerate M, the band
-    around tol) goes to the axis search, where a circle axis -> Circle and
-    otherwise the census of order-2/order-3 axes selects the type from one
-    table (3+4 -> A4, 3+1 -> S3, 0+1 -> Z3, 1+0 -> Z2, none -> Trivial).
-    Where the certificate decides, the search would give the same type.
+    absent, Trivial where M's eigenvalues are all well apart and none of
+    its eigenvectors comes near an order-2 axis, and A4, where M is nearly
+    isotropic, about the frame of a fourth-order operator built from h's
+    slices; every other cubic (a near-degenerate M that is not A4, the
+    band around tol) goes to the axis search, where a circle axis ->
+    Circle and otherwise the census of order-2/order-3 axes selects the
+    type from one table (3+4 -> A4, 3+1 -> S3, 0+1 -> Z3, 1+0 -> Z2,
+    none -> Trivial).  Where the certificate decides, the search would
+    give the same type.
     The type's phase order k names the axis its normal form is about: the
     circle axis (k = 0), an order-2 (k = 2: Z2, A4) or an order-3 axis
     (k = 3: S3, Z3).  `tol` is the one symmetry tolerance: an axis counts

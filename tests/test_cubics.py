@@ -1201,21 +1201,34 @@ class TestClassifyBatch:
             assert same_fit(fit, classify(h))
 
     def test_failed_census_stays_with_its_cubic(self, monkeypatch):
+        # the failing cubic must reach the axis search: a Z2 form 2e-6 off,
+        # in the band around tol, which the certificate declines
+        rng = np.random.default_rng(79)
+        p = HarmonicCubic(rng.normal(size=7)
+                          @ (cubics._BASIS7 / cubics.MULTIPLICITY))
+        z2 = normal_form(ST.Z2, 1.0, 2.0)
+        off = rotate(z2.scaled(1.0 / z2.norm()) + p.scaled(2e-6 / p.norm()),
+                     random_rotation(rng))
         hs = [rotate(h, Rotation3.about_axis([1.0, 2.0, 0.5], 0.3))
               for _, h, expected, _, _ in CORPUS if expected is not ST.FULL]
+        bad = 1
+        hs.insert(bad, off)
+        assert certified([off])[0] == -1
         alone = [classify(h) for h in hs]
+        assert alone[bad].type is ST.Z2
         real = cubics._symmetry_axes
-        bad = 1  # xyz: A4, which the certificate declines (M = I / 3)
-        assert alone[bad].type is ST.A4
 
-        def census_fails_on_a4(cs, sq, tol):
-            # two order-2 axes alone match no stabilizer pattern
-            return [cubics.SymmetryAxes(order2=axes.order2[:2], order3=(),
-                                        circle=())
-                    if np.array_equal(c, hs[bad].coeffs) else axes
+        def census_fails_on_off(cs, sq, tol):
+            # its order-2 axis and a made-up second one match no stabilizer
+            # pattern
+            return [cubics.SymmetryAxes(
+                        order2=axes.order2 + ((np.array([0.0, 0.0, 1.0]),
+                                               0.0),),
+                        order3=(), circle=())
+                    if np.array_equal(c, off.coeffs) else axes
                     for c, axes in zip(cs, real(cs, sq, tol))]
 
-        monkeypatch.setattr(cubics, "_symmetry_axes", census_fails_on_a4)
+        monkeypatch.setattr(cubics, "_symmetry_axes", census_fails_on_off)
         fits = classify(hs)
         assert isinstance(fits[bad], cubics.CensusError)
         assert len(fits[bad].census["order2"]) == 2
@@ -1224,7 +1237,7 @@ class TestClassifyBatch:
                 assert same_fit(fit, alone[i])
         with pytest.raises(cubics.CensusError,
                            match=r"\(2 order-2, 0 order-3\) matches no"):
-            classify(hs[bad])
+            classify(off)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(picks=st.lists(st.tuples(st.integers(0, 15),
@@ -1280,23 +1293,42 @@ def searched(hs, tol=cubics.TAU_AXIS):
         cubics._symmetry_axes(cs, sq, tol)))
 
 
-def band_cubics(rng, copies):
+def m_gaps(h):
+    """The three eigenvalue gaps of M_pq = h_ijp h_ijq of h at unit norm,
+    from its full tensor."""
+    t = h.tensor / h.norm()
+    lam = np.linalg.eigvalsh(np.einsum("ijp,ijq->pq", t, t))
+    return np.array([lam[1] - lam[0], lam[2] - lam[1], lam[2] - lam[0]])
+
+
+def band_cubics(rng, copies, tol=cubics.TAU_AXIS):
     """Haar rotations at scales 10^[-3, 3] of every unit normal form plus d
     times a unit random harmonic cubic, d = 0, 1e-9 .. 1e-4 and 5e-7, 2e-6,
-    3e-6 around TAU_AXIS, across the tolerance band."""
+    3e-6 around TAU_AXIS, across the tolerance band; each d times
+    tol / TAU_AXIS for another tol."""
     unit = cubics._BASIS7 / cubics.MULTIPLICITY  # orthonormal components
+    scale = tol / cubics.TAU_AXIS
     hs = []
     for _, h, kind, _, _ in CORPUS:
         if kind is ST.FULL:
             continue
-        for d in [0.0, 5e-7, 2e-6, 3e-6] + [10.0 ** -k
-                                            for k in range(9, 3, -1)]:
+        for d in [scale * d for d in [0.0, 5e-7, 2e-6, 3e-6]
+                  + [10.0 ** -k for k in range(9, 3, -1)]]:
             for _ in range(copies):
                 p = HarmonicCubic(rng.normal(size=7) @ unit)
                 g = h.scaled(1.0 / h.norm()) + p.scaled(d / p.norm())
                 hs.append(rotate(g.scaled(10.0 ** rng.uniform(-3.0, 3.0)),
                                  random_rotation(rng)))
     return hs
+
+
+def a4_cubics(rng, count):
+    """Haar rotations of 6xyz and of m(r, r sqrt2), in turn, at random signs
+    and scales 10^[-3, 3]."""
+    return [rotate((XYZ6 if i % 2 else m_family(1.0, math.sqrt(2.0))).scaled(
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)),
+                   random_rotation(rng))
+            for i in range(count)]
 
 
 class TestCertificate:
@@ -1306,7 +1338,7 @@ class TestCertificate:
                                       "gaussian"])
     def test_agrees_with_the_search_wherever_it_decides(self, pool):
         # the type of the search and census, and r, s within 1e-12 ||h||
-        # (measured: at most 4.1e-16 ||h||, 601 of 3272 cubics decided)
+        # (measured: at most 4.4e-16 ||h||, 1726 of 3272 cubics decided)
         rng = np.random.default_rng(61)
         hs = {
             "corpus": lambda: [
@@ -1333,11 +1365,13 @@ class TestCertificate:
         if pool != "gaussian":
             assert (kind >= 0).any()
 
-    def test_decides_the_symmetric_forms_and_declines_a4_and_trivial(self):
+    def test_decides_the_symmetric_forms_a4_and_trivial_where_m_is_apart(
+            self):
         # away from the collapse lines (and from the lines r = 0 and s = 0,
         # where Z2 and Z3 meet A4, S3 and Circle) every rotated Circle, S3,
-        # Z3 and Z2 normal form is decided; A4 (M = I / 3) and Trivial
-        # never are
+        # Z3, Z2 and A4 normal form is decided, and so is every m(r, r
+        # sqrt2); a Trivial cubic is decided exactly when all three
+        # eigenvalue gaps of its M are at least _GAP
         rng = np.random.default_rng(67)
         forms = [(ST.CIRCLE, 1.0, 0.0), (ST.S3, 0.0, 1.0)]
         forms += [(ST.Z3, 1.0, q) for q in (0.01, 0.3, 0.7, 1.0, 2.0, 10.0)]
@@ -1347,16 +1381,21 @@ class TestCertificate:
                   rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)),
                   random_rotation(rng))
               for tag, r, s in forms for _ in range(20)]
+        hs += [rotate(m_family(r, r * math.sqrt(2.0)), random_rotation(rng))
+               for r in rng.choice((-1.0, 1.0), 20)
+               * 10.0 ** rng.uniform(-3.0, 3.0, 20)]
         hs += [rotate(h, random_rotation(rng)) for name, h, _, _, _ in CORPUS
                if name in ("m1r2", "random") for _ in range(20)]
         hs += [random_cubic(rng) for _ in range(200)]
         kind = certified(hs)
         for h, k, fit in zip(hs, kind.tolist(), classify(hs)):
-            if fit.type in (ST.A4, ST.TRIVIAL):
+            if fit.type is ST.TRIVIAL and m_gaps(h).min() < cubics._GAP:
                 assert k == -1
             else:
-                assert cubics._STRATA[k] is fit.type
-        assert (kind == -1).sum() == 20 + 40 + 200
+                assert k >= 0 and cubics._STRATA[k] is fit.type
+        # declined, then Circle, S3, Z3, Z2, A4 and Trivial
+        assert np.bincount(kind + 1, minlength=7).tolist() == [
+            84, 20, 20, 120, 120, 60, 136]
 
     def test_declines_every_cubic_where_no_functional_can_fail_clearly(self):
         # _MARGIN tol^2 >= 1: the certificate decides nothing
@@ -1367,16 +1406,80 @@ class TestCertificate:
         assert (certified(hs, 0.5 * tol) >= 0).any()
 
     def test_a_stack_decides_each_row_as_alone(self):
+        # every stratum's rows, A4 and Trivial among them, with the fit axis
+        # of each (for Trivial, an axis of no use) bit for bit
         rng = np.random.default_rng(73)
-        hs = band_cubics(rng, 1) + [random_cubic(rng) for _ in range(20)]
+        hs = (band_cubics(rng, 1) + [random_cubic(rng) for _ in range(20)]
+              + a4_cubics(rng, 10))
         cs = np.array([h.coeffs for h in hs])
         units = cs / np.sqrt(cubics.MULTIPLICITY @ (cs * cs).T)[:, None]
         kind, axes = cubics._certify(units, cubics.TAU_AXIS)
+        assert set(kind.tolist()) == set(range(-1, len(cubics._STRATA)))
         for i in range(len(hs)):
             k, w = cubics._certify(units[i:i + 1], cubics.TAU_AXIS)
             assert k[0] == kind[i]
             if k[0] >= 0:
                 assert w.tobytes() == axes[i:i + 1].tobytes()
+
+
+    def test_a4_frame_columns_are_the_order2_axes(self):
+        # to 1e-12 up to sign and order, over Haar rotations, signs and
+        # scales 10^[-3, 3] (measured: at most 1.0e-15)
+        rng = np.random.default_rng(89)
+        hs = a4_cubics(rng, 200)
+        cs = np.array([h.coeffs for h in hs])
+        units = cs / np.sqrt(cubics.MULTIPLICITY @ (cs * cs).T)[:, None]
+        frames = cubics._psi_frames(cubics._full(units).reshape(-1, 9, 3))
+        for h, frame in zip(hs, frames):
+            axes = np.array([w for w, _ in find_symmetry_axes(h).order2])
+            assert axes.shape == (3, 3)
+            # (column, axis) distance, the smaller over the axis' sign
+            dist = np.minimum(
+                np.abs(frame.T[:, None] - axes[None]).max(2),
+                np.abs(frame.T[:, None] + axes[None]).max(2))
+            assert sorted(dist.argmin(1).tolist()) == [0, 1, 2]
+            assert dist.min(1).max() <= 1e-12
+
+    def test_a4_fit_rotation_equals_the_searched_one(self):
+        # the fit about the order-2 axis the census lists first (measured:
+        # rotations within 1.4e-15)
+        rng = np.random.default_rng(97)
+        hs = a4_cubics(rng, 200)
+        assert (certified(hs) == cubics._A4).all()
+        for fit, ref in zip(classify(hs), searched(hs)):
+            assert fit.type is ref.type is ST.A4
+            assert np.abs(fit.rotation.entries
+                          - ref.rotation.entries).max() <= 1e-12
+            assert fit.r == ref.r == 0.0
+
+    def test_decided_a4_and_trivial_cubics_make_no_axis_search(
+            self, monkeypatch):
+        rng = np.random.default_rng(101)
+        trivial = [h for h in (random_cubic(rng) for _ in range(60))
+                   if m_gaps(h).min() >= cubics._GAP]
+        hs = a4_cubics(rng, 20) + trivial
+        assert len(trivial) == 35
+
+        def refuse_to_search(*args):
+            raise AssertionError("the axis search ran")
+
+        monkeypatch.setattr(cubics, "_symmetry_axes", refuse_to_search)
+        types = [ST.A4] * 20 + [ST.TRIVIAL] * len(trivial)
+        assert [fit.type for fit in classify(hs)] == types
+        assert [classify(h).type for h in hs] == types
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-3, 5e-3])
+    def test_types_agree_with_the_search_at_larger_tol(self, tol):
+        # the band scaled to tol, A4 forms and Gaussian cubics
+        rng = np.random.default_rng(103)
+        hs = (band_cubics(rng, 3, tol) + a4_cubics(rng, 20)
+              + [random_cubic(rng) for _ in range(200)])
+        kind = certified(hs, tol)
+        for k, fit, ref in zip(kind.tolist(), classify(hs, tol),
+                               searched(hs, tol)):
+            if k >= 0:
+                assert fit.type is ref.type is cubics._STRATA[k]
+        assert {cubics._A4, cubics._TRIVIAL} <= set(kind.tolist())
 
 
 class TestDedupe:
